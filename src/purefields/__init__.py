@@ -4,37 +4,12 @@ The package computes explicit integral bases from closed-form constructions,
 cross-checks the p-indices against Newton polygons, tabulates the periodic
 behavior of the bases modulo a fixed modulus, and certifies every emitted
 basis with independent brute-force oracles.
+
+The names below are the documented library surface; everything else is
+reached through its submodule.
 """
 
-from .exactmath import (
-    FpPolynomial,
-    IntMatrix,
-    NotSquareFree,
-    QPolynomial,
-    RatMatrix,
-    Rational,
-    SquareFree,
-    Unknown,
-    charpoly,
-    fp_gcd,
-    hnf,
-    square_free_check,
-    vp_int,
-    vp_poly,
-    vp_rational,
-)
-from .newton import (
-    NewtonPolygon,
-    PhiDevelopment,
-    Side,
-    index_lower_bound,
-    phi_development,
-    phi_index,
-    polygon_ascii,
-    polygon_json_dict,
-    principal_polygon,
-    residual_polynomial,
-)
+from .exactmath import QPolynomial
 from .oracle import (
     CertificationReport,
     CounterexampleFound,
@@ -43,14 +18,9 @@ from .oracle import (
     Proved,
     Skipped,
     basis_discriminant,
-    certification_json_dict,
     certify,
-    coordinates_in_basis,
-    dual_basis_coords,
     is_algebraic_integer,
-    mul,
     p_maximality_enum,
-    trace,
 )
 from .periodicity import (
     ParametricRow,
@@ -58,92 +28,43 @@ from .periodicity import (
     SkippedClass,
     UnknownRow,
     atlas,
-    atlas_json_dict,
-    atlas_pretty,
-    period_modulus,
     verify_periodicity,
 )
 from .purebasis import (
     BasisElement,
+    CertificationSkipped,
     IndexReport,
     IntegralBasis,
     PureField,
     UnknownSquareFreeError,
-    basis_json_dict,
-    compose_bases,
-    h_polynomial,
-    ind_p_closed_form,
-    index_report,
     integral_basis,
-    prime_power_basis,
-    s_value,
-    spans_equal,
 )
 
 __all__ = [
     "BasisElement",
     "CertificationReport",
+    "CertificationSkipped",
     "CounterexampleFound",
     "FieldElement",
-    "FpPolynomial",
     "IndexReport",
-    "IntMatrix",
     "IntegralBasis",
     "MaximalityResult",
-    "NewtonPolygon",
-    "NotSquareFree",
     "ParametricRow",
     "PeriodAtlas",
-    "PhiDevelopment",
     "Proved",
     "PureField",
     "QPolynomial",
-    "RatMatrix",
-    "Rational",
-    "Side",
     "Skipped",
     "SkippedClass",
-    "SquareFree",
-    "Unknown",
     "UnknownRow",
     "UnknownSquareFreeError",
     "atlas",
-    "atlas_json_dict",
-    "atlas_pretty",
     "basis_discriminant",
-    "basis_json_dict",
-    "certification_json_dict",
     "certify",
-    "charpoly",
-    "compose_bases",
-    "coordinates_in_basis",
-    "dual_basis_coords",
-    "fp_gcd",
-    "h_polynomial",
-    "hnf",
-    "ind_p_closed_form",
-    "index_lower_bound",
-    "index_report",
     "integral_basis",
     "is_algebraic_integer",
-    "mul",
     "p_maximality_enum",
-    "period_modulus",
-    "phi_development",
-    "phi_index",
-    "polygon_ascii",
-    "polygon_json_dict",
-    "prime_power_basis",
-    "principal_polygon",
-    "residual_polynomial",
-    "s_value",
-    "spans_equal",
-    "square_free_check",
-    "trace",
     "verify_periodicity",
-    "vp_int",
-    "vp_poly",
-    "vp_rational",
 ]
 
 __version__ = "0.1.0"

@@ -33,21 +33,17 @@ from .oracle import (
     certification_json_dict,
     certify,
 )
-from .periodicity import (
-    ParametricRow,
-    UnknownRow,
-    atlas,
-    atlas_json_dict,
-    atlas_pretty,
-)
+from .periodicity import UnknownRow, atlas, atlas_json_dict, atlas_pretty
 from .purebasis import (
-    IntegralBasis,
+    CertificationSkipped,
+    IndexReport,
     PureField,
     UnknownSquareFreeError,
     basis_json_dict,
-    compose_bases,
+    build_basis,
     index_report,
-    prime_power_basis,
+    integral_basis,
+    ledger_json_dict,
 )
 
 EXIT_OK = 0
@@ -90,15 +86,6 @@ def _make_field(args) -> PureField:
     )
 
 
-def _build_uncertified(field: PureField) -> IntegralBasis:
-    basis = None
-    for p, k in field.factorization:
-        piece = prime_power_basis(p, k, field.m, allow_unknown=True)
-        basis = piece if basis is None else compose_bases(basis, piece, field.m)
-    assert basis is not None
-    return basis
-
-
 def _certification_pretty(field: PureField, report) -> str:
     lines = [f"n = {field.n}, m = {field.m}"]
     good = sum(report.integrality)
@@ -118,75 +105,45 @@ def _certification_pretty(field: PureField, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _skip_reasons(report) -> list[str]:
-    return [
-        f"p = {p}: {result.reason}"
-        for p, result in sorted(report.maximality.items())
-        if isinstance(result, Skipped)
-    ]
+def _print_skips(skipped: dict[int, str]) -> None:
+    for p, reason in sorted(skipped.items()):
+        print(
+            f"enumeration skipped, p = {p}: {reason} "
+            f"(raise --enum-budget to certify)",
+            file=sys.stderr,
+        )
+
+
+def _ledger_pretty(report: IndexReport) -> str:
+    index_text = " * ".join(
+        f"{p}^{e}" for p, e in sorted(report.per_prime.items()) if e
+    ) or "1"
+    return (
+        f"index: {index_text} = {report.total_index}\n"
+        f"polynomial discriminant: {report.poly_discriminant}\n"
+        f"field discriminant: {report.field_discriminant}\n"
+    )
 
 
 def _cmd_basis(args) -> int:
     field = _make_field(args)
     log.info("building integral basis for n=%d, m=%d", field.n, field.m)
-    basis = _build_uncertified(field)
-    report = index_report(field)
-    certification = certify(basis, enum_budget=args.enum_budget)
-    if not certification.certified:
-        print(
-            f"constructed basis failed certification:\n"
-            f"{_certification_pretty(field, certification)}",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFICATION_FAILED
-
-    doc = basis_json_dict(basis, report)
+    basis, report = integral_basis(field, enum_budget=args.enum_budget)
     row = ", ".join(str(e) for e in basis.elements)
-    index_text = " * ".join(
-        f"{p}^{e}" for p, e in sorted(report.per_prime.items()) if e
-    ) or "1"
     pretty = (
         f"n = {field.n}, m = {field.m}\n"
         f"basis: {row}\n"
-        f"index: {index_text} = {report.total_index}\n"
-        f"polynomial discriminant: {report.poly_discriminant}\n"
-        f"field discriminant: {report.field_discriminant}\n"
+        f"{_ledger_pretty(report)}"
     )
-    _emit(args, doc, pretty)
-
-    skips = _skip_reasons(certification)
-    if skips:
-        for reason in skips:
-            print(
-                f"enumeration skipped, {reason} "
-                f"(raise --enum-budget to certify)",
-                file=sys.stderr,
-            )
-        return EXIT_RESOURCE_BOUND
+    _emit(args, basis_json_dict(basis, report), pretty)
     return EXIT_OK
 
 
 def _cmd_index(args) -> int:
     field = _make_field(args)
     report = index_report(field)
-    doc = {
-        "n": field.n,
-        "m": field.m,
-        "index": {str(p): e for p, e in sorted(report.per_prime.items())},
-        "total_index": report.total_index,
-        "disc_poly": report.poly_discriminant,
-        "disc_field": report.field_discriminant,
-    }
-    index_text = " * ".join(
-        f"{p}^{e}" for p, e in sorted(report.per_prime.items()) if e
-    ) or "1"
-    pretty = (
-        f"n = {field.n}, m = {field.m}\n"
-        f"index: {index_text} = {report.total_index}\n"
-        f"polynomial discriminant: {report.poly_discriminant}\n"
-        f"field discriminant: {report.field_discriminant}\n"
-    )
-    _emit(args, doc, pretty)
+    pretty = f"n = {field.n}, m = {field.m}\n{_ledger_pretty(report)}"
+    _emit(args, ledger_json_dict(field, report), pretty)
     return EXIT_OK
 
 
@@ -241,8 +198,7 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = _make_field(args)
-    basis = _build_uncertified(field)
-    certification = certify(basis, enum_budget=args.enum_budget)
+    certification = certify(build_basis(field), enum_budget=args.enum_budget)
     _emit(
         args,
         certification_json_dict(certification),
@@ -261,14 +217,8 @@ def _cmd_verify(args) -> int:
                 failures.append(f"p-maximality at {p}")
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
-    skips = _skip_reasons(certification)
-    if skips:
-        for reason in skips:
-            print(
-                f"enumeration skipped, {reason} "
-                f"(raise --enum-budget to certify)",
-                file=sys.stderr,
-            )
+    if certification.skipped:
+        _print_skips(certification.skipped)
         return EXIT_RESOURCE_BOUND
     return EXIT_OK
 
@@ -367,6 +317,9 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except UnknownSquareFreeError as exc:
         print(f"error: {exc} (pass --allow-unknown-squarefree)", file=sys.stderr)
+        return EXIT_RESOURCE_BOUND
+    except CertificationSkipped as exc:
+        _print_skips(exc.skipped)
         return EXIT_RESOURCE_BOUND
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ builds one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,17 +179,50 @@ def _basis_field_elements(basis: IntegralBasis) -> list[FieldElement]:
     ]
 
 
-def _multiplicatively_closed(basis: IntegralBasis) -> bool:
-    # an order is closed under multiplication: every pairwise product must
-    # have integer coordinates in the basis itself
-    elems = _basis_field_elements(basis)
-    n = len(elems)
+def _structure_constants(basis: IntegralBasis) -> list[list[tuple[Fraction, ...]]]:
+    """table[i][j] holds the coordinates of b_i * b_j in the basis itself.
+
+    With b_i = N_i(alpha)/d_i, each product is taken on the integer
+    numerators, reduced by alpha^n = m, and peeled off against the
+    triangular basis from the top degree down over one common denominator.
+    """
+    n, m = basis.field.n, basis.field.m
+    nums = [e.numerator.integer_coefficients() for e in basis.elements]
+    dens = [e.denominator for e in basis.elements]
+    table: list[list[tuple[Fraction, ...]]] = [[()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            coords = coordinates_in_basis(mul(elems[i], elems[j]), basis)
-            if any(c.denominator != 1 for c in coords):
-                return False
-    return True
+            prod = [0] * (2 * n - 1)
+            for a, x in enumerate(nums[i]):
+                if x:
+                    for b, y in enumerate(nums[j]):
+                        if y:
+                            prod[a + b] += x * y
+            for k in range(2 * n - 2, n - 1, -1):
+                if prod[k]:
+                    prod[k - n] += m * prod[k]
+            # the product is rem/scale; rem stays an integer vector
+            rem, scale = prod[:n], dens[i] * dens[j]
+            coords = [Fraction(0)] * n
+            for k in range(n - 1, -1, -1):
+                if rem[k]:
+                    lead = nums[k][k]
+                    g = lead // math.gcd(rem[k], lead)
+                    if g != 1:
+                        rem = [r * g for r in rem]
+                        scale *= g
+                    q = rem[k] // lead
+                    coords[k] = Fraction(q * dens[k], scale)
+                    for t in range(k):
+                        rem[t] -= q * nums[k][t]
+            table[i][j] = table[j][i] = tuple(coords)
+    return table
+
+
+def _multiplicatively_closed(table: list[list[tuple[Fraction, ...]]]) -> bool:
+    # an order is closed under multiplication: every pairwise product must
+    # have integer coordinates in the basis itself
+    return all(c.denominator == 1 for row in table for coords in row for c in coords)
 
 
 def _power_basis_discriminant(field: PureField) -> Fraction:
@@ -205,20 +237,23 @@ def _power_basis_discriminant(field: PureField) -> Fraction:
     return det_rational(RatMatrix(gram))
 
 
-def _discriminant_exact(basis: IntegralBasis) -> Fraction:
+def _discriminant_exact(
+    basis: IntegralBasis, table: list[list[tuple[Fraction, ...]]]
+) -> Fraction:
     """Trace-pairing discriminant with an internal dual-route cross-check.
 
-    The Gram determinant of the basis must equal the power-basis Gram
+    The Gram matrix comes from the structure constants, Tr(b_i b_j) =
+    sum_k c_ijk Tr(b_k).  Its determinant must equal the power-basis Gram
     determinant times the squared transition determinant (triangular, so
     the product of leading coefficients over denominators).  Disagreement
     means a bug in the oracle itself, never bad input, hence the raise.
     """
-    elems = _basis_field_elements(basis)
-    n = basis.field.n
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = trace(mul(elems[i], elems[j]))
+    traces = [
+        (k, t) for k, t in enumerate(map(trace, _basis_field_elements(basis))) if t
+    ]
+    gram = [
+        [sum(coords[k] * t for k, t in traces) for coords in row] for row in table
+    ]
     gram_route = det_rational(RatMatrix(gram))
 
     transition_det = Fraction(1)
@@ -235,7 +270,7 @@ def _discriminant_exact(basis: IntegralBasis) -> Fraction:
 
 def basis_discriminant(basis: IntegralBasis) -> int:
     """Discriminant of the Z-module spanned by the basis."""
-    value = _discriminant_exact(basis)
+    value = _discriminant_exact(basis, _structure_constants(basis))
     if value.denominator != 1:
         raise ArithmeticError("discriminant is not an integer; basis is not integral")
     return int(value)
@@ -262,24 +297,6 @@ class Skipped:
 
 
 MaximalityResult = Proved | CounterexampleFound | Skipped
-
-
-def _structure_constants(
-    basis: IntegralBasis,
-) -> list[list[tuple[int, ...]]] | None:
-    """Pairwise products in basis coordinates, or None if some product
-    leaves the lattice (the lattice is not a ring)."""
-    elems = _basis_field_elements(basis)
-    n = len(elems)
-    table: list[list[tuple[int, ...]]] = [[()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            coords = coordinates_in_basis(mul(elems[i], elems[j]), basis)
-            if any(c.denominator != 1 for c in coords):
-                return None
-            ints = tuple(c.numerator for c in coords)
-            table[i][j] = table[j][i] = ints
-    return table
 
 
 def p_maximality_enum(
@@ -309,11 +326,12 @@ def p_maximality_enum(
     # closed under multiplication and contains 1 (then finiteness over Z
     # forces every element, and every multiplier found below, to be integral)
     table = _structure_constants(basis)
-    if table is None:
+    if not _multiplicatively_closed(table):
         return Skipped(
             "the lattice is not multiplicatively closed; "
             "p-maximality is about orders"
         )
+    table = [[tuple(c.numerator for c in coords) for coords in row] for row in table]
     unit_coords = coordinates_in_basis(FieldElement.one(field), basis)
     if any(c.denominator != 1 for c in unit_coords):
         return Skipped(
@@ -418,24 +436,6 @@ def p_maximality_enum(
     return CounterexampleFound(candidate)
 
 
-def _exhaustive_maximality_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
-    """Literal coset walk; the slow twin that cross-validates the fast route."""
-    field = basis.field
-    n = field.n
-    elems = _basis_field_elements(basis)
-    for cvec in itertools.product(range(p), repeat=n):
-        if not any(cvec):
-            continue
-        numerator = [
-            sum((Fraction(c) * e.coords[t] for c, e in zip(cvec, elems)), Fraction(0))
-            for t in range(n)
-        ]
-        candidate = FieldElement(field, tuple(x / p for x in numerator))
-        if is_algebraic_integer(candidate):
-            return CounterexampleFound(candidate)
-    return Proved()
-
-
 # --- certification ----------------------------------------------------------
 
 
@@ -447,6 +447,13 @@ class CertificationReport:
     ring_closed: bool
     disc_match: bool
     maximality: dict[int, MaximalityResult]
+
+    @property
+    def skipped(self) -> dict[int, str]:
+        """Reason for each prime whose p-maximality check was skipped."""
+        return {
+            p: r.reason for p, r in self.maximality.items() if isinstance(r, Skipped)
+        }
 
     @property
     def certified(self) -> bool:
@@ -471,8 +478,10 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
     field = basis.field
     elems = _basis_field_elements(basis)
     integrality = tuple(is_algebraic_integer(e) for e in elems)
-    ring_closed = _multiplicatively_closed(basis)
-    disc_match = _discriminant_exact(basis) == index_report(field).field_discriminant
+    table = _structure_constants(basis)
+    ring_closed = _multiplicatively_closed(table)
+    disc = _discriminant_exact(basis, table)
+    disc_match = disc == index_report(field).field_discriminant
     maximality = {
         p: p_maximality_enum(basis, p, enum_budget=enum_budget)
         for p, _ in field.factorization

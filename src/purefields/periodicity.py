@@ -93,6 +93,12 @@ def _square_free_witnesses(r: int, n0: int, scan_bound: int):
             yield m
 
 
+def _certified_row(n: int, m: int, enum_budget: int) -> tuple[QPolynomial, ...]:
+    """The certified basis of Q(m^(1/n)) as a tuple of polynomials."""
+    basis, _ = integral_basis(PureField.create(n, m), enum_budget=enum_budget)
+    return tuple(e.as_qpoly() for e in basis.elements)
+
+
 def atlas(
     n: int, *, scan_bound: int | None = None, enum_budget: int = 2**24
 ) -> PeriodAtlas:
@@ -100,7 +106,9 @@ def atlas(
 
     Each non-skipped class is certified at two independent witnesses; the two
     rows must agree as literal polynomial tuples, otherwise periodicity is
-    violated and a RuntimeError reports the offending class.
+    violated and a RuntimeError reports the offending class.  A witness
+    whose p-maximality check is skipped for budget raises
+    CertificationSkipped.
     """
     n0 = period_modulus(n)
     if scan_bound is None:
@@ -123,15 +131,8 @@ def atlas(
             rows[r] = UnknownRow(scan_bound)
             continue
         first, second = witnesses
-        basis_a, _ = integral_basis(
-            PureField.create(n, first), enum_budget=enum_budget
-        )
-        basis_b, _ = integral_basis(
-            PureField.create(n, second), enum_budget=enum_budget
-        )
-        polys_a = tuple(e.as_qpoly() for e in basis_a.elements)
-        polys_b = tuple(e.as_qpoly() for e in basis_b.elements)
-        if polys_a != polys_b:
+        polys_a = _certified_row(n, first, enum_budget)
+        if polys_a != _certified_row(n, second, enum_budget):
             raise RuntimeError(
                 f"periodicity violated at residue {r} mod {n0}: "
                 f"witnesses {first} and {second} yield different rows"
@@ -156,11 +157,7 @@ def verify_periodicity(
         if m % n0 != r:
             raise ValueError(f"{m} is not congruent to {r} mod {n0}")
     # PureField.create rejects non-square-free radicands.
-    basis_1, _ = integral_basis(PureField.create(n, m1), enum_budget=enum_budget)
-    basis_2, _ = integral_basis(PureField.create(n, m2), enum_budget=enum_budget)
-    polys_1 = tuple(e.as_qpoly() for e in basis_1.elements)
-    polys_2 = tuple(e.as_qpoly() for e in basis_2.elements)
-    return polys_1 == polys_2
+    return _certified_row(n, m1, enum_budget) == _certified_row(n, m2, enum_budget)
 
 
 def _coefficient_strings(poly: QPolynomial) -> list[str]:

@@ -4,6 +4,8 @@ The construction is fully explicit.  For prime-power degree the basis is a
 family of geometric-sum polynomials divided by prime powers, selected by a
 single valuation parameter s.  For composite degree the prime-power bases
 are merged degree by degree with a coefficient-wise Chinese remainder step.
+build_basis is the one construction path: it folds the prime-power bases
+of a validated field, uncertified; integral_basis certifies its result.
 Alongside the basis we keep the index ledger: per-prime indices in closed
 form, the total index, and the two discriminants it ties together.
 """
@@ -37,6 +39,17 @@ class UnknownSquareFreeError(Exception):
         )
         self.m = m
         self.bound = bound
+
+
+class CertificationSkipped(Exception):
+    """Certification of a basis stopped short: some p-maximality check was
+    skipped, so the basis is neither certified nor refuted."""
+
+    def __init__(self, field: "PureField", skipped: dict[int, str]):
+        reasons = "; ".join(f"p = {p}: {r}" for p, r in sorted(skipped.items()))
+        super().__init__(f"certification of {field} skipped at {reasons}")
+        self.field = field
+        self.skipped = skipped
 
 
 @dataclass(frozen=True)
@@ -240,19 +253,18 @@ def _power_basis_elements(n: int) -> tuple[BasisElement, ...]:
     return tuple(BasisElement(QPolynomial.x_power(i), 1) for i in range(n))
 
 
-def prime_power_basis(
-    p: int, k: int, m: int, *, allow_unknown: bool = False
-) -> IntegralBasis:
+def prime_power_basis(p: int, k: int, m: int) -> IntegralBasis:
     """Integral basis of Q(m^(1/p^k)) for square-free m.
 
     For p | m the power basis is already maximal.  Otherwise the basis is
     the double-indexed family alpha^j * h_t(alpha) / p^t, with the row
     layout decided by comparing s = v_p(m^p - m) - 1 against k.
-    allow_unknown skips the square-free recheck for callers that already
-    settled it.
     """
-    field = PureField.create(p ** k, m, allow_unknown=allow_unknown)
-    n = field.n
+    return _prime_power_basis(PureField.create(p ** k, m), p, k)
+
+
+def _prime_power_basis(field: PureField, p: int, k: int) -> IntegralBasis:
+    n, m = field.n, field.m
     if m % p == 0:
         return IntegralBasis(field, _power_basis_elements(n))
 
@@ -351,21 +363,31 @@ def index_report(field: PureField) -> IndexReport:
     return IndexReport(per_prime, total, poly_disc // (total * total), poly_disc)
 
 
+def build_basis(field: PureField) -> IntegralBasis:
+    """The closed-form basis of the field, not yet certified.
+
+    Prime-power bases are folded over the ascending prime powers of n via
+    the CRT merge.  m was validated when the field was created, so each
+    piece's field is assembled directly, as in compose_bases.
+    """
+    basis = None
+    for p, k in field.factorization:
+        piece = _prime_power_basis(PureField(p ** k, field.m, ((p, k),)), p, k)
+        basis = piece if basis is None else compose_bases(basis, piece, field.m)
+    return basis
+
+
 def integral_basis(
     field: PureField, *, enum_budget: int = 2 ** 24
 ) -> tuple[IntegralBasis, IndexReport]:
     """Integral basis plus index ledger, certified before being returned.
 
-    Prime-power bases are folded over the ascending prime powers of n via
-    the CRT merge.  The result is post-certified (integrality, ring
-    closure, discriminant accounting, p-maximality within budget); a basis
-    that fails certification is never emitted.
+    The basis from build_basis is post-certified (integrality, ring
+    closure, discriminant accounting, p-maximality for every p | n); a
+    basis that fails certification is never emitted, and one whose
+    p-maximality check was skipped for budget raises CertificationSkipped.
     """
-    basis = None
-    for p, k in field.factorization:
-        piece = prime_power_basis(p, k, field.m, allow_unknown=True)
-        basis = piece if basis is None else compose_bases(basis, piece, field.m)
-    assert basis is not None
+    basis = build_basis(field)
     report = index_report(field)
 
     from . import oracle
@@ -378,6 +400,8 @@ def integral_basis(
     if not basis.denominator_ledger_ok():
         raise RuntimeError(f"denominator ledger violated for {field}")
     _check_discriminant_accounting(basis, report)
+    if certification.skipped:
+        raise CertificationSkipped(field, certification.skipped)
     return basis, report
 
 
@@ -392,19 +416,26 @@ def _check_discriminant_accounting(basis: IntegralBasis, report: IndexReport) ->
         )
 
 
+def ledger_json_dict(field: PureField, report: IndexReport) -> dict:
+    """JSON-ready description of a field's index ledger."""
+    return {
+        "n": field.n,
+        "m": field.m,
+        "index": {str(p): e for p, e in sorted(report.per_prime.items())},
+        "total_index": report.total_index,
+        "disc_field": report.field_discriminant,
+        "disc_poly": report.poly_discriminant,
+    }
+
+
 def basis_json_dict(basis: IntegralBasis, report: IndexReport) -> dict:
     """JSON-ready description of a basis and its ledger."""
     common, matrix = basis.canonical()
     return {
-        "n": basis.field.n,
-        "m": basis.field.m,
+        **ledger_json_dict(basis.field, report),
         "elements": [
             {"num": list(e.numerator.integer_coefficients()), "den": e.denominator}
             for e in basis.elements
         ],
         "hnf": {"den": common, "matrix": [list(row) for row in matrix.entries]},
-        "index": {str(p): e for p, e in sorted(report.per_prime.items())},
-        "total_index": report.total_index,
-        "disc_field": report.field_discriminant,
-        "disc_poly": report.poly_discriminant,
     }

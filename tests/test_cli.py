@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -88,6 +89,15 @@ class TestBasis:
         )
         assert code == 0
         assert json.loads(out)["m"] == UNDECIDED_M
+
+    def test_skipped_maximality_is_resource_bound(self, capsys):
+        code, out, err = invoke(
+            capsys, "basis", "--n", "9", "--m", "55", "--enum-budget", "19682"
+        )
+        assert code == 3
+        assert out == ""
+        assert "p = 3" in err
+        assert "--enum-budget" in err
 
     def test_output_path_silences_stdout(self, capsys, tmp_path):
         target = tmp_path / "basis.json"
@@ -279,3 +289,35 @@ class TestArgumentHandling:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_index"] == 1
+
+
+# SHA-256 of stdout; any change to the emitted bytes must be deliberate
+GOLDEN_STDOUT = [
+    (("basis", "--n", "9", "--m", "55"),
+     "c3a77d075773076e46d1d49fe616d72f5f7e441c4b505735ded6eaad9e9b001a"),
+    (("basis", "--n", "9", "--m", "55", "--format", "pretty"),
+     "b37c1f72619ecd8a92e7f74996293620b433c539c9cbf414c05c88065ca24211"),
+    (("basis", "--n", "12", "--m", "53"),
+     "95b94379047447b26807749074b7319f1b21080907918d2d4eb387ab7a805248"),
+    (("basis", "--n", "12", "--m", "53", "--format", "pretty"),
+     "70a7c370476c0fae321b56c08e2cb33713591cf6a136874f8dfc7b9c4afb03e4"),
+    (("basis", "--n", "6", "--m", "-10"),
+     "8007a9f60533cd1a1adb8f97f38c46d226705ff837dc3a1831b4fc1827dc6913"),
+    (("basis", "--n", "6", "--m", "-10", "--format", "pretty"),
+     "92ca49b395b18d12fc4af2753ff798d10b48c7c7d220c819b43547ec9da2007c"),
+    (("index", "--n", "12", "--m", "53"),
+     "2aa31f7b0a2ce24d7b9cb82d6ade0784e241b4f21d16ec86053510fbaeaef5ed"),
+    (("index", "--n", "12", "--m", "53", "--format", "pretty"),
+     "afbc22547baf884e9bf04afe3cb920433d07d4e525224fc36bb112db2169dd7d"),
+    (("verify", "--n", "12", "--m", "17"),
+     "c972d92dc1ad896d6cab7a2bee6f8637d2511fceb10d06d2e235668177780624"),
+    (("atlas", "--n", "4"),
+     "1d257e85289c14acbbbeaed9bfb322818ab897004d3c0777d564bb5ed1b7888c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT)
+def test_golden_stdout_bytes(capsys, argv, digest):
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 """Certification oracle: exact arithmetic, integrality, discriminants,
 and the p-maximality proof, cross-validated against a literal coset walk."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from purefields.oracle import (
     CounterexampleFound,
     FieldElement,
     Proved,
+    MaximalityResult,
     Skipped,
-    _exhaustive_maximality_scan,
     _multiplication_matrix,
     basis_discriminant,
     certification_json_dict,
@@ -283,6 +284,24 @@ def test_maximality_skips_lattice_without_one():
     result = p_maximality_enum(lattice, 2)
     assert isinstance(result, Skipped)
     assert "contain 1" in result.reason
+
+
+def _exhaustive_maximality_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
+    """Literal coset walk; the slow twin that cross-validates the fast route."""
+    field = basis.field
+    n = field.n
+    elems = [FieldElement.from_basis_element(field, e) for e in basis.elements]
+    for cvec in itertools.product(range(p), repeat=n):
+        if not any(cvec):
+            continue
+        numerator = [
+            sum((Fraction(c) * e.coords[t] for c, e in zip(cvec, elems)), Fraction(0))
+            for t in range(n)
+        ]
+        candidate = FieldElement(field, tuple(x / p for x in numerator))
+        if is_algebraic_integer(candidate):
+            return CounterexampleFound(candidate)
+    return Proved()
 
 
 def test_fast_route_matches_exhaustive_scan():

@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purefields.exactmath import QPolynomial, square_free_check, SquareFree
+from purefields import purebasis
 from purefields.purebasis import (
     BasisElement,
+    CertificationSkipped,
     IntegralBasis,
     IndexReport,
     PureField,
     UnknownSquareFreeError,
     basis_json_dict,
+    build_basis,
     compose_bases,
     h_polynomial,
     ind_p_closed_form,
     index_report,
+    integral_basis,
     prime_power_basis,
     s_value,
     spans_equal,
@@ -230,6 +234,33 @@ def test_denominator_ledger():
         basis.elements[:-1] + (BasisElement(basis.elements[-1].numerator, 27),),
     )
     assert not bad.denominator_ledger_ok()
+
+
+def test_build_basis_checks_square_freeness_once(monkeypatch):
+    # the field's m is already validated; the prime-power pieces must not
+    # rerun the trial division
+    field = PureField.create(12, 53)
+    calls = []
+    original = purebasis.square_free_check
+    monkeypatch.setattr(
+        purebasis,
+        "square_free_check",
+        lambda *args: calls.append(args) or original(*args),
+    )
+    basis = build_basis(field)
+    assert calls == []
+    assert spans_equal(basis, integral_basis(field)[0])
+    with pytest.raises(ValueError):
+        prime_power_basis(3, 2, 28)  # 4 | 28
+    assert calls
+
+
+def test_integral_basis_raises_on_skipped_maximality():
+    with pytest.raises(CertificationSkipped) as info:
+        integral_basis(PureField.create(9, 55), enum_budget=3 ** 9 - 1)
+    assert list(info.value.skipped) == [3]
+    assert "budget" in info.value.skipped[3]
+    assert "p = 3" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
