@@ -10,14 +10,16 @@ builds one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
-    QPolynomial,
+    IntMatrix,
     RatMatrix,
     charpoly,
+    det_int,
     det_rational,
     fp_kernel,
     hnf_rows,
@@ -179,12 +181,18 @@ def _basis_field_elements(basis: IntegralBasis) -> list[FieldElement]:
     ]
 
 
-def _structure_constants(basis: IntegralBasis) -> list[list[tuple[Fraction, ...]]]:
+StructureTable = tuple[tuple[tuple[Fraction, ...], ...], ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _structure_constants(basis: IntegralBasis) -> StructureTable:
     """table[i][j] holds the coordinates of b_i * b_j in the basis itself.
 
     With b_i = N_i(alpha)/d_i, each product is taken on the integer
     numerators, reduced by alpha^n = m, and peeled off against the
     triangular basis from the top degree down over one common denominator.
+    The most recent table is kept, so certify and each prime's
+    p_maximality_enum share one; its rows are tuples, hence immutable.
     """
     n, m = basis.field.n, basis.field.m
     nums = [e.numerator.integer_coefficients() for e in basis.elements]
@@ -216,30 +224,29 @@ def _structure_constants(basis: IntegralBasis) -> list[list[tuple[Fraction, ...]
                     for t in range(k):
                         rem[t] -= q * nums[k][t]
             table[i][j] = table[j][i] = tuple(coords)
-    return table
+    return tuple(map(tuple, table))
 
 
-def _multiplicatively_closed(table: list[list[tuple[Fraction, ...]]]) -> bool:
+def _multiplicatively_closed(table: StructureTable) -> bool:
     # an order is closed under multiplication: every pairwise product must
     # have integer coordinates in the basis itself
     return all(c.denominator == 1 for row in table for coords in row for c in coords)
 
 
-def _power_basis_discriminant(field: PureField) -> Fraction:
-    # Gram determinant det[Tr(alpha^(i+j))], reduced through alpha^n = m;
-    # no closed discriminant formula enters here
-    n = field.n
-    powers = [
-        FieldElement.from_qpoly(field, QPolynomial.x_power(k))
-        for k in range(2 * n - 1)
-    ]
-    gram = [[trace(powers[i + j]) for j in range(n)] for i in range(n)]
-    return det_rational(RatMatrix(gram))
+def _power_basis_discriminant(field: PureField) -> int:
+    # Gram determinant det[Tr(alpha^(i+j))]; alpha^k = m^(k div n) *
+    # alpha^(k mod n) and Tr(alpha^j) = n*[j == 0] for 0 <= j < n, so the
+    # matrix is integral; no closed discriminant formula enters here
+    n, m = field.n, field.m
+
+    def power_trace(k: int) -> int:
+        return n * m ** (k // n) if k % n == 0 else 0
+
+    gram = [[power_trace(i + j) for j in range(n)] for i in range(n)]
+    return det_int(IntMatrix(gram))
 
 
-def _discriminant_exact(
-    basis: IntegralBasis, table: list[list[tuple[Fraction, ...]]]
-) -> Fraction:
+def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> Fraction:
     """Trace-pairing discriminant with an internal dual-route cross-check.
 
     The Gram matrix comes from the structure constants, Tr(b_i b_j) =
@@ -312,6 +319,11 @@ def p_maximality_enum(
     yields the explicit counterexample y/p.  The two formulations answer
     the same question with the same witnesses, so the budget guard is kept
     on the nominal coset count p^n.
+
+    The multiplier system is built on integers only: the generator
+    products come from the integer structure constants, and solving them
+    in the Hermite basis of I_p needs exact divisions alone, because that
+    lattice contains p*O and so its diagonal entries lie in {1, p}.
     """
     field = basis.field
     n = field.n
@@ -388,36 +400,45 @@ def p_maximality_enum(
     ideal_rows.extend(list(v) for v in radical)
     lattice = hnf_rows(ideal_rows, n)
 
-    def solve_in_lattice(v: list[Fraction]) -> list[Fraction]:
-        # w with w * lattice = v; the lattice matrix is lower triangular
-        w = [Fraction(0)] * n
-        for j in range(n - 1, -1, -1):
-            acc = v[j] - sum(w[l] * lattice[l][j] for l in range(j + 1, n))
-            w[j] = acc / lattice[j][j]
+    # the lattice contains p*Z^n, so its lower-triangular HNF has every
+    # diagonal entry in {1, p}: each back-substitution step is one exact
+    # divmod, and a remainder means the vector lies outside the lattice
+    lattice_rows = [
+        (j, row[j], [(t, c) for t, c in enumerate(row[:j]) if c])
+        for j, row in enumerate(lattice)
+    ]
+    lattice_rows.reverse()
+
+    def solve_in_lattice(v: list[int]) -> list[int]:
+        # w with w * lattice = v, peeled off from the top coordinate down
+        rem = list(v)
+        w = [0] * n
+        for j, diagonal, below in lattice_rows:
+            if rem[j]:
+                q, r = divmod(rem[j], diagonal)
+                if r:
+                    raise ArithmeticError(
+                        "internal error: product left the radical ideal"
+                    )
+                w[j] = q
+                for t, c in below:
+                    rem[t] -= q * c
         return w
 
     # y is a multiplier when y*g lands in p*I_p for every generator g of
     # I_p; in I_p-coordinates that is one mod-p linear system on y
-    stacked: list[list[int]] = []
+    stacked: list[tuple[int, ...]] = []
     for g in lattice:
+        support = [(l, gl) for l, gl in enumerate(g) if gl]
         rows_mod_p = []
         for k in range(n):
-            product = [
-                sum(Fraction(g[l]) * table[k][l][t] for l in range(n))
-                for t in range(n)
-            ]
-            w = solve_in_lattice(product)
-            for frac in w:
-                if frac.denominator % p == 0:
-                    raise ArithmeticError(
-                        "internal error: product left the radical ideal"
-                    )
-            rows_mod_p.append(
-                [f.numerator * pow(f.denominator, -1, p) % p for f in w]
-            )
+            table_k = table[k]
+            product = [0] * n
+            for l, gl in support:
+                product = [a + gl * c for a, c in zip(product, table_k[l])]
+            rows_mod_p.append([x % p for x in solve_in_lattice(product)])
         # one condition per coordinate t: sum_k y_k * rows_mod_p[k][t] = 0
-        for t in range(n):
-            stacked.append([rows_mod_p[k][t] for k in range(n)])
+        stacked.extend(zip(*rows_mod_p))
 
     kernel = fp_kernel(stacked, p)
     if not kernel:

@@ -24,6 +24,7 @@ from .exactmath import (
     ext_gcd,
     factorize,
     hnf,
+    is_prime,
     square_free_check,
     vp_int,
 )
@@ -260,6 +261,8 @@ def prime_power_basis(p: int, k: int, m: int) -> IntegralBasis:
     the double-indexed family alpha^j * h_t(alpha) / p^t, with the row
     layout decided by comparing s = v_p(m^p - m) - 1 against k.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return _prime_power_basis(PureField.create(p ** k, m), p, k)
 
 

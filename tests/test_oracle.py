@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from purefields import oracle
 from purefields.exactmath import QPolynomial, charpoly
 from purefields.oracle import (
     CertificationReport,
@@ -286,6 +287,39 @@ def test_maximality_skips_lattice_without_one():
     assert "contain 1" in result.reason
 
 
+# power-basis coordinates of the witnesses the rational-arithmetic solve
+# found; the integer solve must return the very same elements
+PINNED_COUNTEREXAMPLES = {
+    (9, 55, 3): [Fraction(1, 3)] * 9,
+    (12, 17, 2): [Fraction(1, 2), 0, 0] * 4,
+    (12, 17, 3): [Fraction(1, 3), 0, 0, 0, Fraction(2, 3), 0, 0, 0,
+                  Fraction(1, 3), 0, 0, 0],
+    (2, 5, 2): [Fraction(1, 2), Fraction(1, 2)],
+}
+
+
+@pytest.mark.parametrize("n, m, p", sorted(PINNED_COUNTEREXAMPLES))
+def test_counterexample_coordinates_pinned(n, m, p):
+    result = p_maximality_enum(power_basis(n, m), p)
+    assert isinstance(result, CounterexampleFound)
+    assert list(result.element.coords) == PINNED_COUNTEREXAMPLES[n, m, p]
+
+
+@pytest.mark.parametrize("n, m, p, maximal", [(9, 55, 3, False), (12, 17, 2, True)])
+def test_product_outside_the_radical_ideal_raises(monkeypatch, n, m, p, maximal):
+    # Z*1 + p*O is a full-rank lattice but no ideal (1 * b_1 = b_1 is not
+    # in it), so solving a generator product in it must hit the guard
+    basis = integral_basis(PureField.create(n, m))[0] if maximal else power_basis(n, m)
+    assert basis.elements[0] == BasisElement(QPolynomial([1]), 1)
+
+    def not_an_ideal(rows, ncols):
+        return [[(1 if i == 0 else p) * (i == j) for j in range(ncols)] for i in range(ncols)]
+
+    monkeypatch.setattr(oracle, "hnf_rows", not_an_ideal)
+    with pytest.raises(ArithmeticError, match="left the radical ideal"):
+        p_maximality_enum(basis, p)
+
+
 def _exhaustive_maximality_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     """Literal coset walk; the slow twin that cross-validates the fast route."""
     field = basis.field
@@ -347,6 +381,45 @@ def test_certify_emitted_bases_all_pass():
         assert report.ring_closed
         assert report.disc_match
         assert all(r == Proved() for r in report.maximality.values())
+
+
+def _six_lattice_not_closed() -> IntegralBasis:
+    # (1, a, ..., a^4, 2a^5) in Q(10^(1/6)): a * a^4 = a^5 has coordinate 1/2
+    field = PureField.create(6, 10)
+    return IntegralBasis(
+        field,
+        tuple(BasisElement(QPolynomial.x_power(j), 1) for j in range(5))
+        + (BasisElement(QPolynomial.x_power(5, 2), 1),),
+    )
+
+
+@pytest.mark.parametrize(
+    "make_basis",
+    [
+        _six_lattice_not_closed,
+        lambda: integral_basis(PureField.create(12, 17))[0],
+        lambda: integral_basis(PureField.create(30, 7), enum_budget=5 ** 30)[0],
+    ],
+    ids=["not-closed-6", "certified-12", "certified-30"],
+)
+def test_certify_builds_structure_table_once(make_basis):
+    basis = make_basis()
+    primes = [p for p, _ in basis.field.factorization]
+    oracle._structure_constants.cache_clear()
+    report = certify(basis, enum_budget=max(primes) ** basis.field.n)
+    info = oracle._structure_constants.cache_info()
+    # certify builds the table; every prime's proof reuses it
+    assert (info.misses, info.hits) == (1, len(primes))
+    if report.ring_closed:
+        assert report.certified and all(r == Proved() for r in report.maximality.values())
+    else:
+        assert all("closed" in r.reason for r in report.maximality.values())
+    table = oracle._structure_constants(basis)
+    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+    # a new basis is one more build, even when every prime stops at the budget
+    before = oracle._structure_constants.cache_info().misses
+    certify(power_basis(basis.field.n, basis.field.m), enum_budget=1)
+    assert oracle._structure_constants.cache_info().misses == before + 1
 
 
 def test_certify_power_basis_with_index():
@@ -445,3 +518,22 @@ def test_field_discriminants_against_reference_implementation():
         basis, _ = integral_basis(PureField.create(n, m))
         _, disc = round_two(sympy.Poly(x ** n - m, x, domain=sympy.QQ))
         assert basis_discriminant(basis) == disc, (n, m)
+
+
+# square-free radicands of both signs: p | m for each p <= 7, and the wild
+# case m^(p-1) = 1 mod p^2 at p = 2 (-19, -7, 17), 3 (-26, -19, 10, 17, 26),
+# 5 (-26, -7, 26), 7 (-30, -19, 30) and 11 (3)
+DIFFERENTIAL_RADICANDS = (-30, -26, -19, -7, 2, 3, 10, 17, 26, 30)
+
+
+def test_field_discriminants_match_round_two_grid():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.basis import round_two
+
+    x = sympy.Symbol("x")
+    for n in range(2, 13):
+        for m in DIFFERENTIAL_RADICANDS:
+            # every p | n has p^n <= n^n cosets, so no prime is skipped
+            basis, _ = integral_basis(PureField.create(n, m), enum_budget=n ** n)
+            _, disc = round_two(sympy.Poly(x ** n - m, x, domain=sympy.QQ))
+            assert basis_discriminant(basis) == disc, (n, m)

@@ -255,6 +255,14 @@ def test_build_basis_checks_square_freeness_once(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_prime_power_basis_rejects_composite_p(p):
+    # unchecked, p = 4 yields the non-maximal power basis of Q(5^(1/4)) and
+    # p = 6 fails later with a basis-length error
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        prime_power_basis(p, 1, 5)
+
+
 def test_integral_basis_raises_on_skipped_maximality():
     with pytest.raises(CertificationSkipped) as info:
         integral_basis(PureField.create(9, 55), enum_budget=3 ** 9 - 1)
