@@ -1,11 +1,13 @@
 """Independent certification of claimed integral bases.
 
 Nothing in this module reuses the closed-form constructions: elements are
-multiplied exactly in the power basis, integrality is decided by the
-characteristic polynomial of the multiplication map, discriminants come
-from the trace pairing, and p-maximality is proved through the multiplier
-ring of the p-radical.  The oracle certifies bases handed to it; it never
-builds one.
+multiplied exactly in the power basis, discriminants come from the trace
+pairing, and p-maximality is proved through the multiplier ring of the
+p-radical.  A lattice that is closed under multiplication and contains 1
+is an order, hence integral; only on a lattice that is not an order is
+integrality decided element by element, by the characteristic polynomial
+of the multiplication map.  The oracle certifies bases handed to it; it
+never builds one.
 """
 
 from __future__ import annotations
@@ -128,19 +130,21 @@ def dual_basis_coords(e: FieldElement) -> tuple[Fraction, ...]:
     """Coordinates of e against the trace-dual of the power basis.
 
     Component i is Tr(e * alpha^i); every algebraic integer has all
-    components in Z (the converse does not hold).
+    components in Z (the converse does not hold).  The constant term of
+    e * alpha^i is c_0 for i = 0 and m * c_(n-i) otherwise, so no product
+    is formed.
     """
-    n = e.field.n
-    return tuple(
-        trace(mul(e, FieldElement.alpha_power(e.field, i))) for i in range(n)
-    )
+    n, m = e.field.n, e.field.m
+    c = e.coords
+    return (n * c[0],) + tuple(n * m * c[n - i] for i in range(1, n))
 
 
 def _multiplication_matrix(e: FieldElement) -> RatMatrix:
-    # row j = coordinates of e * alpha^j
-    n = e.field.n
-    rows = [mul(e, FieldElement.alpha_power(e.field, j)).coords for j in range(n)]
-    return RatMatrix([list(r) for r in rows])
+    # row j = coordinates of e * alpha^j: the coordinates shifted up by j,
+    # the top j of them wrapped round to the bottom and multiplied by m
+    n, m = e.field.n, e.field.m
+    c = e.coords
+    return RatMatrix([[m * x for x in c[n - j:]] + list(c[:n - j]) for j in range(n)])
 
 
 def is_algebraic_integer(e: FieldElement) -> bool:
@@ -231,6 +235,25 @@ def _multiplicatively_closed(table: StructureTable) -> bool:
     # an order is closed under multiplication: every pairwise product must
     # have integer coordinates in the basis itself
     return all(c.denominator == 1 for row in table for coords in row for c in coords)
+
+
+_NOT_CLOSED = (
+    "the lattice is not multiplicatively closed; p-maximality is about orders"
+)
+
+
+def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
+    """Why the lattice is not an order, or None when it is one.
+
+    A full lattice that is closed under multiplication and contains 1 is a
+    ring finitely generated over Z, so every element of it is integral.
+    """
+    if not _multiplicatively_closed(table):
+        return _NOT_CLOSED
+    unit_coords = coordinates_in_basis(FieldElement.one(basis.field), basis)
+    if any(c.denominator != 1 for c in unit_coords):
+        return "the lattice does not contain 1; p-maximality is about orders"
+    return None
 
 
 def _power_basis_discriminant(field: PureField) -> int:
@@ -330,25 +353,18 @@ def p_maximality_enum(
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p ** n > enum_budget:
+        # p^n itself may have too many digits to print
         return Skipped(
-            f"p^n = {p ** n} candidate cosets exceed the budget {enum_budget}"
+            f"p^n = {p}^{n} candidate cosets exceed the budget {enum_budget}"
         )
 
-    # the multiplier argument needs a genuine order: a full lattice that is
-    # closed under multiplication and contains 1 (then finiteness over Z
-    # forces every element, and every multiplier found below, to be integral)
+    # the multiplier argument needs a genuine order, so that every
+    # multiplier found below is integral
     table = _structure_constants(basis)
-    if not _multiplicatively_closed(table):
-        return Skipped(
-            "the lattice is not multiplicatively closed; "
-            "p-maximality is about orders"
-        )
+    defect = _order_defect(basis, table)
+    if defect is not None:
+        return Skipped(defect)
     table = [[tuple(c.numerator for c in coords) for coords in row] for row in table]
-    unit_coords = coordinates_in_basis(FieldElement.one(field), basis)
-    if any(c.denominator != 1 for c in unit_coords):
-        return Skipped(
-            "the lattice does not contain 1; p-maximality is about orders"
-        )
     mod_table = [
         [tuple(c % p for c in table[i][j]) for j in range(n)]
         for i in range(n)
@@ -426,8 +442,12 @@ def p_maximality_enum(
         return w
 
     # y is a multiplier when y*g lands in p*I_p for every generator g of
-    # I_p; in I_p-coordinates that is one mod-p linear system on y
-    stacked: list[tuple[int, ...]] = []
+    # I_p; in I_p-coordinates that is one mod-p linear system on y.  Its
+    # conditions go into an echelon form, echelon[col] holding the row
+    # whose first nonzero entry (a 1) sits in column col, so at most n rows
+    # are kept and the proof ends once the multipliers are down to p*O
+    echelon: list[list[int] | None] = [None] * n
+    rank = 0
     for g in lattice:
         support = [(l, gl) for l, gl in enumerate(g) if gl]
         rows_mod_p = []
@@ -438,11 +458,24 @@ def p_maximality_enum(
                 product = [a + gl * c for a, c in zip(product, table_k[l])]
             rows_mod_p.append([x % p for x in solve_in_lattice(product)])
         # one condition per coordinate t: sum_k y_k * rows_mod_p[k][t] = 0
-        stacked.extend(zip(*rows_mod_p))
+        for condition in zip(*rows_mod_p):
+            row = list(condition)
+            for col in range(n):
+                if row[col]:
+                    pivot = echelon[col]
+                    if pivot is None:
+                        inv = pow(row[col], -1, p)
+                        echelon[col] = [x * inv % p for x in row]
+                        rank += 1
+                        break
+                    c = row[col]
+                    row = [(x - c * y) % p for x, y in zip(row, pivot)]
+            if rank == n:
+                return Proved()
 
-    kernel = fp_kernel(stacked, p)
-    if not kernel:
-        return Proved()
+    # the echelon rows span the whole system's row space, whose reduced
+    # echelon form, and with it the kernel basis, is unique
+    kernel = fp_kernel([row for row in echelon if row] or [[0] * n], p)
     u = kernel[0]
     elems = _basis_field_elements(basis)
     numerator_coords = [
@@ -494,13 +527,19 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
 
     Integrality of each element, closure under multiplication, agreement
     of the trace-pairing discriminant with the index ledger, and
-    p-maximality for every prime dividing the degree.
+    p-maximality for every prime dividing the degree.  A lattice that is
+    closed and contains 1 is an order, so each of its elements is integral;
+    only a lattice that is not an order has its elements tested one by
+    one, with the characteristic polynomial as the last resort.
     """
     field = basis.field
-    elems = _basis_field_elements(basis)
-    integrality = tuple(is_algebraic_integer(e) for e in elems)
     table = _structure_constants(basis)
-    ring_closed = _multiplicatively_closed(table)
+    defect = _order_defect(basis, table)
+    ring_closed = defect != _NOT_CLOSED
+    if defect is None:
+        integrality = (True,) * field.n
+    else:
+        integrality = tuple(map(is_algebraic_integer, _basis_field_elements(basis)))
     disc = _discriminant_exact(basis, table)
     disc_match = disc == index_report(field).field_discriminant
     maximality = {

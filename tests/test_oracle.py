@@ -3,13 +3,14 @@ and the p-maximality proof, cross-validated against a literal coset walk."""
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purefields import oracle
-from purefields.exactmath import QPolynomial, charpoly
+from purefields.exactmath import QPolynomial, charpoly, fp_kernel, hnf_rows
 from purefields.oracle import (
     CertificationReport,
     CounterexampleFound,
@@ -32,6 +33,7 @@ from purefields.purebasis import (
     BasisElement,
     IntegralBasis,
     PureField,
+    build_basis,
     integral_basis,
     prime_power_basis,
 )
@@ -167,6 +169,22 @@ def test_integral_implies_integer_dual_coords(coeffs):
     assert all(t.denominator == 1 for t in dual_basis_coords(total))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.sampled_from((-30, -19, -7, -2, 2, 3, 10, 17, 26, 30)),
+    st.lists(st.fractions(-40, 40, max_denominator=36), min_size=12, max_size=12),
+)
+def test_shifted_coordinates_match_products(n, m, coords):
+    # the trace pairings and the multiplication matrix are read off the
+    # coordinates by a shift; they must equal the products they stand for
+    field = PureField.create(n, m)
+    e = FieldElement(field, tuple(coords[:n]))
+    powers = [FieldElement.alpha_power(field, i) for i in range(n)]
+    assert dual_basis_coords(e) == tuple(trace(mul(e, a)) for a in powers)
+    assert _multiplication_matrix(e).entries == tuple(mul(e, a).coords for a in powers)
+
+
 def test_coordinates_in_basis_roundtrip():
     basis, _ = integral_basis(PureField.create(6, 10))
     fe = FieldElement.from_basis_element(basis.field, basis.elements[4])
@@ -252,6 +270,15 @@ def test_maximality_budget_guard():
     assert isinstance(result, Skipped)
     assert "budget" in result.reason
     assert p_maximality_enum(basis, 3, enum_budget=3 ** 9) == Proved()
+
+
+def test_budget_guard_with_unprintable_coset_count():
+    # 2^15000 has more digits than int -> str may convert; the guard reads
+    # only basis.field.n, so a stand-in spares building a degree-15000 basis
+    stand_in = SimpleNamespace(field=SimpleNamespace(n=15000))
+    result = p_maximality_enum(stand_in, 2)
+    assert isinstance(result, Skipped)
+    assert "2^15000" in result.reason and "budget" in result.reason
 
 
 def test_maximality_rejects_composite_p():
@@ -362,6 +389,100 @@ def test_fast_route_matches_exhaustive_scan():
                     assert any(c.denominator != 1 for c in in_basis)
 
 
+def _stacked_multiplier_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
+    """The whole n^2-row multiplier system in one fp_kernel call.
+
+    The slow twin of the early-stopping echelon route: the radical comes
+    from exact powers x^(p^e) in the field, and every generator product is
+    formed and solved in rationals.
+    """
+    field = basis.field
+    n = field.n
+    elems = [FieldElement.from_basis_element(field, e) for e in basis.elements]
+
+    def combination(v) -> FieldElement:
+        total = element(field, *([0] * n))
+        for c, e in zip(v, elems):
+            total = total + element(field, *(Fraction(c) * x for x in e.coords))
+        return total
+
+    def integer_coords(x: FieldElement) -> list[int]:
+        coords = coordinates_in_basis(x, basis)
+        assert all(c.denominator == 1 for c in coords)
+        return [int(c) for c in coords]
+
+    e = 1
+    while p ** e < n:
+        e += 1
+    images = []
+    for b in elems:
+        power = b
+        for _ in range(e):
+            x, power = power, FieldElement.one(field)
+            for _ in range(p):
+                power = mul(power, x)
+        images.append(integer_coords(power))
+    # column k holds the image of b_k under the linear map x -> x^(p^e)
+    radical = fp_kernel([[images[k][t] for k in range(n)] for t in range(n)], p)
+    if not radical:
+        return Proved()
+    ideal = [[p * int(i == j) for j in range(n)] for i in range(n)]
+    lattice = hnf_rows(ideal + [list(v) for v in radical], n)
+
+    stacked = []
+    for g in lattice:
+        generator = combination(g)
+        rows = []
+        for b in elems:
+            # w with w * lattice = b * g, the lattice rows being triangular
+            rem = integer_coords(mul(b, generator))
+            w = [0] * n
+            for j in range(n - 1, -1, -1):
+                w[j], r = divmod(rem[j], lattice[j][j])
+                assert r == 0
+                rem = [a - w[j] * c for a, c in zip(rem, lattice[j])]
+            rows.append([c % p for c in w])
+        stacked.extend(zip(*rows))
+    kernel = fp_kernel(stacked, p)
+    if not kernel:
+        return Proved()
+    numerator = combination(kernel[0])
+    return CounterexampleFound(FieldElement(field, tuple(c / p for c in numerator.coords)))
+
+
+def test_echelon_route_matches_stacked_system():
+    for n in range(2, 17):
+        primes = [p for p in (2, 3, 5, 7, 11, 13) if n % p == 0]
+        for m in (-7, 10, 26):
+            field = PureField.create(n, m)
+            for basis in (power_basis(n, m), build_basis(field)):
+                for p in primes:
+                    fast = p_maximality_enum(basis, p, enum_budget=p ** n)
+                    slow = _stacked_multiplier_scan(basis, p)
+                    assert type(fast) is type(slow), (n, m, p)
+                    if isinstance(fast, CounterexampleFound):
+                        assert fast.element.coords == slow.element.coords, (n, m, p)
+
+
+@pytest.mark.parametrize("n, m", [(24, 73), (30, 7)])
+def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
+    row_counts = []
+
+    def recording_kernel(rows, p):
+        row_counts.append(len(rows))
+        return fp_kernel(rows, p)
+
+    monkeypatch.setattr(oracle, "fp_kernel", recording_kernel)
+    field = PureField.create(n, m)
+    outcomes = set()
+    for basis in (power_basis(n, m), build_basis(field)):
+        for p, _ in field.factorization:
+            outcomes.add(type(p_maximality_enum(basis, p, enum_budget=p ** n)))
+    # both the proof and the counterexample path ran
+    assert outcomes == {Proved, CounterexampleFound}
+    assert row_counts and max(row_counts) <= n
+
+
 def test_counterexample_is_always_integral_and_outside():
     result = p_maximality_enum(power_basis(9, 55), 3)
     assert isinstance(result, CounterexampleFound)
@@ -420,6 +541,67 @@ def test_certify_builds_structure_table_once(make_basis):
     before = oracle._structure_constants.cache_info().misses
     certify(power_basis(basis.field.n, basis.field.m), enum_budget=1)
     assert oracle._structure_constants.cache_info().misses == before + 1
+
+
+def _refute_mutants(basis: IntegralBasis):
+    # single-element corruptions as in the refute benchmark: a denominator
+    # doubled, tripled or raised by one, or one numerator coefficient bumped
+    for j, target in enumerate(basis.elements):
+        coeffs = target.numerator.integer_coefficients()
+        den = target.denominator
+        variants = [(coeffs, den * 2), (coeffs, den * 3), (coeffs, den + 1)]
+        variants += [
+            (tuple(c + (t == i) for t, c in enumerate(coeffs)), den) for i in range(j + 1)
+        ]
+        for numerator, denominator in variants:
+            try:
+                changed = BasisElement(QPolynomial(list(numerator)), denominator)
+                mutant = IntegralBasis(
+                    basis.field,
+                    basis.elements[:j] + (changed,) + basis.elements[j + 1:],
+                )
+            except ValueError:
+                # out of lowest terms, or the leading coefficient cancelled
+                continue
+            yield mutant
+
+
+def test_certify_integrality_matches_per_element_test():
+    orders = [
+        integral_basis(PureField.create(n, m))[0]
+        for n, m in [(2, 5), (4, 17), (6, 10), (8, 3), (9, -26), (12, 17), (16, 3)]
+    ]
+    orders += [power_basis(n, m) for n, m in [(3, 10), (9, 55), (12, 17)]]
+    candidates = orders + [
+        mutant for basis in orders[1:4] for mutant in _refute_mutants(basis)
+    ]
+    for basis in candidates:
+        elems = [FieldElement.from_basis_element(basis.field, e) for e in basis.elements]
+        expected = tuple(is_algebraic_integer(e) for e in elems)
+        assert certify(basis, enum_budget=1).integrality == expected, basis
+
+
+@pytest.mark.parametrize(
+    "make_basis, calls",
+    [
+        (lambda: integral_basis(PureField.create(12, 17))[0], 0),
+        (lambda: power_basis(8, 3), 0),
+        (_six_lattice_not_closed, 6),
+        (lambda: next(_refute_mutants(integral_basis(PureField.create(6, 10))[0])), 6),
+    ],
+    ids=["certified-12", "power-order-8", "not-closed-6", "denominator-mutant-6"],
+)
+def test_certify_tests_elements_only_off_orders(monkeypatch, make_basis, calls):
+    basis = make_basis()
+    seen = []
+
+    def counting(e):
+        seen.append(e)
+        return is_algebraic_integer(e)
+
+    monkeypatch.setattr(oracle, "is_algebraic_integer", counting)
+    certify(basis)
+    assert len(seen) == calls
 
 
 def test_certify_power_basis_with_index():
