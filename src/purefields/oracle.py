@@ -3,11 +3,14 @@
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality is proved through the multiplier ring of the
-p-radical.  A lattice that is closed under multiplication and contains 1
-is an order, hence integral; only on a lattice that is not an order is
-integrality decided element by element, by the characteristic polynomial
-of the multiplication map.  The oracle certifies bases handed to it; it
-never builds one.
+p-radical.  All three read one integer structure table, the coordinates of
+every b_i * b_j over their least common denominator D: closure is D == 1,
+and the discriminant is an integer determinant over a power of D.  A
+lattice that is closed under multiplication and contains 1 is an order,
+hence integral; only on a lattice that is not an order is integrality
+decided element by element, by the characteristic polynomial of the
+multiplication map.  The oracle certifies bases handed to it; it never
+builds one.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from fractions import Fraction
 from .exactmath import (
     IntMatrix,
     RatMatrix,
+    _int_mat_mul,
     charpoly,
     det_int,
-    det_rational,
+    det_rational,  # unused here; bound so the benchmark tracer can wrap it
     fp_kernel,
     hnf_rows,
     is_prime,
@@ -185,56 +189,74 @@ def _basis_field_elements(basis: IntegralBasis) -> list[FieldElement]:
     ]
 
 
-StructureTable = tuple[tuple[tuple[Fraction, ...], ...], ...]
+StructureTable = tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]
 
 
 @functools.lru_cache(maxsize=1)
 def _structure_constants(basis: IntegralBasis) -> StructureTable:
-    """table[i][j] holds the coordinates of b_i * b_j in the basis itself.
+    """(D, rows): coordinate k of b_i * b_j in the basis is rows[i][j][k] / D.
 
     With b_i = N_i(alpha)/d_i, each product is taken on the integer
     numerators, reduced by alpha^n = m, and peeled off against the
     triangular basis from the top degree down over one common denominator.
-    The most recent table is kept, so certify and each prime's
-    p_maximality_enum share one; its rows are tuples, hence immutable.
+    D is the least common denominator of every coordinate, so D == 1
+    exactly when the lattice is closed under multiplication.  The most
+    recent table is kept, so certify and each prime's p_maximality_enum
+    share one; its rows are tuples of ints, hence immutable.
     """
     n, m = basis.field.n, basis.field.m
     nums = [e.numerator.integer_coefficients() for e in basis.elements]
     dens = [e.denominator for e in basis.elements]
-    table: list[list[tuple[Fraction, ...]]] = [[()] * n for _ in range(n)]
+    support = [[(a, x) for a, x in enumerate(num) if x] for num in nums]
+    below = [[(t, x) for t, x in enumerate(num[:-1]) if x] for num in nums]
+    # each product as (numerators, denominator) in lowest terms
+    products: list[list[tuple[list[int], int]]] = [[([], 1)] * n for _ in range(n)]
+    common = 1
     for i in range(n):
         for j in range(i, n):
             prod = [0] * (2 * n - 1)
-            for a, x in enumerate(nums[i]):
-                if x:
-                    for b, y in enumerate(nums[j]):
-                        if y:
-                            prod[a + b] += x * y
+            for a, x in support[i]:
+                for b, y in support[j]:
+                    prod[a + b] += x * y
             for k in range(2 * n - 2, n - 1, -1):
                 if prod[k]:
                     prod[k - n] += m * prod[k]
             # the product is rem/scale; rem stays an integer vector
             rem, scale = prod[:n], dens[i] * dens[j]
-            coords = [Fraction(0)] * n
+            coords = [0] * n
             for k in range(n - 1, -1, -1):
                 if rem[k]:
                     lead = nums[k][k]
                     g = lead // math.gcd(rem[k], lead)
                     if g != 1:
                         rem = [r * g for r in rem]
+                        coords = [c * g for c in coords]
                         scale *= g
                     q = rem[k] // lead
-                    coords[k] = Fraction(q * dens[k], scale)
-                    for t in range(k):
-                        rem[t] -= q * nums[k][t]
-            table[i][j] = table[j][i] = tuple(coords)
-    return tuple(map(tuple, table))
+                    coords[k] = q * dens[k]
+                    for t, c in below[k]:
+                        rem[t] -= q * c
+            g = math.gcd(scale, *coords)
+            if g != 1:
+                coords = [c // g for c in coords]
+                scale //= g
+            products[i][j] = products[j][i] = (coords, scale)
+            common = math.lcm(common, scale)
+    rows = tuple(
+        tuple(
+            tuple(coords) if scale == common
+            else tuple(c * (common // scale) for c in coords)
+            for coords, scale in row
+        )
+        for row in products
+    )
+    return common, rows
 
 
 def _multiplicatively_closed(table: StructureTable) -> bool:
-    # an order is closed under multiplication: every pairwise product must
-    # have integer coordinates in the basis itself
-    return all(c.denominator == 1 for row in table for coords in row for c in coords)
+    # an order is closed under multiplication: every pairwise product has
+    # integer coordinates in the basis itself, i.e. the table's D is 1
+    return table[0] == 1
 
 
 _NOT_CLOSED = (
@@ -273,18 +295,30 @@ def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> Fraction
     """Trace-pairing discriminant with an internal dual-route cross-check.
 
     The Gram matrix comes from the structure constants, Tr(b_i b_j) =
-    sum_k c_ijk Tr(b_k).  Its determinant must equal the power-basis Gram
-    determinant times the squared transition determinant (triangular, so
-    the product of leading coefficients over denominators).  Disagreement
-    means a bug in the oracle itself, never bad input, hence the raise.
+    sum_k c_ijk Tr(b_k), and stays on integers: with the table's common
+    denominator D and the traces Tr(b_k) = t_k / L over their common
+    denominator L (1 on an order, as on every integral lattice), the
+    entries are G_ij / (D L) with G integral, so the discriminant is
+    det_int(G) / (D L)^n.  It must equal the power-basis Gram determinant
+    times the squared transition determinant (triangular, so the product
+    of leading coefficients over denominators).  Disagreement means a bug
+    in the oracle itself, never bad input, hence the raise.
     """
+    n = basis.field.n
+    common, rows = table
+    # Tr(N(alpha)/d) = n * N[0] / d, the power-basis trace form being diagonal
     traces = [
-        (k, t) for k, t in enumerate(map(trace, _basis_field_elements(basis))) if t
+        Fraction(n * int(e.numerator.coefficient(0)), e.denominator)
+        for e in basis.elements
     ]
-    gram = [
-        [sum(coords[k] * t for k, t in traces) for coords in row] for row in table
-    ]
-    gram_route = det_rational(RatMatrix(gram))
+    scale = math.lcm(*(t.denominator for t in traces))
+    traces = [(k, int(t * scale)) for k, t in enumerate(traces) if t]
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            coords = rows[i][j]
+            gram[i][j] = gram[j][i] = sum(coords[k] * t for k, t in traces)
+    gram_route = Fraction(det_int(IntMatrix(gram)), (common * scale) ** n)
 
     transition_det = Fraction(1)
     for i, element in enumerate(basis.elements):
@@ -329,6 +363,17 @@ class Skipped:
 MaximalityResult = Proved | CounterexampleFound | Skipped
 
 
+def budget_skip_reason(p: int, n: int, enum_budget: int) -> str | None:
+    """Why the p-maximality check of a degree-n order is skipped for budget,
+    or None when its nominal coset count p^n is within the budget."""
+    # p^n >= 2^n, so a degree past the budget's bit length is over budget
+    # without forming p^n, which at huge n alone takes seconds
+    if n >= enum_budget.bit_length() or p ** n > enum_budget:
+        # p^n itself may have too many digits to print
+        return f"p^n = {p}^{n} candidate cosets exceed the budget {enum_budget}"
+    return None
+
+
 def p_maximality_enum(
     basis: IntegralBasis, p: int, *, enum_budget: int = 2 ** 24
 ) -> MaximalityResult:
@@ -352,36 +397,30 @@ def p_maximality_enum(
     n = field.n
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p ** n > enum_budget:
-        # p^n itself may have too many digits to print
-        return Skipped(
-            f"p^n = {p}^{n} candidate cosets exceed the budget {enum_budget}"
-        )
+    over_budget = budget_skip_reason(p, n, enum_budget)
+    if over_budget is not None:
+        return Skipped(over_budget)
 
     # the multiplier argument needs a genuine order, so that every
     # multiplier found below is integral
-    table = _structure_constants(basis)
-    defect = _order_defect(basis, table)
+    structure = _structure_constants(basis)
+    defect = _order_defect(basis, structure)
     if defect is not None:
         return Skipped(defect)
-    table = [[tuple(c.numerator for c in coords) for coords in row] for row in table]
-    mod_table = [
-        [tuple(c % p for c in table[i][j]) for j in range(n)]
-        for i in range(n)
-    ]
+    # closed, so D == 1 and the rows are the structure constants themselves
+    table = structure[1]
 
     def mod_mul(x: list[int], y: list[int]) -> list[int]:
+        # summed on the integer structure constants, reduced mod p once
         out = [0] * n
         for i, xi in enumerate(x):
             if xi:
+                table_i = table[i]
                 for j, yj in enumerate(y):
                     if yj:
-                        c = xi * yj % p
-                        row = mod_table[i][j]
-                        for k in range(n):
-                            if row[k]:
-                                out[k] = (out[k] + c * row[k]) % p
-        return out
+                        c = xi * yj
+                        out = [a + c * b for a, b in zip(out, table_i[j])]
+        return [a % p for a in out]
 
     def mod_pow(x: list[int], e: int) -> list[int]:
         result = x
@@ -399,13 +438,7 @@ def p_maximality_enum(
         e += 1
     power = frobenius
     for _ in range(e - 1):
-        power = [
-            [
-                sum(power[i][l] * frobenius[l][j] for l in range(n)) % p
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        power = [[x % p for x in row] for row in _int_mat_mul(power, frobenius)]
     radical = fp_kernel([[power[i][j] for i in range(n)] for j in range(n)], p)
     if not radical:
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral

@@ -389,12 +389,21 @@ def integral_basis(
     closure, discriminant accounting, p-maximality for every p | n); a
     basis that fails certification is never emitted, and one whose
     p-maximality check was skipped for budget raises CertificationSkipped.
+    The budget depends on n alone, so it is checked before anything is
+    built: at huge n the construction itself would not finish.
     """
-    basis = build_basis(field)
-    report = index_report(field)
-
     from . import oracle
 
+    over_budget = {}
+    for p, _ in field.factorization:
+        reason = oracle.budget_skip_reason(p, field.n, enum_budget)
+        if reason is not None:
+            over_budget[p] = reason
+    if over_budget:
+        raise CertificationSkipped(field, over_budget)
+
+    basis = build_basis(field)
+    report = index_report(field)
     certification = oracle.certify(basis, enum_budget=enum_budget)
     if not certification.certified:
         raise RuntimeError(

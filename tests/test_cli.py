@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,16 @@ class TestBasis:
         assert out == ""
         assert "p = 3" in err
         assert "--enum-budget" in err
+
+    def test_huge_degree_exits_at_once(self, capsys):
+        # the budget is checked before the basis is built, so n = 10^6
+        # ends with the resource exit code instead of hanging
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "basis", "--n", "1000000", "--m", "2")
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        assert "p = 2" in err and "p = 5" in err
 
     def test_output_path_silences_stdout(self, capsys, tmp_path):
         target = tmp_path / "basis.json"

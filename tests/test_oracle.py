@@ -2,6 +2,7 @@
 and the p-maximality proof, cross-validated against a literal coset walk."""
 
 import itertools
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from purefields import oracle
-from purefields.exactmath import QPolynomial, charpoly, fp_kernel, hnf_rows
+from purefields.exactmath import (
+    QPolynomial,
+    RatMatrix,
+    charpoly,
+    det_rational,
+    fp_kernel,
+    hnf_rows,
+)
 from purefields.oracle import (
     CertificationReport,
     CounterexampleFound,
@@ -535,8 +543,15 @@ def test_certify_builds_structure_table_once(make_basis):
         assert report.certified and all(r == Proved() for r in report.maximality.values())
     else:
         assert all("closed" in r.reason for r in report.maximality.values())
-    table = oracle._structure_constants(basis)
-    assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+    # one integer table over its least common denominator D, closed iff D == 1
+    common, rows = oracle._structure_constants(basis)
+    assert isinstance(common, int) and (common == 1) == report.ring_closed
+    assert isinstance(rows, tuple) and len(rows) == basis.field.n
+    for row in rows:
+        assert isinstance(row, tuple) and len(row) == basis.field.n
+        for coords in row:
+            assert isinstance(coords, tuple)
+            assert all(type(c) is int for c in coords)
     # a new basis is one more build, even when every prime stops at the budget
     before = oracle._structure_constants.cache_info().misses
     certify(power_basis(basis.field.n, basis.field.m), enum_budget=1)
@@ -564,6 +579,78 @@ def _refute_mutants(basis: IntegralBasis):
                 # out of lowest terms, or the leading coefficient cancelled
                 continue
             yield mutant
+
+
+def _field_route_table(basis: IntegralBasis) -> list[list[tuple[Fraction, ...]]]:
+    # coordinates of b_i * b_j by field multiplication and back-substitution
+    elems = [FieldElement.from_basis_element(basis.field, e) for e in basis.elements]
+    return [[coordinates_in_basis(mul(x, y), basis) for y in elems] for x in elems]
+
+
+def test_integer_table_matches_field_arithmetic():
+    built = [
+        build_basis(PureField.create(n, m))
+        for n, m in itertools.product(range(2, 17), (10, -7, 26))
+        if n <= 12 or m == 10
+    ]
+    powers = [power_basis(n, m) for n, m in [(3, 10), (8, 3), (9, 55), (12, 17)]]
+    mutants = [
+        mutant
+        for n, m in [(4, 17), (6, 10), (8, 3), (9, -26)]
+        for mutant in _refute_mutants(build_basis(PureField.create(n, m)))
+    ]
+    closure = []
+    for basis in built + powers + mutants:
+        table = oracle._structure_constants(basis)
+        common, rows = table
+        expected = _field_route_table(basis)
+        denominators = [c.denominator for row in expected for coords in row for c in coords]
+        # D is the least common denominator of every coordinate
+        assert common == math.lcm(*denominators), basis
+        for row, expected_row in zip(rows, expected):
+            for coords, expected_coords in zip(row, expected_row):
+                assert tuple(Fraction(c, common) for c in coords) == expected_coords
+        is_closed = all(d == 1 for d in denominators)
+        assert oracle._multiplicatively_closed(table) == is_closed, basis
+        closure.append(is_closed)
+    # the orders are closed, and some mutant is not
+    assert all(closure[:len(built + powers)]) and not all(closure)
+
+
+def _doubled_denominator_mutants(basis: IntegralBasis):
+    for j, target in enumerate(basis.elements):
+        try:
+            changed = BasisElement(target.numerator, target.denominator * 2)
+        except ValueError:
+            # the numerator's content is even: no longer in lowest terms
+            continue
+        yield IntegralBasis(
+            basis.field, basis.elements[:j] + (changed,) + basis.elements[j + 1:]
+        )
+
+
+def _trace_gram_determinant(basis: IntegralBasis) -> Fraction:
+    # det[Tr(b_i * b_j)] in field arithmetic, with no structure table
+    elems = [FieldElement.from_basis_element(basis.field, e) for e in basis.elements]
+    return det_rational(RatMatrix([[trace(mul(x, y)) for y in elems] for x in elems]))
+
+
+def test_discriminant_of_non_orders_matches_trace_gram():
+    candidates = [_six_lattice_not_closed()] + [
+        mutant
+        for n, m in [(4, 17), (6, 10), (8, 3), (9, -26)]
+        for mutant in _doubled_denominator_mutants(build_basis(PureField.create(n, m)))
+    ]
+    both_scaled = 0
+    for basis in candidates:
+        table = oracle._structure_constants(basis)
+        elems = [FieldElement.from_basis_element(basis.field, e) for e in basis.elements]
+        trace_lcd = math.lcm(*(trace(e).denominator for e in elems))
+        assert table[0] > 1, basis
+        assert oracle._discriminant_exact(basis, table) == _trace_gram_determinant(basis)
+        both_scaled += trace_lcd > 1
+    # the table's D and the traces' common denominator both enter the scale
+    assert both_scaled >= 3
 
 
 def test_certify_integrality_matches_per_element_test():

@@ -271,6 +271,25 @@ def test_integral_basis_raises_on_skipped_maximality():
     assert "p = 3" in str(info.value)
 
 
+def test_integral_basis_checks_the_budget_before_building():
+    # at n = 10^6 the construction alone would never finish; the budget
+    # depends on n only, so it stops the call before anything is built
+    from purefields.oracle import p_maximality_enum
+
+    with pytest.raises(CertificationSkipped) as info:
+        integral_basis(PureField.create(10 ** 6, 2))
+    assert sorted(info.value.skipped) == [2, 5]
+    assert info.value.skipped[5] == (
+        "p^n = 5^1000000 candidate cosets exceed the budget 16777216"
+    )
+    # the same reason string as the oracle's own budget skip
+    field = PureField.create(9, 55)
+    with pytest.raises(CertificationSkipped) as small:
+        integral_basis(field, enum_budget=3 ** 9 - 1)
+    skipped = p_maximality_enum(build_basis(field), 3, enum_budget=3 ** 9 - 1)
+    assert small.value.skipped == {3: skipped.reason}
+
+
 # ---------------------------------------------------------------------------
 # CRT composition
 # ---------------------------------------------------------------------------
