@@ -1,8 +1,13 @@
 """Exact arithmetic kernel: p-adic valuations, dense rational polynomials,
-polynomials over prime fields, and integer/rational matrices with Hermite
-normal form and exact characteristic polynomials.
+polynomials over prime fields, and matrices.
 
-Every value is immutable and every operation is exact; no floats anywhere.
+Integer matrices are plain lists of rows, which Hermite normal form and
+fraction-free determinants take as they are.  All row reduction over
+F_p goes through fp_reduce, one Gauss-Jordan step into a reduced echelon
+form; fp_kernel is built on it, and callers that can stop early (at full
+rank) feed it rows one at a time.  Rational matrices, kept for exact
+characteristic polynomials, are immutable values.  Every operation is
+exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -560,55 +563,19 @@ def fp_ext_gcd(a: FpPolynomial, b: FpPolynomial) -> tuple[FpPolynomial, FpPolyno
 # matrices
 # ---------------------------------------------------------------------------
 
-def _validate_rect(entries: Sequence[Sequence]) -> tuple[int, int]:
-    if not entries:
-        raise ValueError("empty matrix")
-    cols = len(entries[0])
-    if cols == 0 or any(len(r) != cols for r in entries):
-        raise ValueError("matrix must be rectangular and non-empty")
-    return len(entries), cols
-
-
-class IntMatrix:
-    """Immutable rectangular matrix with integer entries."""
-
-    __slots__ = ("entries", "rows", "cols")
-
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        rows, cols = _validate_rect(entries)
-        self.entries: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(c) for c in row) for row in entries
-        )
-        self.rows = rows
-        self.cols = cols
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("IntMatrix", self.entries))
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.entries]!r})"
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self.entries])
-
-
 class RatMatrix:
     """Immutable rectangular matrix with rational entries."""
 
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        rows, cols = _validate_rect(entries)
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else 0
+        if not self.cols or any(len(row) != self.cols for row in entries):
+            raise ValueError("matrix must be rectangular and non-empty")
         self.entries: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(Fraction(c) for c in row) for row in entries
         )
-        self.rows = rows
-        self.cols = cols
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
@@ -658,19 +625,12 @@ def hnf_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
     return result
 
 
-def hnf(M: IntMatrix) -> IntMatrix:
-    """Hermite normal form of a square nonsingular integer matrix."""
-    if M.rows != M.cols:
-        raise ValueError("hnf expects a square matrix")
-    return IntMatrix(hnf_rows(M.entries, M.cols))
-
-
-def det_int(M: IntMatrix) -> int:
+def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination."""
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    a = [list(row) for row in M.entries]
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise ValueError("determinant of an empty or non-square matrix")
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -698,7 +658,7 @@ def det_rational(M: RatMatrix) -> Fraction:
     for row in M.entries:
         for c in row:
             scale = math.lcm(scale, c.denominator)
-    scaled = IntMatrix([[int(c * scale) for c in row] for row in M.entries])
+    scaled = [[int(c * scale) for c in row] for row in M.entries]
     return Fraction(det_int(scaled), scale ** M.rows)
 
 
@@ -750,37 +710,48 @@ def charpoly(M: RatMatrix) -> QPolynomial:
     return QPolynomial([Fraction(coeffs[i], scale ** (n - i)) for i in range(n + 1)])
 
 
+def fp_reduce(echelon: dict[int, list[int]], row: Sequence[int], p: int) -> bool:
+    """One Gauss-Jordan step over F_p: add row to a reduced echelon form.
+
+    echelon maps each pivot column to its row, whose entry there is 1 and
+    whose entries in every other pivot column are 0.  The row is reduced
+    against it; if anything is left, it becomes the pivot row of its first
+    nonzero column, is cleared from the other rows, and True is returned.
+    Rows fed in any order give the same reduced echelon form of their span.
+    """
+    row = [x % p for x in row]
+    for col, pivot in echelon.items():
+        c = row[col]
+        if c:
+            row = [(a - c * b) % p for a, b in zip(row, pivot)]
+    lead = next((col for col, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    inv = pow(row[lead], -1, p)
+    row = [x * inv % p for x in row]
+    for col, other in echelon.items():
+        c = other[lead]
+        if c:
+            echelon[col] = [(a - c * b) % p for a, b in zip(other, row)]
+    echelon[lead] = row
+    return True
+
+
 def fp_kernel(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : M x = 0 over F_p} of the given matrix."""
+    """Basis of the right kernel {x : M x = 0 over F_p} of the given matrix,
+    one vector per free column of the reduced echelon form."""
     if not rows:
         raise ValueError("empty matrix")
     ncols = len(rows[0])
-    a = [[c % p for c in row] for row in rows]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(a)):
-            if a[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [c * inv % p for c in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
+    echelon: dict[int, list[int]] = {}
+    for row in rows:
+        fp_reduce(echelon, row, p)
     basis: list[tuple[int, ...]] = []
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-    for fc in free_cols:
-        v = [0] * ncols
-        v[fc] = 1
-        for col, row in pivot_of_col.items():
-            v[col] = (-a[row][fc]) % p
-        basis.append(tuple(v))
+    for free in range(ncols):
+        if free not in echelon:
+            v = [0] * ncols
+            v[free] = 1
+            for col, row in echelon.items():
+                v[col] = -row[free] % p
+            basis.append(tuple(v))
     return basis

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
-    IntMatrix,
     RatMatrix,
     _int_mat_mul,
     charpoly,
     det_int,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
     fp_kernel,
+    fp_reduce,
     hnf_rows,
     is_prime,
 )
@@ -269,11 +269,13 @@ def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
 
     A full lattice that is closed under multiplication and contains 1 is a
     ring finitely generated over Z, so every element of it is integral.
+    By triangularity 1 is in the lattice iff b_0 = +-1, and b_0 is in
+    lowest terms.
     """
     if not _multiplicatively_closed(table):
         return _NOT_CLOSED
-    unit_coords = coordinates_in_basis(FieldElement.one(basis.field), basis)
-    if any(c.denominator != 1 for c in unit_coords):
+    b0 = basis.elements[0]
+    if b0.denominator != 1 or abs(b0.numerator.coefficient(0)) != 1:
         return "the lattice does not contain 1; p-maximality is about orders"
     return None
 
@@ -288,7 +290,7 @@ def _power_basis_discriminant(field: PureField) -> int:
         return n * m ** (k // n) if k % n == 0 else 0
 
     gram = [[power_trace(i + j) for j in range(n)] for i in range(n)]
-    return det_int(IntMatrix(gram))
+    return det_int(gram)
 
 
 def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> Fraction:
@@ -318,7 +320,7 @@ def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> Fraction
         for j in range(i, n):
             coords = rows[i][j]
             gram[i][j] = gram[j][i] = sum(coords[k] * t for k, t in traces)
-    gram_route = Fraction(det_int(IntMatrix(gram)), (common * scale) ** n)
+    gram_route = Fraction(det_int(gram), (common * scale) ** n)
 
     transition_det = Fraction(1)
     for i, element in enumerate(basis.elements):
@@ -363,6 +365,16 @@ class Skipped:
 MaximalityResult = Proved | CounterexampleFound | Skipped
 
 
+def _row_combination(coefficients: list[int], rows) -> list[int]:
+    """sum_i coefficients[i] * rows[i]; with rows = table[k], the table
+    rows b_i * b_k, that is x * b_k for x with the given coordinates."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coefficients, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
 def budget_skip_reason(p: int, n: int, enum_budget: int) -> str | None:
     """Why the p-maximality check of a degree-n order is skipped for budget,
     or None when its nominal coset count p^n is within the budget."""
@@ -372,6 +384,16 @@ def budget_skip_reason(p: int, n: int, enum_budget: int) -> str | None:
         # p^n itself may have too many digits to print
         return f"p^n = {p}^{n} candidate cosets exceed the budget {enum_budget}"
     return None
+
+
+def budget_skips(field: PureField, enum_budget: int) -> dict[int, str]:
+    """The budget skip reason of each p | n over budget; it depends on n
+    alone, so callers check it before building anything."""
+    return {
+        p: reason
+        for p, _ in field.factorization
+        if (reason := budget_skip_reason(p, field.n, enum_budget)) is not None
+    }
 
 
 def p_maximality_enum(
@@ -388,10 +410,14 @@ def p_maximality_enum(
     the same question with the same witnesses, so the budget guard is kept
     on the nominal coset count p^n.
 
-    The multiplier system is built on integers only: the generator
-    products come from the integer structure constants, and solving them
-    in the Hermite basis of I_p needs exact divisions alone, because that
-    lattice contains p*O and so its diagonal entries lie in {1, p}.
+    Everything is built on integers from the structure table.  The
+    radical is the kernel of a Frobenius power, and each Frobenius image
+    b_k^p is formed by p - 1 products with b_k, each a sum of table rows
+    b_i * b_k.  The generator products of I_p are solved in its Hermite
+    basis by exact divisions alone, because that lattice contains p*O and
+    so its diagonal entries lie in {1, p}.  The multiplier conditions are
+    fed one by one to exactmath.fp_reduce, and the proof stops at full
+    rank.
     """
     field = basis.field
     n = field.n
@@ -410,29 +436,15 @@ def p_maximality_enum(
     # closed, so D == 1 and the rows are the structure constants themselves
     table = structure[1]
 
-    def mod_mul(x: list[int], y: list[int]) -> list[int]:
-        # summed on the integer structure constants, reduced mod p once
-        out = [0] * n
-        for i, xi in enumerate(x):
-            if xi:
-                table_i = table[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        c = xi * yj
-                        out = [a + c * b for a, b in zip(out, table_i[j])]
-        return [a % p for a in out]
-
-    def mod_pow(x: list[int], e: int) -> list[int]:
-        result = x
-        for bit in bin(e)[3:]:
-            result = mod_mul(result, result)
-            if bit == "1":
-                result = mod_mul(result, x)
-        return result
-
     # the p-radical of O/pO is the kernel of a Frobenius power: x nilpotent
-    # iff x^(p^e) = 0 once p^e >= n, and x -> x^p is F_p-linear
-    frobenius = [mod_pow([int(i == k) for i in range(n)], p) for k in range(n)]
+    # iff x^(p^e) = 0 once p^e >= n, and x -> x^p is F_p-linear, so it is
+    # fixed by the images b_k^p, each taken as p - 1 products with b_k
+    frobenius = []
+    for k in range(n):
+        image = [int(i == k) for i in range(n)]
+        for _ in range(p - 1):
+            image = [x % p for x in _row_combination(image, table[k])]
+        frobenius.append(image)
     e = 1
     while p ** e < n:
         e += 1
@@ -476,39 +488,19 @@ def p_maximality_enum(
 
     # y is a multiplier when y*g lands in p*I_p for every generator g of
     # I_p; in I_p-coordinates that is one mod-p linear system on y.  Its
-    # conditions go into an echelon form, echelon[col] holding the row
-    # whose first nonzero entry (a 1) sits in column col, so at most n rows
-    # are kept and the proof ends once the multipliers are down to p*O
-    echelon: list[list[int] | None] = [None] * n
-    rank = 0
+    # conditions go one by one into a reduced echelon form of at most n
+    # rows, and the proof ends once the multipliers are down to p*O
+    echelon: dict[int, list[int]] = {}
     for g in lattice:
-        support = [(l, gl) for l, gl in enumerate(g) if gl]
-        rows_mod_p = []
-        for k in range(n):
-            table_k = table[k]
-            product = [0] * n
-            for l, gl in support:
-                product = [a + gl * c for a, c in zip(product, table_k[l])]
-            rows_mod_p.append([x % p for x in solve_in_lattice(product)])
-        # one condition per coordinate t: sum_k y_k * rows_mod_p[k][t] = 0
-        for condition in zip(*rows_mod_p):
-            row = list(condition)
-            for col in range(n):
-                if row[col]:
-                    pivot = echelon[col]
-                    if pivot is None:
-                        inv = pow(row[col], -1, p)
-                        echelon[col] = [x * inv % p for x in row]
-                        rank += 1
-                        break
-                    c = row[col]
-                    row = [(x - c * y) % p for x, y in zip(row, pivot)]
-            if rank == n:
+        rows = [solve_in_lattice(_row_combination(g, table[k])) for k in range(n)]
+        # one condition per coordinate t: sum_k y_k * rows[k][t] = 0 mod p
+        for condition in zip(*rows):
+            if fp_reduce(echelon, condition, p) and len(echelon) == n:
                 return Proved()
 
     # the echelon rows span the whole system's row space, whose reduced
     # echelon form, and with it the kernel basis, is unique
-    kernel = fp_kernel([row for row in echelon if row] or [[0] * n], p)
+    kernel = fp_kernel(list(echelon.values()) or [[0] * n], p)
     u = kernel[0]
     elems = _basis_field_elements(basis)
     numerator_coords = [

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 from .exactmath import (
     SQUARE_FREE_BOUND_DEFAULT,
-    IntMatrix,
     NotSquareFree,
     QPolynomial,
     Unknown,
     ext_gcd,
     factorize,
-    hnf,
+    hnf_rows,
     is_prime,
     square_free_check,
     vp_int,
@@ -156,23 +155,21 @@ class IntegralBasis:
             for e in self.elements
         )
 
-    def canonical(self) -> tuple[int, IntMatrix]:
-        """(D, H): common denominator and HNF of the coordinate matrix.
+    def canonical(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, H): common denominator and HNF rows of the coordinate matrix.
 
         Row i of H holds the power-basis coordinates of D * (some Z-basis
         of the same lattice); two bases span the same order iff their
         canonical forms coincide.
         """
-        common = 1
-        for e in self.elements:
-            common = common * e.denominator // math.gcd(common, e.denominator)
+        common = math.lcm(*(e.denominator for e in self.elements))
         n = self.field.n
         rows = []
         for e in self.elements:
             scale = common // e.denominator
             coeffs = e.numerator.integer_coefficients()
             rows.append([scale * (coeffs[j] if j < len(coeffs) else 0) for j in range(n)])
-        return common, hnf(IntMatrix(rows))
+        return common, tuple(map(tuple, hnf_rows(rows, n)))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.elements) + ")"
@@ -184,12 +181,12 @@ def spans_equal(basis1: IntegralBasis, basis2: IntegralBasis) -> bool:
         raise ValueError("bases live in different fields")
     d1, h1 = basis1.canonical()
     d2, h2 = basis2.canonical()
-    if d1 == d2:
-        return h1 == h2
-    # different common denominators: rescale both to lcm
-    lcm = d1 * d2 // math.gcd(d1, d2)
+    # rescale both to the lcm of the common denominators
+    lcm = math.lcm(d1, d2)
     s1, s2 = lcm // d1, lcm // d2
-    return h1.scale(s1) == h2.scale(s2)
+    return all(
+        s1 * x == s2 * y for r1, r2 in zip(h1, h2) for x, y in zip(r1, r2)
+    )
 
 
 @dataclass(frozen=True)
@@ -394,11 +391,7 @@ def integral_basis(
     """
     from . import oracle
 
-    over_budget = {}
-    for p, _ in field.factorization:
-        reason = oracle.budget_skip_reason(p, field.n, enum_budget)
-        if reason is not None:
-            over_budget[p] = reason
+    over_budget = oracle.budget_skips(field, enum_budget)
     if over_budget:
         raise CertificationSkipped(field, over_budget)
 
@@ -449,5 +442,5 @@ def basis_json_dict(basis: IntegralBasis, report: IndexReport) -> dict:
             {"num": list(e.numerator.integer_coefficients()), "den": e.denominator}
             for e in basis.elements
         ],
-        "hnf": {"den": common, "matrix": [list(row) for row in matrix.entries]},
+        "hnf": {"den": common, "matrix": [list(row) for row in matrix]},
     }

@@ -6,6 +6,8 @@ import importlib.util
 from pathlib import Path
 
 from purefields import oracle, periodicity
+from purefields.exactmath import QPolynomial
+from purefields.purebasis import BasisElement, IntegralBasis, PureField
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +40,34 @@ def test_hooked_entry_points_exist():
     assert callable(oracle.certify)
     assert callable(oracle.p_maximality_enum)
     assert callable(periodicity._square_free_witnesses)
+
+
+def test_every_reported_layer_records_a_span():
+    # a refactor that stops calling a wrapped name would turn its layer
+    # metric into a quiet zero; exactmath.det (det_rational) is only
+    # bound for the tracer and is never called
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install("purefields")
+    try:
+        field = PureField.create(12, 17)
+        power_order = IntegralBasis(
+            field, tuple(BasisElement(QPolynomial.x_power(j), 1) for j in range(12))
+        )
+        # a^6/2 has integer traces but is not integral, and its square
+        # 17/4 leaves the lattice
+        not_closed = IntegralBasis(
+            field,
+            tuple(BasisElement(QPolynomial.x_power(j), 1 + (j == 6)) for j in range(12)),
+        )
+        for basis in (power_order, not_closed):
+            oracle.certify(basis)
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in tracer.spans}
+    reported = {
+        name
+        for _, _, name in tracing.WRAPPED
+        if name.startswith(("oracle.", "exactmath."))
+    }
+    assert reported - recorded == {"exactmath.det"}

@@ -272,14 +272,34 @@ class TestVerify:
         assert out.rstrip().endswith("certified")
 
     def test_budget_too_small_is_resource_bound(self, capsys):
+        # every p | n is over budget: nothing is built or printed, and
+        # stderr names each skipped prime exactly as basis does
+        argv = ("--n", "2", "--m", "5", "--enum-budget", "1")
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert "--enum-budget" in err
+        assert (code, out, err) == invoke(capsys, "basis", *argv)
+
+    def test_budget_between_primes_reports_each(self, capsys):
+        # 2^6 is within the budget and 3^6 is not: the report still prints
         code, out, err = invoke(
-            capsys, "verify", "--n", "2", "--m", "5", "--enum-budget", "1"
+            capsys, "verify", "--n", "6", "--m", "5", "--enum-budget", "64"
         )
         assert code == 3
-        assert "--enum-budget" in err
+        assert "p = 3" in err and "p = 2" not in err
         doc = json.loads(out)
         assert doc["certified"] is True
-        assert doc["maximality"]["2"]["status"] == "skipped"
+        assert doc["maximality"]["2"] == {"status": "proved"}
+        assert doc["maximality"]["3"]["status"] == "skipped"
+
+    def test_huge_degree_exits_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "verify", "--n", "1000000", "--m", "2")
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+        assert "p = 2" in err and "p = 5" in err
 
 
 class TestArgumentHandling:

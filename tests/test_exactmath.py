@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from purefields.exactmath import (
     FpPolynomial,
-    IntMatrix,
     NotSquareFree,
     QPolynomial,
     RatMatrix,
@@ -24,7 +23,7 @@ from purefields.exactmath import (
     fp_ext_gcd,
     fp_gcd,
     fp_kernel,
-    hnf,
+    fp_reduce,
     hnf_rows,
     is_prime,
     square_free_check,
@@ -268,25 +267,25 @@ def test_fp_from_qpoly():
 # ---------------------------------------------------------------------------
 
 def test_hnf_examples():
-    assert hnf(IntMatrix([[1, 0], [0, 1]])) == IntMatrix([[1, 0], [0, 1]])
-    assert hnf(IntMatrix([[2, 0], [1, 1]])) == IntMatrix([[2, 0], [1, 1]])
-    assert hnf(IntMatrix([[0, 1], [1, 0]])) == IntMatrix([[1, 0], [0, 1]])
+    assert hnf_rows([[1, 0], [0, 1]], 2) == [[1, 0], [0, 1]]
+    assert hnf_rows([[2, 0], [1, 1]], 2) == [[2, 0], [1, 1]]
+    assert hnf_rows([[0, 1], [1, 0]], 2) == [[1, 0], [0, 1]]
 
 
 def test_hnf_shape_and_reduction():
-    H = hnf(IntMatrix([[4, 0, 0], [2, 6, 0], [1, 3, 2]]))
+    H = hnf_rows([[4, 0, 0], [2, 6, 0], [1, 3, 2]], 3)
     for i in range(3):
-        assert H.entries[i][i] > 0
+        assert H[i][i] > 0
         for j in range(3):
             if j > i:
-                assert H.entries[i][j] == 0
+                assert H[i][j] == 0
             elif j < i:
-                assert 0 <= H.entries[i][j] < H.entries[j][j]
+                assert 0 <= H[i][j] < H[j][j]
 
 
 def test_hnf_singular_rejected():
     with pytest.raises(ValueError):
-        hnf(IntMatrix([[1, 2], [2, 4]]))
+        hnf_rows([[1, 2], [2, 4]], 2)
 
 
 def _random_unimodular(rng, n):
@@ -306,13 +305,13 @@ def test_hnf_idempotent_and_span_invariant():
         n = rng.randint(1, 5)
         while True:
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            if det_int(IntMatrix(m)) != 0:
+            if det_int(m) != 0:
                 break
-        h = hnf(IntMatrix(m))
-        assert hnf(h) == h
+        h = hnf_rows(m, n)
+        assert hnf_rows(h, n) == h
         u = _random_unimodular(rng, n)
-        transformed = IntMatrix([[sum(u[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)])
-        assert hnf(transformed) == h
+        transformed = [[sum(u[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert hnf_rows(transformed, n) == h
 
 
 def test_hnf_rows_rectangular():
@@ -325,9 +324,12 @@ def test_hnf_rows_rectangular():
 
 
 def test_det():
-    assert det_int(IntMatrix([[1, 2], [3, 4]])) == -2
-    assert det_int(IntMatrix([[0, 1], [1, 0]])) == -1
-    assert det_int(IntMatrix([[2, 0], [0, 0]])) == 0
+    assert det_int([[1, 2], [3, 4]]) == -2
+    assert det_int([[0, 1], [1, 0]]) == -1
+    assert det_int([[2, 0], [0, 0]]) == 0
+    for not_square in ([[1, 2, 3], [4, 5, 6]], []):
+        with pytest.raises(ValueError):
+            det_int(not_square)
     assert det_rational(RatMatrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
 
 
@@ -378,3 +380,76 @@ def test_fp_kernel():
     assert fp_kernel([[1, 0], [0, 1]], 5) == []
     # zero map has full kernel
     assert len(fp_kernel([[0, 0], [0, 0]], 2)) == 2
+
+
+def _gauss_jordan_kernel(rows, p):
+    """Column-by-column Gauss-Jordan over the whole matrix at once, the
+    elimination fp_kernel ran before it was built on fp_reduce."""
+    ncols = len(rows[0])
+    a = [[c % p for c in row] for row in rows]
+    pivot_of_col = {}
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [c * inv % p for c in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                c = a[i][col]
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
+        pivot_of_col[col] = rank
+        rank += 1
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivot_of_col:
+            v = [0] * ncols
+            v[fc] = 1
+            for col, row in pivot_of_col.items():
+                v[col] = (-a[row][fc]) % p
+            basis.append(tuple(v))
+    return basis
+
+
+@st.composite
+def fp_matrices(draw):
+    """(rows, p): random, rank-deficient (rows repeated as combinations of
+    earlier ones) or all-zero rows, entries of either sign."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-2 * p, 2 * p)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "combination", "zero"]))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.integers(0, p - 1))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices())
+def test_fp_kernel_matches_gauss_jordan(case):
+    rows, p = case
+    assert fp_kernel(rows, p) == _gauss_jordan_kernel(rows, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp_matrices())
+def test_fp_reduce_reports_rank_in_any_row_order(case):
+    rows, p = case
+    forward, backward = {}, {}
+    added = [fp_reduce(forward, row, p) for row in rows]
+    for row in reversed(rows):
+        fp_reduce(backward, row, p)
+    # one pivot per True, and the reduced echelon form is the span's own
+    assert sum(added) == len(forward)
+    assert dict(sorted(forward.items())) == dict(sorted(backward.items()))
+    assert fp_kernel(rows, p) == fp_kernel(rows[::-1], p)

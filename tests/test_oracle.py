@@ -311,15 +311,22 @@ def test_maximality_skips_non_ring_lattice():
 
 
 def test_maximality_skips_lattice_without_one():
-    # 2Z + aZ with a^2 = 6 is multiplicatively closed but has no unit
+    # cZ + aZ with a^2 = 6 is multiplicatively closed; it contains 1
+    # exactly when c is a unit of Z, whatever its sign
     field = PureField.create(2, 6)
-    lattice = IntegralBasis(
-        field,
-        (BasisElement(QPolynomial([2]), 1), BasisElement(QPolynomial([0, 1]), 1)),
-    )
-    result = p_maximality_enum(lattice, 2)
-    assert isinstance(result, Skipped)
-    assert "contain 1" in result.reason
+
+    def lattice(c):
+        return IntegralBasis(
+            field,
+            (BasisElement(QPolynomial([c]), 1), BasisElement(QPolynomial([0, 1]), 1)),
+        )
+
+    for c in (2, 3):
+        result = p_maximality_enum(lattice(c), 2)
+        assert isinstance(result, Skipped)
+        assert "contain 1" in result.reason
+    # -1 spans Z[a], the maximal order of Q(6^(1/2))
+    assert p_maximality_enum(lattice(-1), 2) == Proved()
 
 
 # power-basis coordinates of the witnesses the rational-arithmetic solve
