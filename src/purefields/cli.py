@@ -73,8 +73,11 @@ def canonical_json(obj) -> str:
 def _emit(args, json_obj, pretty_text: str) -> None:
     """stdout per --format; --output-path always receives the JSON form."""
     if args.output_path:
-        with open(args.output_path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(json_obj))
+        try:
+            with open(args.output_path, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(json_obj))
+        except OSError as exc:
+            raise ValueError(f"cannot write --output-path: {exc}") from exc
     if args.format == "pretty":
         sys.stdout.write(pretty_text)
     elif not args.output_path:
@@ -312,7 +315,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse argv, dispatch, and map errors to documented exit codes."""
+    """Parse argv, dispatch, and map errors to documented exit codes.
+
+    Radicands and discriminants may pass Python's limit on int <-> str
+    conversion, so it is lifted until the command returns.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str]) -> int:
     _configure_logging()
     parser = _build_parser()
     try:

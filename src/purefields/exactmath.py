@@ -303,17 +303,6 @@ class QPolynomial:
     def derivative(self) -> "QPolynomial":
         return QPolynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))
 
-    def inflate(self, k: int) -> "QPolynomial":
-        """Substitute X -> X**k."""
-        if k < 1:
-            raise ValueError("inflate expects k >= 1")
-        if not self.coefficients:
-            return QPolynomial()
-        out = [Fraction(0)] * (k * self.degree + 1)
-        for i, c in enumerate(self.coefficients):
-            out[k * i] = c
-        return QPolynomial(out)
-
     def times_x_power(self, j: int) -> "QPolynomial":
         if j < 0:
             raise ValueError("negative shift")

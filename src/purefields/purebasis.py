@@ -2,10 +2,11 @@
 
 The construction is fully explicit.  For prime-power degree the basis is a
 family of geometric-sum polynomials divided by prime powers, selected by a
-single valuation parameter s.  For composite degree the prime-power bases
-are merged degree by degree with a coefficient-wise Chinese remainder step.
-build_basis is the one construction path: it folds the prime-power bases
-of a validated field, uncertified; integral_basis certifies its result.
+single valuation parameter s.  For composite degree element k is one
+coefficient-wise Chinese remainder step over the degree-k elements of all
+the prime-power bases at once.  build_basis is the one construction path:
+it composes the prime-power bases of a validated field, uncertified;
+integral_basis certifies its result.
 Alongside the basis we keep the index ledger: per-prime indices in closed
 form, the total index, and the two discriminants it ties together.
 """
@@ -13,14 +14,16 @@ form, the total index, and the two discriminants it ties together.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 from .exactmath import (
     SQUARE_FREE_BOUND_DEFAULT,
     NotSquareFree,
     QPolynomial,
     Unknown,
-    ext_gcd,
     factorize,
     hnf_rows,
     is_prime,
@@ -146,6 +149,15 @@ class IntegralBasis:
             if e.degree != i:
                 raise ValueError(f"element {i} has degree {e.degree}, want {i}")
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.elements))
+
+    def __hash__(self) -> int:
+        # the certifier's structure-table cache is keyed on the basis, so
+        # hash every coefficient once per basis object, not once per lookup
+        return self._hash
+
     def denominator_ledger_ok(self) -> bool:
         # Theorem-level constraint: every denominator divides n/gcd(n, m)
         # and is coprime to m.
@@ -241,22 +253,15 @@ def ind_p_closed_form(p: int, k: int, m: int) -> int:
     if m % p == 0:
         # X^(p^k) - m is p-Eisenstein for square-free m
         return 0
-    s = s_value(p, m)
-    if s <= k:
-        return (p ** k - p ** (k - s)) // (p - 1)
-    return (p ** k - 1) // (p - 1)
-
-
-def _power_basis_elements(n: int) -> tuple[BasisElement, ...]:
-    return tuple(BasisElement(QPolynomial.x_power(i), 1) for i in range(n))
+    return (p ** k - p ** (k - min(s_value(p, m), k))) // (p - 1)
 
 
 def prime_power_basis(p: int, k: int, m: int) -> IntegralBasis:
     """Integral basis of Q(m^(1/p^k)) for square-free m.
 
     For p | m the power basis is already maximal.  Otherwise the basis is
-    the double-indexed family alpha^j * h_t(alpha) / p^t, with the row
-    layout decided by comparing s = v_p(m^p - m) - 1 against k.
+    the double-indexed family alpha^j * h_t(alpha) / p^t over the rows
+    t = 0..min(s, k), s = v_p(m^p - m) - 1.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -264,83 +269,67 @@ def prime_power_basis(p: int, k: int, m: int) -> IntegralBasis:
 
 
 def _prime_power_basis(field: PureField, p: int, k: int) -> IntegralBasis:
-    n, m = field.n, field.m
+    m = field.m
     if m % p == 0:
-        return IntegralBasis(field, _power_basis_elements(n))
+        power_basis = (BasisElement(QPolynomial.x_power(i), 1) for i in range(field.n))
+        return IntegralBasis(field, tuple(power_basis))
 
     r = m % p ** (k + 1)
-    s = s_value(p, m)
+    top = min(s_value(p, m), k)
     elements = []
-    if s < k:
-        for t in range(s + 1):
-            h = h_polynomial(p, k, r, t)
-            width = p ** (k - s) if t == s else p ** (k - t) - p ** (k - t - 1)
-            for j in range(width):
-                elements.append(BasisElement(h.times_x_power(j), p ** t))
-    else:
-        for t in range(k):
-            h = h_polynomial(p, k, r, t)
-            width = p ** (k - t) - p ** (k - t - 1)
-            for j in range(width):
-                elements.append(BasisElement(h.times_x_power(j), p ** t))
-        elements.append(BasisElement(h_polynomial(p, k, r, k), p ** k))
-    elements.sort(key=lambda e: e.degree)
+    for t in range(top + 1):
+        # row t fills degrees p^k - p^(k-t) up to the start of row t + 1
+        h = h_polynomial(p, k, r, t)
+        width = p ** (k - t) - (p ** (k - t - 1) if t < top else 0)
+        elements.extend(BasisElement(h.times_x_power(j), p ** t) for j in range(width))
     return IntegralBasis(field, tuple(elements))
 
 
-def _crt_pair(a: int, u: int, b: int, v: int) -> int:
-    """The residue in [0, uv) that is a mod u and b mod v; gcd(u,v) = 1."""
-    if u == 1:
-        return b % v
-    if v == 1:
-        return a % u
-    g, inv_u, _ = ext_gcd(u, v)
-    if g != 1:
-        raise ValueError("moduli are not coprime")
-    return (a + u * ((b - a) * inv_u % v)) % (u * v)
+def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
+    """Merge bases of Q(m^(1/n_i)) for pairwise coprime n_i into degree prod n_i.
 
-
-def compose_bases(
-    basis1: IntegralBasis, basis2: IntegralBasis, m: int
-) -> IntegralBasis:
-    """Merge bases of Q(m^(1/n1)) and Q(m^(1/n2)), gcd(n1, n2) = 1.
-
-    For each degree k the unique stretched elements Psi = X^b * psi_a(X^n2)
-    and Omega = X^d * omega_c(X^n1) of degree k are combined: writing them
-    as A/u and B/v, the result is C/(uv) with C_i the CRT representative of
-    (A_i mod u, B_i mod v) in [0, uv).  Then v*gamma - Psi and u*gamma -
-    Omega are integral by construction, which makes gamma integral.
+    For each degree k, piece i contributes its unique stretched element
+    Psi_i = X^b * psi_a(X^(n/n_i)) of degree k, k = a * (n/n_i) + b.
+    Writing Psi_i = A_i/u_i, the result is C/U with U = prod u_i and C_j
+    the CRT representative in [0, U) of (A_ij mod u_i) over every i.  Then
+    (U/u_i) * gamma - Psi_i is integral for every i, which makes gamma
+    integral.  A single piece comes back unchanged.
     """
-    n1, n2 = basis1.field.n, basis2.field.n
-    if math.gcd(n1, n2) != 1:
-        raise ValueError(f"degrees {n1} and {n2} are not coprime")
-    if basis1.field.m != m or basis2.field.m != m:
+    degrees = [basis.field.n for basis in bases]
+    if any(math.gcd(a, b) != 1 for a, b in combinations(degrees, 2)):
+        raise ValueError(f"degrees {degrees} are not pairwise coprime")
+    if any(basis.field.m != m for basis in bases):
         raise ValueError("bases must belong to the same radicand m")
-    n = n1 * n2
-    # both inputs carry an already-validated m, so assemble the composite
+    if len(bases) == 1:
+        return bases[0]
+    n = math.prod(degrees)
+    # every input carries an already-validated m, so assemble the composite
     # field directly rather than re-running the square-free check
-    merged = tuple(sorted(basis1.field.factorization + basis2.field.factorization))
-    field = PureField(n, m, merged)
+    merged = tuple(sorted(f for basis in bases for f in basis.field.factorization))
+    strides = [n // n_i for n_i in degrees]
+    pieces = [
+        [(e.numerator.integer_coefficients(), e.denominator) for e in basis.elements]
+        for basis in bases
+    ]
 
     elements = []
     for k in range(n):
-        a, b = divmod(k, n2)
-        c, d = divmod(k, n1)
-        num_a = basis1.elements[a].numerator.inflate(n2).times_x_power(b)
-        num_c = basis2.elements[c].numerator.inflate(n1).times_x_power(d)
-        u = basis1.elements[a].denominator
-        v = basis2.elements[c].denominator
-        coeffs = []
-        for i in range(k + 1):
-            ai = int(num_a.coefficient(i))
-            bi = int(num_c.coefficient(i))
-            coeffs.append(_crt_pair(ai, u, bi, v))
+        terms = [(s, k % s, *rows[k // s]) for s, rows in zip(strides, pieces)]
+        modulus = math.prod(u for *_, u in terms)
+        coeffs = [0] * (k + 1)
+        for stride, shift, num, u in terms:
+            # the idempotent that is 1 mod u and 0 mod every other u_i
+            cofactor = modulus // u
+            idempotent = cofactor * pow(cofactor, -1, u)
+            for j, c in enumerate(num):
+                coeffs[shift + j * stride] += c * idempotent
+        coeffs = [c % modulus for c in coeffs]
         if coeffs[k] == 0:
-            # both inputs are monic, so this only happens for u = v = 1,
-            # where the representative range [0, 1) collapses; keep degree k
-            coeffs[k] = u * v
-        elements.append(BasisElement(QPolynomial(coeffs), u * v))
-    return IntegralBasis(field, tuple(elements))
+            # every input is monic, so this only happens for U = 1, where
+            # the representative range [0, 1) collapses; keep degree k
+            coeffs[k] = modulus
+        elements.append(BasisElement(QPolynomial(coeffs), modulus))
+    return IntegralBasis(PureField(n, m, merged), tuple(elements))
 
 
 def index_report(field: PureField) -> IndexReport:
@@ -366,15 +355,15 @@ def index_report(field: PureField) -> IndexReport:
 def build_basis(field: PureField) -> IntegralBasis:
     """The closed-form basis of the field, not yet certified.
 
-    Prime-power bases are folded over the ascending prime powers of n via
-    the CRT merge.  m was validated when the field was created, so each
-    piece's field is assembled directly, as in compose_bases.
+    One compose_bases call merges the bases of the prime powers of n.  m
+    was validated when the field was created, so each piece's field is
+    assembled directly, as in compose_bases.
     """
-    basis = None
-    for p, k in field.factorization:
-        piece = _prime_power_basis(PureField(p ** k, field.m, ((p, k),)), p, k)
-        basis = piece if basis is None else compose_bases(basis, piece, field.m)
-    return basis
+    pieces = [
+        _prime_power_basis(PureField(p ** k, field.m, ((p, k),)), p, k)
+        for p, k in field.factorization
+    ]
+    return compose_bases(pieces, field.m)
 
 
 def integral_basis(

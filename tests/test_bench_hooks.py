@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from purefields import oracle, periodicity
+from purefields import oracle, periodicity, purebasis
 from purefields.exactmath import QPolynomial
 from purefields.purebasis import BasisElement, IntegralBasis, PureField
 
@@ -71,3 +71,18 @@ def test_every_reported_layer_records_a_span():
         if name.startswith(("oracle.", "exactmath."))
     }
     assert reported - recorded == {"exactmath.det"}
+
+
+def test_construction_layers_record_spans():
+    # integral_basis reaches compose_bases and index_report through the
+    # module attributes the tracer rebinds, so purebasis.build_s and
+    # purebasis.ledger_s cannot quietly read zero
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install("purefields")
+    try:
+        purebasis.integral_basis(PureField.create(30, 7), enum_budget=5 ** 30)
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in tracer.spans}
+    assert {"purebasis.build", "purebasis.ledger"} <= recorded

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from purefields.cli import run
+from purefields.purebasis import PureField, index_report
 
 # product of two primes just above the trial-division bound: square-freeness
 # cannot be settled, so commands must stop with the resource exit code
@@ -145,6 +146,27 @@ class TestBasis:
         assert "(X+1)/2" in out
         assert json.loads(target.read_text())["m"] == 5
 
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize("target", ["missing/basis.json", "."])
+    def test_unwritable_output_path_is_invalid_input(self, capsys, tmp_path, target, fmt):
+        # a path under a missing directory, or a directory itself
+        code, out, err = invoke(
+            capsys,
+            "basis",
+            "--n",
+            "2",
+            "--m",
+            "5",
+            "--format",
+            fmt,
+            "--output-path",
+            str(tmp_path / target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --output-path: ")
+        assert err.count("\n") == 1
+
 
 class TestIndex:
     def test_json_document(self, capsys):
@@ -167,6 +189,40 @@ class TestIndex:
         assert code == 0
         assert "index: 1 = 1" in out
         assert "field discriminant: 28" in out
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int string limit"
+    )
+    def test_discriminant_past_the_int_string_limit(self, capsys):
+        # disc_poly of X^1500 - 3 has about 5,500 digits, past Python's
+        # default limit of 4,300 on int <-> str conversion
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "index", "--n", "1500", "--m", "3")
+        assert (code, err) == (0, "")
+        pretty_code, pretty, _ = invoke(
+            capsys, "index", "--n", "1500", "--m", "3", "--format", "pretty"
+        )
+        assert pretty_code == 0
+        # run restores the caller's limit
+        assert sys.get_int_max_str_digits() == limit
+        expected = index_report(PureField.create(1500, 3)).poly_discriminant
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(out)["disc_poly"] == expected
+            assert f"polynomial discriminant: {expected}\n" in pretty
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int string limit"
+    )
+    def test_radicand_past_the_int_string_limit(self, capsys):
+        # argparse converts --m; 4 * 10^4400 then fails on its own merits
+        limit = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "index", "--n", "2", "--m", "4" + "0" * 4400)
+        assert (code, out) == (2, "")
+        assert "divisible by 2**2" in err
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestPolygon:

@@ -297,7 +297,7 @@ def test_integral_basis_checks_the_budget_before_building():
 def test_compose_power_bases_gives_power_basis():
     b2 = prime_power_basis(2, 1, 6)
     b3 = prime_power_basis(3, 1, 6)
-    composed = compose_bases(b2, b3, 6)
+    composed = compose_bases([b2, b3], 6)
     assert composed.field.n == 6
     assert element_strings(composed) == [
         "1", "X", "X^2", "X^3", "X^4", "X^5"
@@ -308,7 +308,7 @@ def test_compose_degree_six():
     # m = 5: quadratic part (1, (X+1)/2), cubic part trivial
     b2 = prime_power_basis(2, 1, 5)
     b3 = prime_power_basis(3, 1, 5)
-    composed = compose_bases(b2, b3, 5)
+    composed = compose_bases([b2, b3], 5)
     assert [e.denominator for e in composed.elements] == [1, 1, 1, 2, 2, 2]
     # degree 3 pairs Psi_{1,0} = (X^3+1)/2 with Omega_{0,3} = X^3:
     # CRT of (1 mod 2, 0 mod 1) on the constant term gives 1
@@ -319,8 +319,8 @@ def test_compose_degree_six():
 def test_compose_is_symmetric_up_to_span():
     b4 = prime_power_basis(2, 2, 17)
     b3 = prime_power_basis(3, 1, 17)
-    left = compose_bases(b4, b3, 17)
-    right = compose_bases(b3, b4, 17)
+    left = compose_bases([b4, b3], 17)
+    right = compose_bases([b3, b4], 17)
     assert spans_equal(left, right)
     assert [e.denominator for e in left.elements] == \
         [e.denominator for e in right.elements]
@@ -330,30 +330,170 @@ def test_compose_rejects_mismatches():
     b2 = prime_power_basis(2, 1, 5)
     b4 = prime_power_basis(2, 2, 5)
     with pytest.raises(ValueError):
-        compose_bases(b2, b4, 5)  # gcd(2, 4) != 1
+        compose_bases([b2, b4], 5)  # gcd(2, 4) != 1
     b3 = prime_power_basis(3, 1, 7)
     with pytest.raises(ValueError):
-        compose_bases(b2, b3, 5)  # different m
+        compose_bases([b2, b3], 5)  # different m
+    # coprime in adjacent pairs, but gcd(2, 4) != 1
+    with pytest.raises(ValueError, match="pairwise coprime"):
+        compose_bases([b2, prime_power_basis(3, 1, 5), b4], 5)
+
+
+def test_compose_single_piece_is_unchanged():
+    # (X^2+8X+64)/3 keeps the coefficients a CRT would reduce mod 3
+    b3 = prime_power_basis(3, 1, 17)
+    assert compose_bases([b3], 17) is b3
+    assert element_strings(build_basis(PureField.create(3, 17)))[2] == "(X^2+8X+64)/3"
+
+
+def stretch(element, stride, shift):
+    """X^shift * element(X^stride) as a rational polynomial."""
+    coeffs = [0] * (shift + stride * element.degree + 1)
+    for j, c in enumerate(element.as_qpoly().coefficients):
+        coeffs[shift + j * stride] = c
+    return QPolynomial(coeffs)
+
+
+def assert_crt_congruences(composed, pieces):
+    # with U the product of the pieces' degree-k denominators u_i,
+    # (U/u_i) * gamma - Psi_i is integral for every piece i
+    n = composed.field.n
+    for k, gamma in enumerate(composed.elements):
+        stretched = []
+        for piece in pieces:
+            stride = n // piece.field.n
+            a, b = divmod(k, stride)
+            element = piece.elements[a]
+            stretched.append((element.denominator, stretch(element, stride, b)))
+        common = math.prod(u for u, _ in stretched)
+        assert gamma.denominator == common, k
+        for u, psi in stretched:
+            assert (gamma.as_qpoly() * (common // u) - psi).is_integral(), (k, u)
 
 
 def test_compose_crt_congruences_hold():
     # v * gamma - Psi and u * gamma - Omega must be integral
     b4 = prime_power_basis(2, 2, 17)
     b3 = prime_power_basis(3, 1, 17)
-    composed = compose_bases(b4, b3, 17)
-    n1, n2 = 4, 3
-    for k, gamma in enumerate(composed.elements):
+    assert_crt_congruences(compose_bases([b4, b3], 17), [b4, b3])
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_compose_three_piece_congruences(n):
+    # 901 = 1 mod 900, so every piece has a nontrivial denominator
+    m = 901
+    pieces = [prime_power_basis(p, k, m) for p, k in PureField.create(n, m).factorization]
+    assert len(pieces) == 3
+    assert all(piece.elements[-1].denominator > 1 for piece in pieces)
+    composed = compose_bases(pieces, m)
+    assert composed == build_basis(PureField.create(n, m))
+    assert_crt_congruences(composed, pieces)
+
+
+# The construction before compose_bases took every piece at once: a
+# two-branch prime-power basis sorted by degree, a two-branch closed form,
+# and a fold of the pieces two at a time.
+
+def two_branch_prime_power_basis(p, k, m):
+    field = PureField(p ** k, m, ((p, k),))
+    if m % p == 0:
+        return IntegralBasis(
+            field, tuple(BasisElement(QPolynomial.x_power(i), 1) for i in range(p ** k))
+        )
+    r = m % p ** (k + 1)
+    s = s_value(p, m)
+    elements = []
+    if s < k:
+        for t in range(s + 1):
+            h = h_polynomial(p, k, r, t)
+            width = p ** (k - s) if t == s else p ** (k - t) - p ** (k - t - 1)
+            elements += [BasisElement(h.times_x_power(j), p ** t) for j in range(width)]
+    else:
+        for t in range(k):
+            h = h_polynomial(p, k, r, t)
+            width = p ** (k - t) - p ** (k - t - 1)
+            elements += [BasisElement(h.times_x_power(j), p ** t) for j in range(width)]
+        elements.append(BasisElement(h_polynomial(p, k, r, k), p ** k))
+    elements.sort(key=lambda e: e.degree)
+    return IntegralBasis(field, tuple(elements))
+
+
+def two_branch_ind_p(p, k, m):
+    if m % p == 0:
+        return 0
+    s = s_value(p, m)
+    if s <= k:
+        return (p ** k - p ** (k - s)) // (p - 1)
+    return (p ** k - 1) // (p - 1)
+
+
+def crt_pair(a, u, b, v):
+    if u == 1:
+        return b % v
+    if v == 1:
+        return a % u
+    return (a + u * ((b - a) * pow(u, -1, v) % v)) % (u * v)
+
+
+def compose_pair(basis1, basis2, m):
+    n1, n2 = basis1.field.n, basis2.field.n
+    merged = tuple(sorted(basis1.field.factorization + basis2.field.factorization))
+    elements = []
+    for k in range(n1 * n2):
         a, b = divmod(k, n2)
         c, d = divmod(k, n1)
-        psi = b4.elements[a]
-        omega = b3.elements[c]
-        psi_poly = (psi.numerator / psi.denominator).inflate(n2).times_x_power(b)
-        omega_poly = (omega.numerator / omega.denominator).inflate(n1).times_x_power(d)
-        gamma_poly = gamma.as_qpoly()
+        psi, omega = basis1.elements[a], basis2.elements[c]
         u, v = psi.denominator, omega.denominator
-        assert (gamma_poly * v - psi_poly).is_integral(), k
-        assert (gamma_poly * u - omega_poly).is_integral(), k
-        assert gamma.denominator == u * v
+        num_a = stretch(psi, n2, b) * u
+        num_c = stretch(omega, n1, d) * v
+        coeffs = [
+            crt_pair(int(num_a.coefficient(i)), u, int(num_c.coefficient(i)), v)
+            for i in range(k + 1)
+        ]
+        if coeffs[k] == 0:
+            coeffs[k] = u * v
+        elements.append(BasisElement(QPolynomial(coeffs), u * v))
+    return IntegralBasis(PureField(n1 * n2, m, merged), tuple(elements))
+
+
+def test_build_basis_matches_pairwise_fold():
+    fields = 0
+    for n in [*range(2, 37), 60]:
+        for m in (-19, -7, 2, 3, 10, 17, 26, 55):
+            field = PureField.create(n, m)
+            folded = None
+            for p, k in field.factorization:
+                assert ind_p_closed_form(p, k, m) == two_branch_ind_p(p, k, m)
+                piece = two_branch_prime_power_basis(p, k, m)
+                folded = piece if folded is None else compose_pair(folded, piece, m)
+            built = build_basis(field)
+            assert built.field == folded.field
+            assert [
+                (e.numerator.integer_coefficients(), e.denominator) for e in built.elements
+            ] == [
+                (e.numerator.integer_coefficients(), e.denominator) for e in folded.elements
+            ], (n, m)
+            fields += 1
+    assert fields == 288
+
+
+def test_basis_hash_is_computed_once(monkeypatch):
+    calls = []
+    qpoly_hash = QPolynomial.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return qpoly_hash(self)
+
+    monkeypatch.setattr(QPolynomial, "__hash__", counting_hash)
+    basis = build_basis(PureField.create(12, 17))
+    first = hash(basis)
+    assert len(calls) == 12
+    assert hash(basis) == first
+    assert len(calls) == 12
+    # equal bases built separately still hash equal
+    again = build_basis(PureField.create(12, 17))
+    assert again is not basis and again == basis and hash(again) == first
 
 
 def test_compose_degree_twelve_against_printed_row():
@@ -361,7 +501,7 @@ def test_compose_degree_twelve_against_printed_row():
     # matches (X^8+2X^4+3X^2+4)/6 as a span
     b4 = prime_power_basis(2, 2, 53)
     b3 = prime_power_basis(3, 1, 53)
-    composed = compose_bases(b4, b3, 53)
+    composed = compose_bases([b4, b3], 53)
     assert [e.denominator for e in composed.elements] == \
         [1, 1, 1, 1, 1, 1, 2, 2, 6, 6, 6, 6]
     printed = IntegralBasis(
