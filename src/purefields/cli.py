@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 
-from .exactmath import QPolynomial, factorize
+from .exactmath import QPolynomial, is_prime
 from .newton import (
     index_lower_bound,
     phi_development,
@@ -27,7 +27,6 @@ from .newton import (
     principal_polygon,
 )
 from .oracle import (
-    CounterexampleFound,
     Proved,
     Skipped,
     budget_skips,
@@ -153,7 +152,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_polygon(args) -> int:
     p, k, m = args.p, args.k, args.m
-    if factorize(p) != [(p, 1)]:
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -214,17 +213,10 @@ def _cmd_verify(args) -> int:
         _certification_pretty(field, certification),
     )
     if not certification.certified:
-        failures = []
-        if not all(certification.integrality):
-            failures.append("integrality")
-        if not certification.ring_closed:
-            failures.append("ring closure")
-        if not certification.disc_match:
-            failures.append("discriminant accounting")
-        for p, result in sorted(certification.maximality.items()):
-            if isinstance(result, CounterexampleFound):
-                failures.append(f"p-maximality at {p}")
-        print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
+        print(
+            f"verification failed: {', '.join(certification.failures)}",
+            file=sys.stderr,
+        )
         return EXIT_VERIFICATION_FAILED
     if certification.skipped:
         _print_skips(certification.skipped)

@@ -1,5 +1,10 @@
-"""Exact arithmetic kernel: p-adic valuations, dense rational polynomials,
-polynomials over prime fields, and matrices.
+"""Exact arithmetic kernel: p-adic valuations, polynomials, and matrices.
+
+There is one polynomial implementation.  Polynomial holds every
+algorithm that does not depend on the coefficient field (arithmetic,
+division with remainder, derivative, monic, pow_mod, and poly_gcd and
+poly_ext_gcd, the one Euclid); QPolynomial, FpPolynomial and
+newton.FpExtPolynomial supply only Q, F_p and F_p[x]/(phi).
 
 Integer matrices are plain lists of rows, which Hermite normal form and
 fraction-free determinants take as they are.  All row reduction over
@@ -152,24 +157,212 @@ def square_free_check(m: int, bound: int = SQUARE_FREE_BOUND_DEFAULT) -> SquareF
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q
+# polynomials over a field
 # ---------------------------------------------------------------------------
 
-class QPolynomial:
-    """Dense univariate polynomial with rational coefficients.
+class Polynomial:
+    """Dense univariate polynomial over a field.
 
-    coefficients[i] is the coefficient of X**i.  The tuple carries no
-    trailing zeros, so the zero polynomial has an empty coefficient tuple
-    and degree -1.
+    coefficients[i] is the coefficient of X**i, reduced in the field; the
+    tuple carries no trailing zeros, so the zero polynomial has an empty
+    tuple and degree -1.  The algorithms here use nothing of the field but
+    the arithmetic operators of its elements and truth testing for zero.
+    A subclass supplies the field:
+
+    - ``_like(coefficients)`` builds a polynomial over the same field,
+      reducing coefficients that sums and products have left unreduced;
+    - ``_reduce(c)`` reduces one such coefficient;
+    - ``_inverse(c)`` inverts a nonzero reduced coefficient;
+    - ``_zero`` and ``_one`` are the field's constants;
+    - ``_field`` names the field: operands whose fields differ are
+      rejected as "mixed moduli".
     """
 
     __slots__ = ("coefficients",)
 
+    @staticmethod
+    def _trimmed(coefficients: list) -> tuple:
+        """The coefficients without their trailing zeros."""
+        while coefficients and not coefficients[-1]:
+            coefficients.pop()
+        return tuple(coefficients)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coefficients) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coefficients
+
+    def __bool__(self) -> bool:
+        return bool(self.coefficients)
+
+    def coefficient(self, i: int):
+        if 0 <= i < len(self.coefficients):
+            return self.coefficients[i]
+        return self._zero
+
+    def leading_coefficient(self):
+        if not self.coefficients:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coefficients[-1]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._field == other._field and self.coefficients == other.coefficients
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._field, self.coefficients))
+
+    def _check(self, other: "Polynomial") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
+        if other._field != self._field:
+            raise ValueError("mixed moduli")
+
+    def __neg__(self):
+        return self._like([-c for c in self.coefficients])
+
+    def __add__(self, other):
+        self._check(other)
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Product with a polynomial of the same type, or with a scalar."""
+        if type(other) is not type(self):
+            return self._like([c * other for c in self.coefficients])
+        self._check(other)
+        a, b = self.coefficients, other.coefficients
+        if not a or not b:
+            return self._like(())
+        out = [self._zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, divisor):
+        """Division with remainder; divisor must be nonzero."""
+        self._check(divisor)
+        if not divisor.coefficients:
+            raise ZeroDivisionError("polynomial division by zero")
+        d = divisor.coefficients
+        dd = len(d) - 1
+        inv = self._inverse(d[-1])
+        reduce = self._reduce
+        rem = list(self.coefficients)
+        quo = [self._zero] * max(len(rem) - dd, 0)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            if not rem[i]:
+                continue
+            q = reduce(rem[i] * inv)
+            if not q:
+                continue
+            quo[i - dd] = q
+            for j, b in enumerate(d):
+                rem[i - dd + j] -= q * b
+        return self._like(quo), self._like(rem[:dd])
+
+    def __floordiv__(self, divisor):
+        return divmod(self, divisor)[0]
+
+    def __mod__(self, divisor):
+        return divmod(self, divisor)[1]
+
+    def derivative(self):
+        return self._like([i * c for i, c in enumerate(self.coefficients) if i])
+
+    def monic(self):
+        if not self.coefficients:
+            return self
+        return self * self._inverse(self.coefficients[-1])
+
+    def pow_mod(self, e: int, modulus):
+        """self**e mod modulus by repeated squaring."""
+        self._check(modulus)
+        result = self._like((self._one,))
+        base = self % modulus
+        while e:
+            if e & 1:
+                result = result * base % modulus
+            base = base * base % modulus
+            e >>= 1
+        return result
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of two polynomials over the same field."""
+    a._check(b)
+    if not a and not b:
+        raise ValueError("gcd of two zero polynomials undefined")
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def poly_ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """Extended Euclid: returns monic (g, s, t) with s*a + t*b = g."""
+    a._check(b)
+    one = a._like((a._one,))
+    zero = a._like(())
+    old_r, r = a, b
+    old_s, s = one, zero
+    old_t, t = zero, one
+    while r:
+        q, rem = divmod(old_r, r)
+        old_r, r = r, rem
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if not old_r:
+        raise ValueError("gcd of two zero polynomials undefined")
+    inv = a._inverse(old_r.coefficients[-1])
+    return old_r * inv, old_s * inv, old_t * inv
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q
+# ---------------------------------------------------------------------------
+
+class QPolynomial(Polynomial):
+    """Dense univariate polynomial with rational coefficients."""
+
+    __slots__ = ()
+    _field = "Q"
+    _zero = Fraction(0)
+    _one = Fraction(1)
+
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coefficients: tuple[Fraction, ...] = tuple(coeffs)
+        # arithmetic hands back Fractions already; converting one again
+        # would cost about as much as the operation that made it
+        self.coefficients: tuple[Fraction, ...] = self._trimmed(
+            [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        )
+
+    def _like(self, coefficients) -> "QPolynomial":
+        return QPolynomial(coefficients)
+
+    @staticmethod
+    def _reduce(c: Fraction) -> Fraction:
+        # Fraction arithmetic already returns lowest terms
+        return c
+
+    @staticmethod
+    def _inverse(c: Fraction) -> Fraction:
+        return 1 / c
 
     @classmethod
     def zero(cls) -> "QPolynomial":
@@ -186,72 +379,8 @@ class QPolynomial:
             raise ValueError("negative exponent")
         return cls((0,) * j + (scale,))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return Fraction(0)
-
-    def leading_coefficient(self) -> Fraction:
-        if not self.coefficients:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
     def is_monic(self) -> bool:
         return bool(self.coefficients) and self.coefficients[-1] == 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(("QPolynomial", self.coefficients))
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coefficients))
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["QPolynomial", Scalar]) -> "QPolynomial":
-        if isinstance(other, QPolynomial):
-            if not self.coefficients or not other.coefficients:
-                return QPolynomial()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return QPolynomial(out)
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial(tuple(c * other for c in self.coefficients))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> "QPolynomial":
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
@@ -270,38 +399,11 @@ class QPolynomial:
             e >>= 1
         return result
 
-    def __divmod__(self, divisor: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
-        """Exact division with remainder; divisor must be nonzero."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.leading_coefficient()
-        dd = divisor.degree
-        rem = list(self.coefficients)
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quo[i - dd] = q
-            for j, b in enumerate(divisor.coefficients):
-                rem[i - dd + j] -= q * b
-        return QPolynomial(quo), QPolynomial(rem[:dd])
-
-    def __floordiv__(self, divisor: "QPolynomial") -> "QPolynomial":
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: "QPolynomial") -> "QPolynomial":
-        return divmod(self, divisor)[1]
-
     def evaluate(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "QPolynomial":
-        return QPolynomial(tuple(i * c for i, c in enumerate(self.coefficients) if i))
 
     def times_x_power(self, j: int) -> "QPolynomial":
         if j < 0:
@@ -369,21 +471,30 @@ def vp_poly(p: int, f: QPolynomial) -> int:
 # polynomials over F_p
 # ---------------------------------------------------------------------------
 
-class FpPolynomial:
-    """Dense univariate polynomial over the prime field F_p.
+class FpPolynomial(Polynomial):
+    """Dense univariate polynomial over the prime field F_p, with every
+    coefficient reduced into [0, p)."""
 
-    All coefficients are reduced into [0, p); the leading one is nonzero
-    and the zero polynomial has an empty coefficient tuple.
-    """
-
-    __slots__ = ("p", "coefficients")
+    __slots__ = ("p",)
+    _zero = 0
+    _one = 1
 
     def __init__(self, p: int, coefficients: Iterable[int] = ()):
-        coeffs = [c % p for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
         self.p = p
-        self.coefficients: tuple[int, ...] = tuple(coeffs)
+        self.coefficients: tuple[int, ...] = self._trimmed([c % p for c in coefficients])
+
+    @property
+    def _field(self) -> int:
+        return self.p
+
+    def _like(self, coefficients) -> "FpPolynomial":
+        return FpPolynomial(self.p, coefficients)
+
+    def _reduce(self, c: int) -> int:
+        return c % self.p
+
+    def _inverse(self, c: int) -> int:
+        return pow(c, -1, self.p)
 
     @classmethod
     def from_qpoly(cls, p: int, f: QPolynomial) -> "FpPolynomial":
@@ -395,116 +506,6 @@ class FpPolynomial:
             out.append(c.numerator * pow(c.denominator, -1, p) % p)
         return cls(p, out)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def coefficient(self, i: int) -> int:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
-        return 0
-
-    def leading_coefficient(self) -> int:
-        if not self.coefficients:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FpPolynomial):
-            return NotImplemented
-        return self.p == other.p and self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(("FpPolynomial", self.p, self.coefficients))
-
-    def _check(self, other: "FpPolynomial") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "FpPolynomial") -> "FpPolynomial":
-        self._check(other)
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPolynomial(self.p, out)
-
-    def __neg__(self) -> "FpPolynomial":
-        return FpPolynomial(self.p, tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "FpPolynomial") -> "FpPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: Union["FpPolynomial", int]) -> "FpPolynomial":
-        if isinstance(other, int):
-            return FpPolynomial(self.p, tuple(c * other for c in self.coefficients))
-        self._check(other)
-        if not self.coefficients or not other.coefficients:
-            return FpPolynomial(self.p)
-        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPolynomial(self.p, out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, divisor: "FpPolynomial") -> tuple["FpPolynomial", "FpPolynomial"]:
-        self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        inv = pow(divisor.leading_coefficient(), -1, p)
-        dd = divisor.degree
-        rem = list(self.coefficients)
-        quo = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] % p
-            if c == 0:
-                continue
-            q = c * inv % p
-            quo[i - dd] = q
-            for j, b in enumerate(divisor.coefficients):
-                rem[i - dd + j] = (rem[i - dd + j] - q * b) % p
-        return FpPolynomial(p, quo), FpPolynomial(p, rem[:dd])
-
-    def __floordiv__(self, divisor: "FpPolynomial") -> "FpPolynomial":
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: "FpPolynomial") -> "FpPolynomial":
-        return divmod(self, divisor)[1]
-
-    def monic(self) -> "FpPolynomial":
-        if self.is_zero():
-            return self
-        inv = pow(self.leading_coefficient(), -1, self.p)
-        return self * inv
-
-    def derivative(self) -> "FpPolynomial":
-        return FpPolynomial(self.p, tuple(i * c for i, c in enumerate(self.coefficients) if i))
-
-    def pow_mod(self, e: int, modulus: "FpPolynomial") -> "FpPolynomial":
-        """self**e mod modulus by repeated squaring."""
-        self._check(modulus)
-        result = FpPolynomial(self.p, (1,))
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = result * base % modulus
-            base = base * base % modulus
-            e >>= 1
-        return result
-
     def lift(self) -> QPolynomial:
         """Monic-compatible lift with coefficients in [0, p)."""
         return QPolynomial(self.coefficients)
@@ -514,38 +515,6 @@ class FpPolynomial:
 
     def __repr__(self) -> str:
         return f"FpPolynomial({self.p}, {list(self.coefficients)!r})"
-
-
-def fp_gcd(a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
-    """Monic gcd over F_p."""
-    if a.p != b.p:
-        raise ValueError("mixed moduli")
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd of two zero polynomials undefined")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def fp_ext_gcd(a: FpPolynomial, b: FpPolynomial) -> tuple[FpPolynomial, FpPolynomial, FpPolynomial]:
-    """Extended Euclid over F_p: returns monic (g, s, t) with s*a + t*b = g."""
-    if a.p != b.p:
-        raise ValueError("mixed moduli")
-    p = a.p
-    one = FpPolynomial(p, (1,))
-    zero = FpPolynomial(p)
-    old_r, r = a, b
-    old_s, s = one, zero
-    old_t, t = zero, one
-    while not r.is_zero():
-        q, rem = divmod(old_r, r)
-        old_r, r = r, rem
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r.is_zero():
-        raise ValueError("gcd of two zero polynomials undefined")
-    inv = pow(old_r.leading_coefficient(), -1, p)
-    return old_r * inv, old_s * inv, old_t * inv
 
 
 # ---------------------------------------------------------------------------

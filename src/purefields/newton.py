@@ -4,6 +4,8 @@ Builds phi-adic developments, the principal (negative-slope) polygon of the
 valuation points, residual polynomials over F_p[x]/(phi), the regularity
 test, and the resulting lower bound for the p-index of a monic integer
 polynomial, which is exact exactly when every development is regular.
+Polynomials over Q, F_p and F_p[x]/(phi) share one implementation,
+exactmath.Polynomial; FpExtPolynomial only supplies the field F_p[x]/(phi).
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from typing import Optional, Sequence
 
 from .exactmath import (
     FpPolynomial,
+    Polynomial,
     QPolynomial,
-    fp_ext_gcd,
-    fp_gcd,
+    poly_ext_gcd,
+    poly_gcd,
     vp_poly,
 )
 
@@ -62,83 +65,48 @@ def phi_development(f: QPolynomial, phi: QPolynomial, p: int) -> PhiDevelopment:
 # residual polynomials over F_p[x]/(phi)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FpExtPolynomial:
+class FpExtPolynomial(Polynomial):
     """Polynomial in Y whose coefficients live in the field F_p[x]/(phi_bar)."""
 
-    p: int
-    phi_bar: FpPolynomial
-    coefficients: tuple[FpPolynomial, ...]
+    __slots__ = ("p", "phi_bar")
 
-    def __post_init__(self):
-        coeffs = list(self.coefficients)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+    def __init__(self, p: int, phi_bar: FpPolynomial, coefficients: Sequence[FpPolynomial]):
+        self.p = p
+        self.phi_bar = phi_bar
+        self.coefficients: tuple[FpPolynomial, ...] = self._trimmed(
+            [self._reduce(c) for c in coefficients]
+        )
 
     @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
+    def _field(self) -> FpPolynomial:
+        return self.phi_bar
 
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def coefficient(self, i: int) -> FpPolynomial:
-        if 0 <= i < len(self.coefficients):
-            return self.coefficients[i]
+    @property
+    def _zero(self) -> FpPolynomial:
         return FpPolynomial(self.p)
 
-    def _mul_coeff(self, a: FpPolynomial, b: FpPolynomial) -> FpPolynomial:
-        return (a * b) % self.phi_bar
+    @property
+    def _one(self) -> FpPolynomial:
+        return FpPolynomial(self.p, (1,))
 
-    def _inv_coeff(self, a: FpPolynomial) -> FpPolynomial:
-        g, s, _ = fp_ext_gcd(a, self.phi_bar)
+    def _like(self, coefficients) -> "FpExtPolynomial":
+        return FpExtPolynomial(self.p, self.phi_bar, coefficients)
+
+    def _reduce(self, c: FpPolynomial) -> FpPolynomial:
+        return c if c.degree < self.phi_bar.degree else c % self.phi_bar
+
+    def _inverse(self, c: FpPolynomial) -> FpPolynomial:
+        g, s, _ = poly_ext_gcd(c, self.phi_bar)
         if g.degree != 0:
             raise ValueError("coefficient not invertible; phi_bar must be irreducible")
         return s % self.phi_bar
-
-    def derivative(self) -> "FpExtPolynomial":
-        return FpExtPolynomial(
-            self.p,
-            self.phi_bar,
-            tuple((c * i) % self.phi_bar for i, c in enumerate(self.coefficients) if i),
-        )
-
-    def _divmod(self, divisor: "FpExtPolynomial") -> tuple["FpExtPolynomial", "FpExtPolynomial"]:
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        inv = self._inv_coeff(divisor.coefficients[-1])
-        dd = divisor.degree
-        rem = list(self.coefficients)
-        quo = [FpPolynomial(self.p)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            q = self._mul_coeff(c, inv)
-            quo[i - dd] = q
-            for j, b in enumerate(divisor.coefficients):
-                rem[i - dd + j] = rem[i - dd + j] - self._mul_coeff(q, b)
-        return (
-            FpExtPolynomial(self.p, self.phi_bar, tuple(quo)),
-            FpExtPolynomial(self.p, self.phi_bar, tuple(rem[:dd])),
-        )
-
-    def gcd(self, other: "FpExtPolynomial") -> "FpExtPolynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a._divmod(b)[1]
-        if a.is_zero():
-            raise ValueError("gcd of zero polynomials undefined")
-        inv = a._inv_coeff(a.coefficients[-1])
-        return FpExtPolynomial(a.p, a.phi_bar, tuple(a._mul_coeff(c, inv) for c in a.coefficients))
 
     def is_separable(self) -> bool:
         """True iff the polynomial has no repeated roots over the residue field."""
         deriv = self.derivative()
         if deriv.is_zero():
             return self.degree == 0
-        return self.gcd(deriv).degree == 0
+        return poly_gcd(self, deriv).degree == 0
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -160,6 +128,12 @@ class FpExtPolynomial:
                 term = f"{cstr}Y^{i}"
             parts.append(term)
         return "+".join(parts)
+
+    def __repr__(self) -> str:
+        return (
+            f"FpExtPolynomial(p={self.p!r}, phi_bar={self.phi_bar!r}, "
+            f"coefficients={self.coefficients!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +240,7 @@ def residual_polynomial(dev: PhiDevelopment, side: Side) -> FpExtPolynomial:
             coeffs.append(FpPolynomial(p))
             continue
         scaled = a_i / (p ** u_line)
-        coeffs.append(FpPolynomial.from_qpoly(p, scaled) % phi_bar)
+        coeffs.append(FpPolynomial.from_qpoly(p, scaled))
     return FpExtPolynomial(p, phi_bar, tuple(coeffs))
 
 
@@ -311,11 +285,11 @@ def radical_mod_p(f: FpPolynomial) -> FpPolynomial:
     deriv = f.derivative()
     if deriv.is_zero():
         return radical_mod_p(_pth_root(f))
-    g = fp_gcd(f, deriv)
+    g = poly_gcd(f, deriv)
     w = (f // g).monic()
     y = g
     while True:
-        c = fp_gcd(y, w)
+        c = poly_gcd(y, w)
         if c.degree == 0:
             break
         y = y // c
@@ -338,7 +312,7 @@ def _distinct_degree(f: FpPolynomial) -> list[tuple[int, FpPolynomial]]:
             out.append((rest.degree, rest))
             break
         h = h.pow_mod(p, rest)
-        g = fp_gcd(h - x, rest) if not (h - x).is_zero() else rest
+        g = poly_gcd(h - x, rest) if not (h - x).is_zero() else rest
         if g.degree > 0:
             out.append((d, g))
             rest = (rest // g).monic()
@@ -356,7 +330,7 @@ def _equal_degree(f: FpPolynomial, d: int, rng: random.Random) -> list[FpPolynom
         a = FpPolynomial(p, [rng.randrange(p) for _ in range(n)])
         if a.degree < 1:
             continue
-        g = fp_gcd(a, f)
+        g = poly_gcd(a, f)
         if 0 < g.degree < n:
             split = g
         else:
@@ -371,7 +345,7 @@ def _equal_degree(f: FpPolynomial, d: int, rng: random.Random) -> list[FpPolynom
                 b = a.pow_mod((p ** d - 1) // 2, f) - FpPolynomial(p, (1,))
             if b.is_zero():
                 continue
-            split = fp_gcd(b, f)
+            split = poly_gcd(b, f)
             if not 0 < split.degree < n:
                 continue
         return _equal_degree(split, d, rng) + _equal_degree((f // split).monic(), d, rng)
@@ -395,14 +369,6 @@ def distinct_irreducible_factors(f: FpPolynomial) -> list[FpPolynomial]:
 # the p-index bound
 # ---------------------------------------------------------------------------
 
-def _q_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a / a.leading_coefficient()
-
-
 def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     """Lower bound for the p-index of a monic integer polynomial.
 
@@ -413,7 +379,7 @@ def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     """
     if not f.is_integral() or not f.is_monic():
         raise ValueError("index bound expects a monic integer polynomial")
-    if _q_gcd(f, f.derivative()).degree > 0:
+    if poly_gcd(f, f.derivative()).degree > 0:
         raise ValueError("polynomial must be square-free over Q")
     fbar = FpPolynomial.from_qpoly(p, f)
     total = 0

@@ -535,16 +535,24 @@ class CertificationReport:
         }
 
     @property
+    def failures(self) -> tuple[str, ...]:
+        """The checks that failed, in the order they run."""
+        failed = []
+        if not all(self.integrality):
+            failed.append("integrality")
+        if not self.ring_closed:
+            failed.append("ring closure")
+        if not self.disc_match:
+            failed.append("discriminant accounting")
+        for p, result in sorted(self.maximality.items()):
+            if isinstance(result, CounterexampleFound):
+                failed.append(f"p-maximality at {p}")
+        return tuple(failed)
+
+    @property
     def certified(self) -> bool:
         # all checks pass or are explicitly skipped
-        return (
-            all(self.integrality)
-            and self.ring_closed
-            and self.disc_match
-            and not any(
-                isinstance(r, CounterexampleFound) for r in self.maximality.values()
-            )
-        )
+        return not self.failures
 
 
 def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> CertificationReport:

@@ -105,11 +105,15 @@ class BasisElement:
     def __post_init__(self):
         if self.denominator <= 0:
             raise ValueError("denominator must be positive")
-        if not self.numerator.is_integral():
-            raise ValueError("numerator must have integer coefficients")
+        # one pass over the numerator: integral coefficients, and the gcd
+        # of their numerators with the denominator
+        g = self.denominator
+        for c in self.numerator.coefficients:
+            if c.denominator != 1:
+                raise ValueError("numerator must have integer coefficients")
+            g = math.gcd(g, c.numerator)
         if self.numerator.is_zero():
             raise ValueError("zero basis element")
-        g = math.gcd(self.numerator.content(), self.denominator)
         if g != 1:
             raise ValueError("element not in lowest terms")
 

@@ -5,7 +5,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from purefields import oracle, periodicity, purebasis
+from purefields import newton, oracle, periodicity, purebasis
 from purefields.exactmath import QPolynomial
 from purefields.purebasis import BasisElement, IntegralBasis, PureField
 
@@ -86,3 +86,19 @@ def test_construction_layers_record_spans():
         tracer.restore()
     recorded = {span[0] for span in tracer.spans}
     assert {"purebasis.build", "purebasis.ledger"} <= recorded
+
+
+def test_newton_layers_record_spans():
+    # index_lower_bound reaches the factorization, the development and the
+    # polygon through the module attributes the tracer rebinds, so
+    # newton.factor_s, newton.development_s and newton.polygon_s cannot
+    # quietly read zero
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install("purefields")
+    try:
+        newton.index_lower_bound(QPolynomial([-28] + [0] * 8 + [1]), 3)
+    finally:
+        tracer.restore()
+    recorded = {span[0] for span in tracer.spans}
+    assert {"newton.factor", "newton.development", "newton.polygon"} <= recorded

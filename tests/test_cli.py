@@ -8,8 +8,10 @@ import time
 
 import pytest
 
+from purefields import cli
 from purefields.cli import run
-from purefields.purebasis import PureField, index_report
+from purefields.exactmath import QPolynomial
+from purefields.purebasis import BasisElement, IntegralBasis, PureField, index_report
 
 # product of two primes just above the trial-division bound: square-freeness
 # cannot be settled, so commands must stop with the resource exit code
@@ -265,7 +267,15 @@ class TestPolygon:
         assert doc["phi"] == "X"
 
     @pytest.mark.parametrize(
-        "p, k, m", [("4", "1", "5"), ("3", "0", "5"), ("3", "1", "0")]
+        "p, k, m",
+        [
+            ("4", "1", "5"),
+            ("3", "0", "5"),
+            ("3", "1", "0"),
+            ("1", "1", "3"),
+            ("0", "1", "3"),
+            ("-3", "1", "3"),
+        ],
     )
     def test_rejects_bad_parameters(self, capsys, p, k, m):
         code, _, err = invoke(
@@ -273,6 +283,8 @@ class TestPolygon:
         )
         assert code == 2
         assert err
+        if int(p) < 2:
+            assert err == f"error: p must be prime, got {p}\n"
 
 
 class TestAtlas:
@@ -349,6 +361,25 @@ class TestVerify:
         assert doc["maximality"]["2"] == {"status": "proved"}
         assert doc["maximality"]["3"]["status"] == "skipped"
 
+    def test_failed_checks_exit_one_and_are_named(self, capsys, monkeypatch):
+        # the power order Z[alpha] of (12, 17) is an order, but neither
+        # 2- nor 3-maximal, so its discriminant is off the ledger
+        monkeypatch.setattr(
+            cli,
+            "build_basis",
+            lambda field: IntegralBasis(
+                field,
+                tuple(BasisElement(QPolynomial.x_power(j), 1) for j in range(field.n)),
+            ),
+        )
+        code, out, err = invoke(capsys, "verify", "--n", "12", "--m", "17")
+        assert code == 1
+        assert json.loads(out)["certified"] is False
+        assert err == (
+            "verification failed: discriminant accounting, "
+            "p-maximality at 2, p-maximality at 3\n"
+        )
+
     def test_huge_degree_exits_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "verify", "--n", "1000000", "--m", "2")
@@ -400,6 +431,19 @@ GOLDEN_STDOUT = [
      "c972d92dc1ad896d6cab7a2bee6f8637d2511fceb10d06d2e235668177780624"),
     (("atlas", "--n", "4"),
      "1d257e85289c14acbbbeaed9bfb322818ab897004d3c0777d564bb5ed1b7888c"),
+    (("polygon", "--p", "3", "--k", "2", "--m", "55"),
+     "0882ac3b6605440285771a92896f2afee06682038e29d3295d5de7545b474ca7"),
+    (("polygon", "--p", "3", "--k", "2", "--m", "55", "--format", "pretty"),
+     "7c47d34285336909b44df2b51d62f79cc6c3b590d9f18e69ab6660492b74f6cf"),
+    (("polygon", "--p", "3", "--k", "1", "--m", "6"),
+     "df1cc1beedb71703f213810db9c6689a6b6c1872a289a369dce8252554c86960"),
+    (("polygon", "--p", "3", "--k", "1", "--m", "6", "--format", "pretty"),
+     "4777cab6179ee62b7a66b6bc4c6111582e0c19799af1688fc86153c89a5848b5"),
+    # the inexact case: the residual Y^2+1 is not separable over F_2
+    (("polygon", "--p", "2", "--k", "3", "--m", "-60"),
+     "55b5f489365cd2f6a78f4ea1a247d450e312d88e23b258465f08547a864bec73"),
+    (("polygon", "--p", "2", "--k", "3", "--m", "-60", "--format", "pretty"),
+     "2e138ce8ce8225aed5c3506afdedeebcd9fced522d8c95f1d19e2458415a7a51"),
 ]
 
 

@@ -3,9 +3,10 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from purefields.exactmath import (
@@ -20,17 +21,18 @@ from purefields.exactmath import (
     det_rational,
     ext_gcd,
     factorize,
-    fp_ext_gcd,
-    fp_gcd,
     fp_kernel,
     fp_reduce,
     hnf_rows,
     is_prime,
+    poly_ext_gcd,
+    poly_gcd,
     square_free_check,
     vp_int,
     vp_poly,
     vp_rational,
 )
+from purefields.newton import FpExtPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +227,12 @@ def test_fp_poly_basics():
 def test_fp_gcd_examples():
     # derivative of Y^2+Y+1 over F_2 is 1, so the gcd is 1: separable
     f = FpPolynomial(2, [1, 1, 1])
-    assert fp_gcd(f, f.derivative()) == FpPolynomial(2, [1])
+    assert poly_gcd(f, f.derivative()) == FpPolynomial(2, [1])
     # Y^2 and its derivative 2Y over F_3 share the factor Y
     g = FpPolynomial(3, [0, 0, 1])
-    assert fp_gcd(g, g.derivative()) == FpPolynomial(3, [0, 1])
+    assert poly_gcd(g, g.derivative()) == FpPolynomial(3, [0, 1])
     h = FpPolynomial(5, [1, 1])
-    assert fp_gcd(h, h) == FpPolynomial(5, [1, 1])
+    assert poly_gcd(h, h) == FpPolynomial(5, [1, 1])
 
 
 def test_fp_ext_gcd_bezout():
@@ -241,7 +243,7 @@ def test_fp_ext_gcd_bezout():
             b = FpPolynomial(p, [rng.randrange(p) for _ in range(rng.randint(1, 6))])
             if a.is_zero() and b.is_zero():
                 continue
-            g, s, t = fp_ext_gcd(a, b)
+            g, s, t = poly_ext_gcd(a, b)
             assert s * a + t * b == g
             if not a.is_zero() and not b.is_zero():
                 assert (a % g).is_zero() and (b % g).is_zero()
@@ -259,6 +261,51 @@ def test_fp_from_qpoly():
     assert FpPolynomial.from_qpoly(5, f) == FpPolynomial(5, [3, 3])
     with pytest.raises(ValueError):
         FpPolynomial.from_qpoly(2, f)
+
+
+# ---------------------------------------------------------------------------
+# division and Euclid over Q, F_p and F_p[x]/(phi)
+# ---------------------------------------------------------------------------
+
+def _extension(phi, name):
+    # coefficients of F_p[x]/(phi) as polynomials of degree < deg(phi)
+    p = phi.p
+    element = st.lists(st.integers(0, p - 1), max_size=phi.degree).map(
+        partial(FpPolynomial, p)
+    )
+    return pytest.param(
+        partial(FpExtPolynomial, p, phi), element, FpPolynomial(p, [1]), id=name
+    )
+
+
+FIELDS = [
+    pytest.param(
+        QPolynomial, st.fractions(-5, 5, max_denominator=6), Fraction(1), id="Q"
+    ),
+    *(
+        pytest.param(partial(FpPolynomial, p), st.integers(0, p - 1), 1, id=f"F{p}")
+        for p in (2, 3, 5, 7)
+    ),
+    _extension(FpPolynomial(3, [1, 0, 1]), "F3[x]/(x^2+1)"),
+    _extension(FpPolynomial(2, [1, 1, 0, 1]), "F2[x]/(x^3+x+1)"),
+]
+
+
+@pytest.mark.parametrize("make, element, one", FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_division_and_euclid_over_every_field(make, element, one, data):
+    a = make(data.draw(st.lists(element, max_size=6)))
+    b = make(data.draw(st.lists(element, min_size=1, max_size=5)))
+    assume(not b.is_zero())
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+    g = poly_gcd(a, b)
+    assert g.leading_coefficient() == one
+    assert (a % g).is_zero() and (b % g).is_zero()
+    h, s, t = poly_ext_gcd(a, b)
+    assert s * a + t * b == h == g
 
 
 # ---------------------------------------------------------------------------
