@@ -460,13 +460,6 @@ class QPolynomial(Polynomial):
         return f"QPolynomial({list(self.coefficients)!r})"
 
 
-def vp_poly(p: int, f: QPolynomial) -> int:
-    """Valuation of a polynomial: min over nonzero coefficients of vp."""
-    if f.is_zero():
-        raise ValueError("valuation of zero polynomial undefined")
-    return min(vp_rational(p, c) for c in f.coefficients if c != 0)
-
-
 # ---------------------------------------------------------------------------
 # polynomials over F_p
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Builds phi-adic developments, the principal (negative-slope) polygon of the
 valuation points, residual polynomials over F_p[x]/(phi), the regularity
 test, and the resulting lower bound for the p-index of a monic integer
 polynomial, which is exact exactly when every development is regular.
+Developments, polygon heights and residual digits are computed on plain
+integers: phi is monic, so its divisions need no inverse, and each digit
+is divided only by a power of p that divides it.
 Polynomials over Q, F_p and F_p[x]/(phi) share one implementation,
 exactmath.Polynomial; FpExtPolynomial only supplies the field F_p[x]/(phi).
 """
@@ -22,7 +25,7 @@ from .exactmath import (
     QPolynomial,
     poly_ext_gcd,
     poly_gcd,
-    vp_poly,
+    vp_int,
 )
 
 
@@ -45,20 +48,34 @@ class PhiDevelopment:
 
 
 def phi_development(f: QPolynomial, phi: QPolynomial, p: int) -> PhiDevelopment:
-    """Expand f in base phi by repeated division with remainder."""
+    """Expand f in base phi by repeated division with remainder.
+
+    phi is monic, so each division is synthetic on the integer numerators:
+    the quotient digits are the leading remainder coefficients, left in
+    place, so after a pass rem[:deg phi] is the next a_i and rem[deg phi:]
+    the quotient.
+    """
     if not f.is_integral() or not phi.is_integral():
         raise ValueError("development expects integer coefficients")
     if not phi.is_monic() or phi.degree < 1:
         raise ValueError("phi must be monic of degree >= 1")
-    coeffs: list[QPolynomial] = []
-    rem = f
-    while not rem.is_zero():
-        rem, a = divmod(rem, phi)
-        coeffs.append(a)
-    if not coeffs:
-        coeffs.append(QPolynomial())
-    vals = tuple(None if a.is_zero() else vp_poly(p, a) for a in coeffs)
-    return PhiDevelopment(f, phi, p, tuple(coeffs), vals)
+    d = phi.degree
+    tail = [c.numerator for c in phi.coefficients[:d]]
+    rem = [c.numerator for c in f.coefficients]
+    digits: list[list[int]] = []
+    while rem:
+        for i in range(len(rem) - 1, d - 1, -1):
+            q = rem[i]
+            if q:
+                for j, b in enumerate(tail, i - d):
+                    rem[j] -= q * b
+        digits.append(rem[:d])
+        # the quotient keeps the nonzero leading coefficient of rem
+        rem = rem[d:]
+    if not digits:
+        digits.append([])
+    vals = tuple(min((vp_int(p, c) for c in a if c), default=None) for a in digits)
+    return PhiDevelopment(f, phi, p, tuple(QPolynomial(a) for a in digits), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +246,19 @@ def residual_polynomial(dev: PhiDevelopment, side: Side) -> FpExtPolynomial:
     endpoints always lie on the side, so the degree is exactly d.
     """
     p = dev.p
-    phi_bar = FpPolynomial.from_qpoly(p, dev.phi)
+    phi_bar = FpPolynomial(p, [c.numerator for c in dev.phi.coefficients])
     coeffs: list[FpPolynomial] = []
     for j in range(side.d + 1):
         i = side.start[0] + j * side.e
         u_line = side.start[1] - j * side.h
-        a_i = dev.coefficients[i] if i < len(dev.coefficients) else QPolynomial()
         u_i = dev.valuations[i] if i < len(dev.valuations) else None
-        if a_i.is_zero() or u_i != u_line:
+        if u_i != u_line:
             coeffs.append(FpPolynomial(p))
             continue
-        scaled = a_i / (p ** u_line)
-        coeffs.append(FpPolynomial.from_qpoly(p, scaled))
+        # u_i is the valuation of a_i, so the division is exact
+        scale = p ** u_line
+        digit = dev.coefficients[i].coefficients
+        coeffs.append(FpPolynomial(p, [c.numerator // scale for c in digit]))
     return FpExtPolynomial(p, phi_bar, tuple(coeffs))
 
 
@@ -256,8 +274,8 @@ def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
     for x in range(max(1, x_start), x_end + 1):
         for side in polygon.sides:
             if side.start[0] <= x <= side.end[0]:
-                height = Fraction(side.start[1]) - Fraction(side.h, side.e) * (x - side.start[0])
-                count += max(0, height.__floor__())
+                height = (side.start[1] * side.e - side.h * (x - side.start[0])) // side.e
+                count += max(0, height)
                 break
     return degphi * count
 

@@ -29,7 +29,6 @@ from purefields.exactmath import (
     poly_gcd,
     square_free_check,
     vp_int,
-    vp_poly,
     vp_rational,
 )
 from purefields.newton import FpExtPolynomial
@@ -54,14 +53,6 @@ def test_vp_rational():
     assert vp_rational(5, Fraction(1, 5)) == -1
     assert vp_rational(2, Fraction(12, 5)) == 2
     assert vp_rational(3, 7) == 0
-
-
-def test_vp_poly_examples():
-    assert vp_poly(3, QPolynomial([27, 3, 9])) == 1
-    assert vp_poly(2, QPolynomial([1, 1])) == 0
-    assert vp_poly(5, QPolynomial([25, 0, 0, Fraction(1, 5)])) == -1
-    with pytest.raises(ValueError):
-        vp_poly(2, QPolynomial())
 
 
 @given(

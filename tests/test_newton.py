@@ -1,13 +1,14 @@
 """Tests for phi-adic developments, principal polygons, and the p-index bound."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from purefields.exactmath import FpPolynomial, QPolynomial, vp_int
+from purefields.exactmath import FpPolynomial, QPolynomial, vp_int, vp_rational
 from purefields.newton import (
     FpExtPolynomial,
     NewtonPolygon,
@@ -55,14 +56,24 @@ def test_development_binomials():
     phi = poly(-m, 1)
     dev = phi_development(f, phi, 3)
     assert dev.coefficients[0] == poly(m ** 9 - m)
-    import math
     for i in range(1, 10):
         assert dev.coefficients[i] == poly(math.comb(9, i) * m ** (9 - i))
 
 
 def test_development_requires_monic_phi():
-    with pytest.raises(ValueError):
+    monic = "phi must be monic of degree >= 1"
+    with pytest.raises(ValueError, match=monic):
         phi_development(poly(1, 1), poly(1, 2), 3)
+    with pytest.raises(ValueError, match=monic):
+        phi_development(poly(1, 1), poly(1), 3)
+
+
+def test_development_requires_integer_coefficients():
+    integral = "development expects integer coefficients"
+    with pytest.raises(ValueError, match=integral):
+        phi_development(QPolynomial([Fraction(1, 2), 0, 1]), X, 2)
+    with pytest.raises(ValueError, match=integral):
+        phi_development(poly(1, 0, 1), QPolynomial([Fraction(1, 3), 1]), 3)
 
 
 @given(
@@ -82,6 +93,56 @@ def test_development_reconstructs(fc, pc, p):
         power = power * phi
     assert acc == f
     assert all(a.degree < phi.degree for a in dev.coefficients)
+
+
+def _reference_development(f, phi, p):
+    # repeated division with remainder over Q, valuations from vp_rational
+    coeffs, rem = [], f
+    while not rem.is_zero():
+        rem, a = divmod(rem, phi)
+        coeffs.append(a)
+    coeffs = coeffs or [QPolynomial()]
+    return tuple(coeffs), tuple(
+        min((vp_rational(p, c) for c in a.coefficients if c), default=None) for a in coeffs
+    )
+
+
+@given(
+    fc=st.lists(st.integers(min_value=-10 ** 12, max_value=10 ** 12), max_size=41),
+    shift=st.integers(min_value=0, max_value=12),
+    pc=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4),
+    p=st.sampled_from([2, 3, 5, 7]),
+)
+@example(fc=[], shift=0, pc=[0], p=2)
+@settings(max_examples=150, deadline=None)
+def test_development_matches_rational_reference(fc, shift, pc, p):
+    # ledger digests reach about C(32, i) * p^32; the shift by p^shift
+    # makes digits of positive valuation common
+    f = QPolynomial([c * p ** shift for c in fc])
+    phi = QPolynomial(pc + [1])
+    dev = phi_development(f, phi, p)
+    assert (dev.coefficients, dev.valuations) == _reference_development(f, phi, p)
+    assert (dev.f, dev.phi, dev.p) == (f, phi, p)
+
+
+@pytest.mark.parametrize("p, k", [(3, 2), (2, 4), (5, 2), (3, 3), (2, 5)])
+def test_development_of_pure_polynomials_closed_form(p, k):
+    # X^N - m in base X - c, where c = -((-m) mod p) lifts the root of
+    # X^N - m = (X - m)^N mod p: a_0 = c^N - m and a_i = C(N, i) c^(N - i)
+    n = p ** k
+    for m in (2, 3, 5, 6, 10, -7, -15, 17, -26, 105):
+        c = -((-m) % p)
+        dev = phi_development(QPolynomial.x_power(n) - poly(m), poly(-c, 1), p)
+        expected = [c ** n - m] + [math.comb(n, i) * c ** (n - i) for i in range(1, n + 1)]
+        assert dev.coefficients == tuple(poly(a) for a in expected), m
+        assert dev.valuations == tuple(vp_int(p, a) if a else None for a in expected), m
+
+
+def test_development_valuation_examples():
+    # a digit's valuation is the least vp of its nonzero coefficients
+    assert phi_development(poly(27, 3, 9), X ** 3, 3).valuations == (1,)
+    assert phi_development(poly(1, 1), X ** 2, 2).valuations == (0,)
+    assert phi_development(QPolynomial(), X, 2).valuations == (None,)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +188,28 @@ def test_points_lie_on_or_above_polygon():
             if side.start[0] <= x <= side.end[0]:
                 height = Fraction(side.start[1]) - Fraction(side.h, side.e) * (x - side.start[0])
                 assert u >= height
+
+
+@given(
+    vals=st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=12)), max_size=24),
+    last=st.integers(min_value=0, max_value=3),
+    degphi=st.integers(min_value=1, max_value=3),
+    p=st.sampled_from([2, 3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_phi_index_counts_lattice_points(vals, last, degphi, p):
+    # f = sum p^u_i X^i developed in base X has exactly these valuations
+    vals = vals + [last]
+    f = QPolynomial([p ** u if u is not None else 0 for u in vals])
+    dev = phi_development(f, X, p)
+    assert list(dev.valuations) == vals
+    polygon = principal_polygon(dev)
+    under = set()
+    for (xa, ya), (xb, yb) in zip(polygon.vertices, polygon.vertices[1:]):
+        for x in range(max(1, xa), xb + 1):
+            line = ya + Fraction(yb - ya, xb - xa) * (x - xa)
+            under.update((x, y) for y in range(1, ya + 1) if y <= line)
+    assert phi_index(polygon, degphi) == degphi * len(under)
 
 
 # ---------------------------------------------------------------------------
