@@ -83,12 +83,6 @@ def _emit(args, json_obj, pretty_text: str) -> None:
         sys.stdout.write(canonical_json(json_obj))
 
 
-def _make_field(args) -> PureField:
-    return PureField.create(
-        args.n, args.m, allow_unknown=args.allow_unknown_squarefree
-    )
-
-
 def _certification_pretty(field: PureField, report) -> str:
     lines = [f"n = {field.n}, m = {field.m}"]
     good = sum(report.integrality)
@@ -129,7 +123,7 @@ def _ledger_pretty(report: IndexReport) -> str:
 
 
 def _cmd_basis(args) -> int:
-    field = _make_field(args)
+    field = PureField.create(args.n, args.m)
     log.info("building integral basis for n=%d, m=%d", field.n, field.m)
     basis, report = integral_basis(field, enum_budget=args.enum_budget)
     row = ", ".join(str(e) for e in basis.elements)
@@ -143,7 +137,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    field = _make_field(args)
+    field = PureField.create(args.n, args.m)
     report = index_report(field)
     pretty = f"n = {field.n}, m = {field.m}\n{_ledger_pretty(report)}"
     _emit(args, ledger_json_dict(field, report), pretty)
@@ -200,7 +194,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    field = _make_field(args)
+    field = PureField.create(args.n, args.m)
     # with every prime over budget the report would hold no proof at all,
     # and at huge n the build alone would not finish
     over_budget = budget_skips(field, args.enum_budget)
@@ -242,11 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     radicand = argparse.ArgumentParser(add_help=False)
     radicand.add_argument("--n", type=int, required=True, help="field degree")
     radicand.add_argument("--m", type=int, required=True, help="radicand")
-    radicand.add_argument(
-        "--allow-unknown-squarefree",
-        action="store_true",
-        help="proceed when square-freeness cannot be settled by trial division",
-    )
 
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
@@ -332,7 +321,7 @@ def _run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except UnknownSquareFreeError as exc:
-        print(f"error: {exc} (pass --allow-unknown-squarefree)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_BOUND
     except CertificationSkipped as exc:
         _print_skips(exc.skipped)

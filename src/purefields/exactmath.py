@@ -136,8 +136,11 @@ def square_free_check(m: int, bound: int = SQUARE_FREE_BOUND_DEFAULT) -> SquareF
 
     Divisors are tried in increasing order, so any d that divides the
     remaining cofactor is prime (its prime factors were already stripped).
-    Unknown means the bound was hit while the unfactored cofactor is large
-    enough (> bound**2) to hide a square.
+    When the bound stops the division, every prime factor of the cofactor c
+    is at least d, the first divisor not tried.  Below d**3, c is then a
+    prime, a product of two primes or the square of one, and an integer
+    square root tells which.  Unknown means c >= d**3, large enough to hold
+    three prime factors beyond the bound, so a square may hide among them.
     """
     if m in (0, 1, -1):
         raise ValueError("square-freeness undefined for 0, 1, -1")
@@ -153,7 +156,10 @@ def square_free_check(m: int, bound: int = SQUARE_FREE_BOUND_DEFAULT) -> SquareF
         d += 1 if d == 2 else 2
     if d * d > m:
         return SquareFree()
-    return Unknown(bound)
+    if m >= d ** 3:
+        return Unknown(bound)
+    r = math.isqrt(m)
+    return NotSquareFree(r) if r * r == m else SquareFree()
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +369,6 @@ class QPolynomial(Polynomial):
     @staticmethod
     def _inverse(c: Fraction) -> Fraction:
         return 1 / c
-
-    @classmethod
-    def zero(cls) -> "QPolynomial":
-        return cls(())
 
     @classmethod
     def one(cls) -> "QPolynomial":

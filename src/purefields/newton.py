@@ -162,7 +162,8 @@ class Side:
     """One negative-slope side of a principal polygon.
 
     The slope is -h/e in lowest terms, l is the length of the horizontal
-    projection, and d = l/e is the degree of the attached residual.
+    projection, and d = l/e is the degree of the attached residual, whose
+    separability is decided once, when the side is built.
     """
 
     start: tuple[int, int]
@@ -171,7 +172,8 @@ class Side:
     e: int
     l: int
     d: int
-    residual: Optional[FpExtPolynomial] = None
+    residual: FpExtPolynomial
+    separable: bool
 
     @property
     def slope(self) -> Fraction:
@@ -211,8 +213,9 @@ def _lower_hull(points: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
 def principal_polygon(dev: PhiDevelopment) -> NewtonPolygon:
     """Negative-slope part of the lower convex hull of the valuation points.
 
-    Residual polynomials are attached to every side, including degree-one
-    sides.  The polygon may be empty (no negative-slope hull edges).
+    Residual polynomials, and whether each is separable, are attached to
+    every side, including degree-one sides.  The polygon may be empty (no
+    negative-slope hull edges).
     """
     points = tuple(
         (i, u) for i, u in enumerate(dev.valuations) if u is not None
@@ -226,11 +229,9 @@ def principal_polygon(dev: PhiDevelopment) -> NewtonPolygon:
         dx = b[0] - a[0]
         dy = a[1] - b[1]
         g = math.gcd(dx, dy)
-        geometry = Side(start=a, end=b, h=dy // g, e=dx // g, l=dx, d=g)
-        side = Side(
-            start=a, end=b, h=geometry.h, e=geometry.e, l=geometry.l, d=geometry.d,
-            residual=residual_polynomial(dev, geometry),
-        )
+        h, e = dy // g, dx // g
+        residual = _residual(dev, a, h, e, g)
+        side = Side(a, b, h, e, dx, g, residual, residual.is_separable())
         if not vertices:
             vertices.append(a)
         vertices.append(b)
@@ -245,12 +246,16 @@ def residual_polynomial(dev: PhiDevelopment, side: Side) -> FpExtPolynomial:
     (i, u_i) with i = start + j*e lies on the side, and zero otherwise; the
     endpoints always lie on the side, so the degree is exactly d.
     """
+    return _residual(dev, side.start, side.h, side.e, side.d)
+
+
+def _residual(dev, start, h, e, d) -> FpExtPolynomial:
     p = dev.p
     phi_bar = FpPolynomial(p, [c.numerator for c in dev.phi.coefficients])
     coeffs: list[FpPolynomial] = []
-    for j in range(side.d + 1):
-        i = side.start[0] + j * side.e
-        u_line = side.start[1] - j * side.h
+    for j in range(d + 1):
+        i = start[0] + j * e
+        u_line = start[1] - j * h
         u_i = dev.valuations[i] if i < len(dev.valuations) else None
         if u_i != u_line:
             coeffs.append(FpPolynomial(p))
@@ -282,8 +287,7 @@ def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
 
 def is_regular(dev: PhiDevelopment) -> bool:
     """True iff the residual polynomials of all sides are separable."""
-    polygon = principal_polygon(dev)
-    return all(side.residual.is_separable() for side in polygon.sides)
+    return all(side.separable for side in principal_polygon(dev).sides)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
         dev = phi_development(f, phi, p)
         polygon = principal_polygon(dev)
         total += phi_index(polygon, factor.degree)
-        if not all(side.residual.is_separable() for side in polygon.sides):
+        if not all(side.separable for side in polygon.sides):
             exact = False
     return total, exact
 
@@ -425,7 +429,7 @@ def polygon_json_dict(polygon: NewtonPolygon, degphi: int) -> dict:
             {
                 "slope": f"-{s.h}/{s.e}",
                 "residual": str(s.residual),
-                "separable": s.residual.is_separable(),
+                "separable": s.separable,
             }
             for s in polygon.sides
         ],
@@ -462,7 +466,7 @@ def polygon_ascii(polygon: NewtonPolygon) -> str:
         lines.append(
             f"side {s.start} -> {s.end}: slope -{s.h}/{s.e}, "
             f"residual {s.residual}, "
-            f"{'separable' if s.residual.is_separable() else 'not separable'}"
+            f"{'separable' if s.separable else 'not separable'}"
         )
     if not polygon.sides:
         lines.append("(empty principal polygon)")

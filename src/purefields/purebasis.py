@@ -70,8 +70,9 @@ class PureField:
         m: int,
         *,
         square_free_bound: int = SQUARE_FREE_BOUND_DEFAULT,
-        allow_unknown: bool = False,
     ) -> "PureField":
+        """Validate n >= 2 and m; an m that square_free_check cannot settle
+        raises UnknownSquareFreeError (a larger square_free_bound settles more)."""
         if n < 2:
             raise ValueError(f"degree must be at least 2, got {n}")
         if m in (0, 1, -1):
@@ -79,7 +80,7 @@ class PureField:
         check = square_free_check(m, square_free_bound)
         if isinstance(check, NotSquareFree):
             raise ValueError(f"m = {m} is divisible by {check.prime}**2")
-        if isinstance(check, Unknown) and not allow_unknown:
+        if isinstance(check, Unknown):
             raise UnknownSquareFreeError(m, check.bound)
         return cls(n, m, tuple(factorize(n)))
 

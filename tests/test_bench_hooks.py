@@ -3,20 +3,29 @@ that drops one of them must fail here rather than break a traced run."""
 
 import importlib
 import importlib.util
+import random
 from pathlib import Path
+
+import pytest
 
 from purefields import newton, oracle, periodicity, purebasis
 from purefields.exactmath import QPolynomial
 from purefields.purebasis import BasisElement, IntegralBasis, PureField
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_perfbench("tracing")
 
 
 def test_tracer_installs_and_restores():
@@ -102,3 +111,30 @@ def test_newton_layers_record_spans():
         tracer.restore()
     recorded = {span[0] for span in tracer.spans}
     assert {"newton.factor", "newton.development", "newton.polygon"} <= recorded
+
+
+class NoClock:
+    """Stands in for the host-speed clock, whose samples take real time."""
+
+    def sample_if_due(self):
+        pass
+
+
+@pytest.mark.parametrize("name", ["large-field", "atlas", "refute", "ledger"])
+def test_workload_verdicts_hold(name):
+    # the benchmark checks every verdict against an independent answer; run
+    # one seed-1 cycle here so that a wrong verdict fails Tier-1, not only
+    # a bench run
+    workloads = load_perfbench("workloads")
+    workload = workloads.WORKLOADS[name](random.Random(f"{name}/1"))
+    workload.install(load_tracing().NullTracer(), NoClock())
+    total = 0
+    try:
+        for item in workload.cycle():
+            _, result = workload.run(item)
+            verdicts, failures = workload.check(item, result)
+            assert failures == []
+            total += verdicts
+    finally:
+        workload.restore()
+    assert total > 0

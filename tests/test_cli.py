@@ -13,9 +13,10 @@ from purefields.cli import run
 from purefields.exactmath import QPolynomial
 from purefields.purebasis import BasisElement, IntegralBasis, PureField, index_report
 
-# product of two primes just above the trial-division bound: square-freeness
-# cannot be settled, so commands must stop with the resource exit code
-UNDECIDED_M = 100000007 * 100000037
+# product of three primes just above the trial-division bound: the cofactor
+# left by trial division is too large for its integer square root to settle
+# square-freeness, so commands must stop with the resource exit code
+UNDECIDED_M = 10000019 * 10000079 * 10000103
 
 
 def invoke(capsys, *argv):
@@ -75,24 +76,34 @@ class TestBasis:
         assert err
 
     def test_undecided_square_free_is_resource_bound(self, capsys):
-        code, _, err = invoke(
+        code, out, err = invoke(
             capsys, "basis", "--n", "2", "--m", str(UNDECIDED_M)
         )
         assert code == 3
-        assert "--allow-unknown-squarefree" in err
+        assert out == ""
+        assert "could not decide" in err
+        assert "--allow-unknown-squarefree" not in err
 
-    def test_allow_flag_overrides_undecided(self, capsys):
+    def test_square_freeness_is_decided_not_assumed(self, capsys):
+        code, out, err = invoke(
+            capsys, "basis", "--n", "2", "--m", "5", "--allow-unknown-squarefree"
+        )
+        assert code == 2
+        assert out == ""
+        # two primes beyond the trial bound: the square-root test settles it
         code, out, _ = invoke(
-            capsys,
-            "basis",
-            "--n",
-            "2",
-            "--m",
-            str(UNDECIDED_M),
-            "--allow-unknown-squarefree",
+            capsys, "basis", "--n", "2", "--m", str(100000007 * 100000037)
         )
         assert code == 0
-        assert json.loads(out)["m"] == UNDECIDED_M
+        assert json.loads(out)["m"] == 100000007 * 100000037
+        # the square of a prime beyond the trial bound is caught, not certified
+        for cmd, n in (("verify", "2"), ("basis", "3")):
+            code, out, err = invoke(
+                capsys, cmd, "--n", n, "--m", str(10000019**2)
+            )
+            assert code == 2
+            assert out == ""
+            assert "divisible by 10000019**2" in err
 
     def test_skipped_maximality_is_resource_bound(self, capsys):
         code, out, err = invoke(

@@ -118,8 +118,11 @@ def test_square_free_examples():
 
 
 def test_square_free_unknown_and_large_prime_cofactor():
-    # 1009 is prime and beyond a bound of 1000, so 1009**2 is undecidable there
-    assert square_free_check(1009 * 1009, 1000) == Unknown(1000)
+    # 1009 is prime and beyond a bound of 1000, yet 1009**2 < 1001**3, so the
+    # cofactor has at most two prime factors and its square root settles it
+    assert square_free_check(1009 * 1009, 1000) == NotSquareFree(1009)
+    # three primes beyond the bound leave a cofactor >= 1001**3: undecided
+    assert square_free_check(1009 * 1013 * 1019, 1000) == Unknown(1000)
     # a prime cofactor below bound**2 is recognized as square-free
     assert square_free_check(2 * 1009, 1000) == SquareFree()
     assert square_free_check(1009 * 1009, 10 ** 6) == NotSquareFree(1009)
@@ -137,6 +140,39 @@ def test_square_free_matches_sieve(m):
     result = square_free_check(m, 10 ** 6)
     truly = all(m % (p * p) for p in range(2, int(math.isqrt(m)) + 1))
     if truly:
+        assert result == SquareFree()
+    else:
+        assert isinstance(result, NotSquareFree)
+        assert m % (result.prime ** 2) == 0
+        assert is_prime(result.prime)
+
+
+PRIMES_BELOW_2000 = [p for p in range(2, 2000) if is_prime(p)]
+
+
+@given(
+    s=st.integers(min_value=1, max_value=99).filter(
+        lambda s: all(s % (p * p) for p in range(2, 10))
+    ),
+    large=st.lists(
+        st.sampled_from([p for p in PRIMES_BELOW_2000 if p > 100]),
+        min_size=1,
+        max_size=3,
+    ),
+    sign=st.sampled_from((1, -1)),
+)
+@settings(max_examples=300)
+def test_square_free_beyond_the_bound(s, large, sign):
+    # every prime factor of m is below 2000, so those primes settle the truth;
+    # at bound 100 trial division stops at d = 101 with cofactor prod(large),
+    # which must be decided when it is below 101**3 (so has at most two
+    # primes); three primes, or two near 2000, may leave it undecided
+    m = sign * s * math.prod(large)
+    result = square_free_check(m, 100)
+    truly = all(m % (p * p) for p in PRIMES_BELOW_2000)
+    if isinstance(result, Unknown):
+        assert math.prod(large) >= 101**3
+    elif truly:
         assert result == SquareFree()
     else:
         assert isinstance(result, NotSquareFree)

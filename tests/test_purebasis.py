@@ -57,7 +57,6 @@ def test_field_create_validates():
         PureField.create(3, 12)  # 4 | 12
     with pytest.raises(UnknownSquareFreeError):
         PureField.create(2, 1009 ** 2 * 1013, square_free_bound=100)
-    PureField.create(2, 1009 ** 2 * 1013, square_free_bound=100, allow_unknown=True)
 
 
 def test_minimal_polynomial():
