@@ -13,7 +13,6 @@ from .exactmath import QPolynomial
 from .oracle import (
     CertificationReport,
     CounterexampleFound,
-    FieldElement,
     MaximalityResult,
     Proved,
     Skipped,
@@ -45,7 +44,6 @@ __all__ = [
     "CertificationReport",
     "CertificationSkipped",
     "CounterexampleFound",
-    "FieldElement",
     "IndexReport",
     "IntegralBasis",
     "MaximalityResult",

@@ -17,6 +17,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 
 from .exactmath import QPolynomial, is_prime
 from .newton import (
@@ -69,8 +70,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(args, json_obj, pretty_text: str) -> None:
-    """stdout per --format; --output-path always receives the JSON form."""
+def _emit(args, json_obj, pretty: Callable[[], str]) -> None:
+    """stdout per --format; --output-path always receives the JSON form.
+
+    The pretty text is rendered only when it is written: rendering converts
+    every integer to decimal, which at large n costs as much as the command.
+    """
     if args.output_path:
         try:
             with open(args.output_path, "w", encoding="utf-8") as fh:
@@ -78,7 +83,7 @@ def _emit(args, json_obj, pretty_text: str) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write --output-path: {exc}") from exc
     if args.format == "pretty":
-        sys.stdout.write(pretty_text)
+        sys.stdout.write(pretty())
     elif not args.output_path:
         sys.stdout.write(canonical_json(json_obj))
 
@@ -126,12 +131,15 @@ def _cmd_basis(args) -> int:
     field = PureField.create(args.n, args.m)
     log.info("building integral basis for n=%d, m=%d", field.n, field.m)
     basis, report = integral_basis(field, enum_budget=args.enum_budget)
-    row = ", ".join(str(e) for e in basis.elements)
-    pretty = (
-        f"n = {field.n}, m = {field.m}\n"
-        f"basis: {row}\n"
-        f"{_ledger_pretty(report)}"
-    )
+
+    def pretty() -> str:
+        row = ", ".join(str(e) for e in basis.elements)
+        return (
+            f"n = {field.n}, m = {field.m}\n"
+            f"basis: {row}\n"
+            f"{_ledger_pretty(report)}"
+        )
+
     _emit(args, basis_json_dict(basis, report), pretty)
     return EXIT_OK
 
@@ -139,8 +147,11 @@ def _cmd_basis(args) -> int:
 def _cmd_index(args) -> int:
     field = PureField.create(args.n, args.m)
     report = index_report(field)
-    pretty = f"n = {field.n}, m = {field.m}\n{_ledger_pretty(report)}"
-    _emit(args, ledger_json_dict(field, report), pretty)
+    _emit(
+        args,
+        ledger_json_dict(field, report),
+        lambda: f"n = {field.n}, m = {field.m}\n{_ledger_pretty(report)}",
+    )
     return EXIT_OK
 
 
@@ -168,18 +179,21 @@ def _cmd_polygon(args) -> int:
         "index_bound": bound,
         "exact": exact,
     }
-    pretty = (
-        f"f = X^{degree} - ({m}), p = {p}, phi = {phi}\n"
-        f"{polygon_ascii(polygon)}\n"
-        f"index bound: {bound} ({'exact' if exact else 'lower bound only'})\n"
+    _emit(
+        args,
+        doc,
+        lambda: (
+            f"f = X^{degree} - ({m}), p = {p}, phi = {phi}\n"
+            f"{polygon_ascii(polygon)}\n"
+            f"index bound: {bound} ({'exact' if exact else 'lower bound only'})\n"
+        ),
     )
-    _emit(args, doc, pretty)
     return EXIT_OK
 
 
 def _cmd_atlas(args) -> int:
     atl = atlas(args.n, scan_bound=args.scan_bound, enum_budget=args.enum_budget)
-    _emit(args, atlas_json_dict(atl), atlas_pretty(atl))
+    _emit(args, atlas_json_dict(atl), lambda: atlas_pretty(atl))
     unresolved = [
         r for r, row in sorted(atl.rows.items()) if isinstance(row, UnknownRow)
     ]
@@ -204,7 +218,7 @@ def _cmd_verify(args) -> int:
     _emit(
         args,
         certification_json_dict(certification),
-        _certification_pretty(field, certification),
+        lambda: _certification_pretty(field, certification),
     )
     if not certification.certified:
         print(

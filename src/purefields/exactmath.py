@@ -99,14 +99,6 @@ def vp_int(p: int, a: int) -> int:
     return e
 
 
-def vp_rational(p: int, a: Scalar) -> int:
-    """p-adic valuation extended to nonzero rationals: v(n/d) = v(n) - v(d)."""
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("valuation of zero undefined")
-    return vp_int(p, a.numerator) - vp_int(p, a.denominator)
-
-
 # ---------------------------------------------------------------------------
 # square-free checking
 # ---------------------------------------------------------------------------
@@ -207,11 +199,6 @@ class Polynomial:
         if 0 <= i < len(self.coefficients):
             return self.coefficients[i]
         return self._zero
-
-    def leading_coefficient(self):
-        if not self.coefficients:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -400,12 +387,6 @@ class QPolynomial(Polynomial):
             base = base * base
             e >>= 1
         return result
-
-    def evaluate(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
     def times_x_power(self, j: int) -> "QPolynomial":
         if j < 0:

@@ -1,9 +1,10 @@
 """Newton polygons of integer polynomials at a prime p.
 
 Builds phi-adic developments, the principal (negative-slope) polygon of the
-valuation points, residual polynomials over F_p[x]/(phi), the regularity
-test, and the resulting lower bound for the p-index of a monic integer
-polynomial, which is exact exactly when every development is regular.
+valuation points, the residual polynomial of each side over F_p[x]/(phi)
+and whether it is separable, and the resulting lower bound for the p-index
+of a monic integer polynomial, which is exact exactly when every
+development is regular (every residual separable).
 Developments, polygon heights and residual digits are computed on plain
 integers: phi is monic, so its divisions need no inverse, and each digit
 is divided only by a power of p that divides it.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactmath import (
@@ -175,10 +175,6 @@ class Side:
     residual: FpExtPolynomial
     separable: bool
 
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(-self.h, self.e)
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:
@@ -189,10 +185,11 @@ class NewtonPolygon:
     sides: tuple[Side, ...]
 
     def __post_init__(self):
-        slopes = [s.slope for s in self.sides]
-        if any(s >= 0 for s in slopes):
+        # the slope -h/e is negative iff h > 0, e being a positive length,
+        # and -h1/e1 < -h2/e2 iff h2 * e1 < h1 * e2
+        if any(s.h <= 0 or s.e <= 0 for s in self.sides):
             raise ValueError("principal polygon sides must have negative slope")
-        if any(b <= a for a, b in zip(slopes, slopes[1:])):
+        if any(b.h * a.e >= a.h * b.e for a, b in zip(self.sides, self.sides[1:])):
             raise ValueError("side slopes must strictly increase")
 
 
@@ -239,17 +236,14 @@ def principal_polygon(dev: PhiDevelopment) -> NewtonPolygon:
     return NewtonPolygon(points, tuple(vertices), tuple(sides))
 
 
-def residual_polynomial(dev: PhiDevelopment, side: Side) -> FpExtPolynomial:
-    """Coefficients c_j read off the lattice points of the side.
+def _residual(dev, start, h, e, d) -> FpExtPolynomial:
+    """The residual polynomial of the side from start with slope -h/e and
+    degree d, its coefficients read off the lattice points of the side.
 
     c_j is the reduction of a_i / p**u_i modulo (p, phi) when the point
     (i, u_i) with i = start + j*e lies on the side, and zero otherwise; the
     endpoints always lie on the side, so the degree is exactly d.
     """
-    return _residual(dev, side.start, side.h, side.e, side.d)
-
-
-def _residual(dev, start, h, e, d) -> FpExtPolynomial:
     p = dev.p
     phi_bar = FpPolynomial(p, [c.numerator for c in dev.phi.coefficients])
     coeffs: list[FpPolynomial] = []
@@ -283,11 +277,6 @@ def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
                 count += max(0, height)
                 break
     return degphi * count
-
-
-def is_regular(dev: PhiDevelopment) -> bool:
-    """True iff the residual polynomials of all sides are separable."""
-    return all(side.separable for side in principal_polygon(dev).sides)
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,29 @@ multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality is proved through the multiplier ring of the
 p-radical.  All three read one integer structure table, the coordinates of
 every b_i * b_j over their least common denominator D: closure is D == 1,
-and the discriminant is an integer determinant over a power of D.  A
+and the discriminant is an integer determinant over a power of D.
+
+There is one element type, purebasis.BasisElement: N(alpha)/d with N an
+integer polynomial and d > 0, in lowest terms.  The checks run on the
+integer numerators, and a p-maximality counterexample is built as one.  A
 lattice that is closed under multiplication and contains 1 is an order,
-hence integral; only on a lattice that is not an order is integrality
-decided element by element, by the characteristic polynomial of the
-multiplication map.  The oracle certifies bases handed to it; it never
-builds one.
+hence integral, so certifying an order forms no Fraction.  Only elements
+outside an order (those of a lattice that is not one, and a
+counterexample) are tested one by one: a trace test on the numerator, then
+the characteristic polynomial of the multiplication map.  The oracle
+certifies bases handed to it; it never builds one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import (
+    QPolynomial,
     RatMatrix,
     _int_mat_mul,
     charpoly,
@@ -34,159 +41,39 @@ from .exactmath import (
 from .purebasis import BasisElement, IntegralBasis, PureField, index_report
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of Q(m^(1/n)) as coordinates in the power basis.
+def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> RatMatrix:
+    """Matrix of multiplication by N(alpha), N the integer coefficients.
 
-    coords[i] is the coefficient of alpha^i, 0 <= i < n.
+    Row j holds the coordinates of N(alpha) * alpha^j: the coefficients
+    shifted up by j, the top j of them wrapped round to the bottom and
+    multiplied by m.
     """
-
-    field: PureField
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.field.n:
-            raise ValueError(
-                f"need {self.field.n} coordinates, got {len(self.coords)}"
-            )
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-
-    @classmethod
-    def from_qpoly(cls, field: PureField, q) -> "FieldElement":
-        """q(alpha), reducing q modulo X^n - m first."""
-        rem = q % field.minimal_polynomial
-        return cls(field, tuple(rem.coefficient(i) for i in range(field.n)))
-
-    @classmethod
-    def from_basis_element(cls, field: PureField, element: BasisElement) -> "FieldElement":
-        if element.degree >= field.n:
-            raise ValueError("element degree exceeds the field degree")
-        return cls(
-            field,
-            tuple(
-                element.numerator.coefficient(i) / element.denominator
-                for i in range(field.n)
-            ),
-        )
-
-    @classmethod
-    def one(cls, field: PureField) -> "FieldElement":
-        return cls.alpha_power(field, 0)
-
-    @classmethod
-    def alpha_power(cls, field: PureField, j: int) -> "FieldElement":
-        if not 0 <= j < field.n:
-            raise ValueError(f"power must lie in [0, {field.n}), got {j}")
-        return cls(field, tuple(Fraction(int(i == j)) for i in range(field.n)))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coords):
-            if c:
-                term = "1" if i == 0 else ("a" if i == 1 else f"a^{i}")
-                parts.append(f"{c}*{term}" if i else f"{c}")
-        return " + ".join(parts) if parts else "0"
+    n, m = field.n, field.m
+    c = list(numerator) + [0] * (n - len(numerator))
+    return RatMatrix([[m * x for x in c[n - j:]] + c[:n - j] for j in range(n)])
 
 
-def mul(e1: FieldElement, e2: FieldElement) -> FieldElement:
-    """Exact product, reduced by alpha^n = m."""
-    if e1.field != e2.field:
-        raise ValueError("elements of different fields")
-    n, m = e1.field.n, e1.field.m
-    prod = [Fraction(0)] * (2 * n - 1)
-    for i, a in enumerate(e1.coords):
-        if a:
-            for j, b in enumerate(e2.coords):
-                if b:
-                    prod[i + j] += a * b
-    for k in range(2 * n - 2, n - 1, -1):
-        if prod[k]:
-            prod[k - n] += m * prod[k]
-    return FieldElement(e1.field, tuple(prod[:n]))
+def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
+    """Whether x = N(alpha)/d lies in the ring of integers, decided exactly.
 
-
-def trace(e: FieldElement) -> Fraction:
-    """Field trace; the power-basis trace form is diagonal, so n*coords[0]."""
-    return e.field.n * e.coords[0]
-
-
-def dual_basis_coords(e: FieldElement) -> tuple[Fraction, ...]:
-    """Coordinates of e against the trace-dual of the power basis.
-
-    Component i is Tr(e * alpha^i); every algebraic integer has all
-    components in Z (the converse does not hold).  The constant term of
-    e * alpha^i is c_0 for i = 0 and m * c_(n-i) otherwise, so no product
-    is formed.
+    d == 1 is integral at once.  Otherwise the trace pairings
+    Tr(x * alpha^i), n*N_0/d for i = 0 and n*m*N_(n-i)/d for i >= 1, must
+    be integers: a cheap necessary condition.  Last, the characteristic
+    polynomial of multiplication by N(alpha) is the minimal polynomial of
+    N(alpha) raised to a power, and x is integral exactly when
+    d^(n-k) divides its coefficient of X^k for every k.
     """
-    n, m = e.field.n, e.field.m
-    c = e.coords
-    return (n * c[0],) + tuple(n * m * c[n - i] for i in range(1, n))
-
-
-def _multiplication_matrix(e: FieldElement) -> RatMatrix:
-    # row j = coordinates of e * alpha^j: the coordinates shifted up by j,
-    # the top j of them wrapped round to the bottom and multiplied by m
-    n, m = e.field.n, e.field.m
-    c = e.coords
-    return RatMatrix([[m * x for x in c[n - j:]] + list(c[:n - j]) for j in range(n)])
-
-
-def is_algebraic_integer(e: FieldElement) -> bool:
-    """Whether e lies in the ring of integers, decided exactly.
-
-    The characteristic polynomial of multiplication by e is the minimal
-    polynomial raised to a power, so integer coefficients there are
-    equivalent to integrality of e.  Integer trace pairings are checked
-    first as a cheap necessary condition.
-    """
-    if all(c.denominator == 1 for c in e.coords):
+    n, m = field.n, field.m
+    if element.degree >= n:
+        raise ValueError("element degree exceeds the field degree")
+    d = element.denominator
+    if d == 1:
         return True
-    if any(t.denominator != 1 for t in dual_basis_coords(e)):
+    numerator = element.numerator.integer_coefficients()
+    if (n * numerator[0]) % d or any((n * m * c) % d for c in numerator[1:]):
         return False
-    return charpoly(_multiplication_matrix(e)).is_integral()
-
-
-def coordinates_in_basis(e: FieldElement, basis: IntegralBasis) -> tuple[Fraction, ...]:
-    """Coordinates of e in the given triangular basis, by back-substitution."""
-    if e.field != basis.field:
-        raise ValueError("element and basis live in different fields")
-    n = e.field.n
-    rem = list(e.coords)
-    coords = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        element = basis.elements[i]
-        c = rem[i] * element.denominator / element.numerator.coefficient(i)
-        if c:
-            coords[i] = c
-            for j in range(i + 1):
-                rem[j] -= c * element.numerator.coefficient(j) / element.denominator
-    return tuple(coords)
-
-
-def _basis_field_elements(basis: IntegralBasis) -> list[FieldElement]:
-    return [
-        FieldElement.from_basis_element(basis.field, e) for e in basis.elements
-    ]
+    coefficients = charpoly(_multiplication_matrix(field, numerator)).coefficients
+    return all(int(c) % d ** (n - k) == 0 for k, c in enumerate(coefficients))
 
 
 StructureTable = tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]
@@ -275,7 +162,7 @@ def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
     if not _multiplicatively_closed(table):
         return _NOT_CLOSED
     b0 = basis.elements[0]
-    if b0.denominator != 1 or abs(b0.numerator.coefficient(0)) != 1:
+    if b0.denominator != 1 or b0.numerator.integer_coefficients() not in ((1,), (-1,)):
         return "the lattice does not contain 1; p-maximality is about orders"
     return None
 
@@ -293,7 +180,7 @@ def _power_basis_discriminant(field: PureField) -> int:
     return det_int(gram)
 
 
-def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> Fraction:
+def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> int | Fraction:
     """Trace-pairing discriminant with an internal dual-route cross-check.
 
     The Gram matrix comes from the structure constants, Tr(b_i b_j) =
@@ -303,43 +190,45 @@ def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> Fraction
     entries are G_ij / (D L) with G integral, so the discriminant is
     det_int(G) / (D L)^n.  It must equal the power-basis Gram determinant
     times the squared transition determinant (triangular, so the product
-    of leading coefficients over denominators).  Disagreement means a bug
-    in the oracle itself, never bad input, hence the raise.
+    of leading coefficients over the product of denominators); the two
+    are compared cross-multiplied.  Disagreement means a bug in the
+    oracle itself, never bad input, hence the raise.  The result is an
+    int whenever it is an integer, as on every order.
     """
     n = basis.field.n
     common, rows = table
-    # Tr(N(alpha)/d) = n * N[0] / d, the power-basis trace form being diagonal
+    nums = [e.numerator.integer_coefficients() for e in basis.elements]
+    dens = [e.denominator for e in basis.elements]
+    # Tr(N(alpha)/d) = n * N_0 / d, the power-basis trace form being diagonal
+    scale = math.lcm(*(d // math.gcd(n * num[0], d) for num, d in zip(nums, dens)))
     traces = [
-        Fraction(n * int(e.numerator.coefficient(0)), e.denominator)
-        for e in basis.elements
+        (k, n * num[0] * scale // d) for k, (num, d) in enumerate(zip(nums, dens)) if num[0]
     ]
-    scale = math.lcm(*(t.denominator for t in traces))
-    traces = [(k, int(t * scale)) for k, t in enumerate(traces) if t]
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             coords = rows[i][j]
             gram[i][j] = gram[j][i] = sum(coords[k] * t for k, t in traces)
-    gram_route = Fraction(det_int(gram), (common * scale) ** n)
+    det = det_int(gram)
+    gram_scale = (common * scale) ** n
 
-    transition_det = Fraction(1)
-    for i, element in enumerate(basis.elements):
-        transition_det *= element.numerator.coefficient(i) / element.denominator
-    product_route = _power_basis_discriminant(basis.field) * transition_det ** 2
-
-    if gram_route != product_route:
+    leads = math.prod(num[i] for i, num in enumerate(nums))
+    power_disc = _power_basis_discriminant(basis.field)
+    if det * math.prod(dens) ** 2 != power_disc * leads ** 2 * gram_scale:
         raise ArithmeticError(
             "internal error: Gram and transition-matrix discriminants disagree"
         )
-    return gram_route
+    if det % gram_scale:
+        return Fraction(det, gram_scale)
+    return det // gram_scale
 
 
 def basis_discriminant(basis: IntegralBasis) -> int:
     """Discriminant of the Z-module spanned by the basis."""
     value = _discriminant_exact(basis, _structure_constants(basis))
-    if value.denominator != 1:
+    if isinstance(value, Fraction):
         raise ArithmeticError("discriminant is not an integer; basis is not integral")
-    return int(value)
+    return value
 
 
 # --- p-maximality -----------------------------------------------------------
@@ -354,7 +243,7 @@ class Proved:
 class CounterexampleFound:
     """An algebraic integer in (1/p)*O \\ O; the claimed basis is wrong."""
 
-    element: FieldElement
+    element: BasisElement
 
 
 @dataclass(frozen=True)
@@ -501,14 +390,20 @@ def p_maximality_enum(
     # the echelon rows span the whole system's row space, whose reduced
     # echelon form, and with it the kernel basis, is unique
     kernel = fp_kernel(list(echelon.values()) or [[0] * n], p)
+    # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
     u = kernel[0]
-    elems = _basis_field_elements(basis)
-    numerator_coords = [
-        sum((Fraction(u[k]) * elems[k].coords[t] for k in range(n)), Fraction(0))
-        for t in range(n)
-    ]
-    candidate = FieldElement(field, tuple(c / p for c in numerator_coords))
-    if not is_algebraic_integer(candidate):
+    common = math.lcm(*(e.denominator for e in basis.elements))
+    numerator = [0] * n
+    for u_k, e in zip(u, basis.elements):
+        if u_k:
+            scale = u_k * (common // e.denominator)
+            for t, c in enumerate(e.numerator.integer_coefficients()):
+                numerator[t] += scale * c
+    g = math.gcd(p * common, *numerator)
+    candidate = BasisElement(
+        QPolynomial([c // g for c in numerator]), p * common // g
+    )
+    if not is_algebraic_integer(field, candidate):
         raise ArithmeticError(
             "internal error: multiplier element failed the integrality recheck"
         )
@@ -572,7 +467,7 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
     if defect is None:
         integrality = (True,) * field.n
     else:
-        integrality = tuple(map(is_algebraic_integer, _basis_field_elements(basis)))
+        integrality = tuple(is_algebraic_integer(field, e) for e in basis.elements)
     disc = _discriminant_exact(basis, table)
     disc_match = disc == index_report(field).field_discriminant
     maximality = {
@@ -591,14 +486,12 @@ def certification_json_dict(report: CertificationReport) -> dict:
         elif isinstance(result, Skipped):
             maximality[str(p)] = {"status": "skipped", "reason": result.reason}
         else:
-            element = result.element
-            den = math.lcm(*(c.denominator for c in element.coords))
+            # num is padded to the n coordinates, one per integrality entry
+            num = list(result.element.numerator.integer_coefficients())
+            num += [0] * (len(report.integrality) - len(num))
             maximality[str(p)] = {
                 "status": "counterexample",
-                "element": {
-                    "num": [int(c * den) for c in element.coords],
-                    "den": den,
-                },
+                "element": {"num": num, "den": result.element.denominator},
             }
     return {
         "integrality": list(report.integrality),

@@ -391,6 +391,29 @@ class TestVerify:
             "p-maximality at 2, p-maximality at 3\n"
         )
 
+    # the power order's counterexample path: the JSON bytes are those the
+    # rational-coordinate element gave; the pretty line prints the element
+    # as N(X)/d, e.g. "p = 3: counterexample (X^8+2X^4+1)/3"
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "c1b7badffe820811dfa6519d3ec183b8d3208b2de36ed84900bbe64921e073bf"),
+            ("pretty", "2bbb87ab8ff454027f01180981b5782b7f2e15207f7beebfb88eb4886cd11086"),
+        ],
+    )
+    def test_counterexample_golden_bytes(self, capsys, monkeypatch, fmt, digest):
+        monkeypatch.setattr(
+            cli,
+            "build_basis",
+            lambda field: IntegralBasis(
+                field,
+                tuple(BasisElement(QPolynomial.x_power(j), 1) for j in range(field.n)),
+            ),
+        )
+        code, out, _ = invoke(capsys, "verify", "--n", "12", "--m", "17", "--format", fmt)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_huge_degree_exits_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "verify", "--n", "1000000", "--m", "2")
@@ -398,6 +421,25 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert "p = 2" in err and "p = 5" in err
+
+
+class RenderedPretty(Exception):
+    pass
+
+
+@pytest.mark.parametrize("subcommand", ["basis", "index"])
+def test_json_stdout_renders_no_pretty_text(capsys, monkeypatch, subcommand):
+    # the pretty ledger converts both discriminants to decimal; JSON output
+    # must not pay for a rendering it throws away
+    def refuse(report):
+        raise RenderedPretty
+
+    monkeypatch.setattr(cli, "_ledger_pretty", refuse)
+    code, out, _ = invoke(capsys, subcommand, "--n", "9", "--m", "55")
+    assert code == 0
+    assert json.loads(out)["total_index"] == 81
+    with pytest.raises(RenderedPretty):
+        run([subcommand, "--n", "9", "--m", "55", "--format", "pretty"])
 
 
 class TestArgumentHandling:

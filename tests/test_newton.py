@@ -8,22 +8,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from purefields.exactmath import FpPolynomial, QPolynomial, vp_int, vp_rational
+from purefields.exactmath import FpPolynomial, QPolynomial, vp_int
 from purefields.newton import (
     FpExtPolynomial,
     NewtonPolygon,
     Side,
     distinct_irreducible_factors,
     index_lower_bound,
-    is_regular,
     phi_development,
     phi_index,
     polygon_ascii,
     polygon_json_dict,
     principal_polygon,
     radical_mod_p,
-    residual_polynomial,
 )
+from rational_reference import vp_rational
 
 X = QPolynomial([0, 1])
 
@@ -157,9 +156,8 @@ def _dev_x9_minus_28():
 def test_polygon_x9_minus_28():
     polygon = principal_polygon(_dev_x9_minus_28())
     assert polygon.vertices == ((0, 3), (1, 2), (3, 1), (9, 0))
-    assert [s.slope for s in polygon.sides] == [
-        Fraction(-1), Fraction(-1, 2), Fraction(-1, 6)
-    ]
+    # slopes -h/e in lowest terms: -1, -1/2, -1/6
+    assert [(s.h, s.e) for s in polygon.sides] == [(1, 1), (1, 2), (1, 6)]
     assert phi_index(polygon, 1) == 4
 
 
@@ -177,7 +175,7 @@ def test_polygon_eisenstein():
     polygon = principal_polygon(dev)
     assert polygon.vertices == ((0, 1), (4, 0))
     assert len(polygon.sides) == 1
-    assert polygon.sides[0].slope == Fraction(-1, 4)
+    assert (polygon.sides[0].h, polygon.sides[0].e) == (1, 4)
     assert phi_index(polygon, 1) == 0
 
 
@@ -248,20 +246,49 @@ def test_residual_off_side_coefficient_is_zero():
     assert side.d == 2
     assert side.residual.coefficient(1).is_zero()
     assert not side.residual.is_separable()
-    assert not is_regular(dev)
+    assert not side.separable
+
+
+def _reference_residual(dev, side):
+    # c_j = (a_i / p^u) mod (p, phi) at i = start + j*e when (i, u_i) lies
+    # on the side, u = start height - j*h, and 0 when it lies above
+    p = dev.p
+    phi_bar = FpPolynomial(p, [int(c) for c in dev.phi.coefficients])
+    coefficients = []
+    for j in range(side.d + 1):
+        i = side.start[0] + j * side.e
+        u = side.start[1] - j * side.h
+        digit = dev.coefficients[i]
+        if digit.is_zero() or min(vp_rational(p, c) for c in digit.coefficients if c) != u:
+            coefficients.append(FpPolynomial(p))
+        else:
+            coefficients.append(FpPolynomial.from_qpoly(p, digit / p ** u))
+    return FpExtPolynomial(p, phi_bar, coefficients)
 
 
 def test_residual_recompute_matches_attached():
-    dev = _dev_x9_minus_28()
-    polygon = principal_polygon(dev)
-    for side in polygon.sides:
-        assert residual_polynomial(dev, side) == side.residual
+    devs = [
+        _dev_x9_minus_28(),
+        phi_development(poly(-5, 0, 0, 0, 1), poly(-1, 1), 2),
+        phi_development(poly(12, 4, 1), X, 2),
+    ]
+    for dev in devs:
+        polygon = principal_polygon(dev)
+        assert polygon.sides
+        for side in polygon.sides:
+            assert _reference_residual(dev, side) == side.residual
 
 
 def test_is_regular_examples():
-    assert is_regular(_dev_x9_minus_28())
-    dev = phi_development(poly(-5, 0, 0, 0, 1), poly(-1, 1), 2)
-    assert is_regular(dev)
+    # regular: every side's residual is separable, which is what makes
+    # index_lower_bound exact
+    for f, phi, p in [
+        (QPolynomial([-28] + [0] * 8 + [1]), poly(-28, 1), 3),
+        (poly(-5, 0, 0, 0, 1), poly(-1, 1), 2),
+    ]:
+        sides = principal_polygon(phi_development(f, phi, p)).sides
+        assert sides and all(side.separable for side in sides)
+        assert index_lower_bound(f, p)[1] is True
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +332,7 @@ def test_distinct_factors_deterministic():
             assert once == twice
             prod = FpPolynomial(p, (1,))
             for g in once:
-                assert g.leading_coefficient() == 1
+                assert g.coefficients[-1] == 1
                 assert (f % g).is_zero()
                 prod = prod * g
             assert prod == radical_mod_p(f)

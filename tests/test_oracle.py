@@ -1,6 +1,8 @@
 """Certification oracle: exact arithmetic, integrality, discriminants,
-and the p-maximality proof, cross-validated against a literal coset walk."""
+and the p-maximality proof, cross-validated against a literal coset walk
+and against the rational twins in rational_reference."""
 
+import fractions
 import itertools
 import math
 from fractions import Fraction
@@ -22,7 +24,6 @@ from purefields.exactmath import (
 from purefields.oracle import (
     CertificationReport,
     CounterexampleFound,
-    FieldElement,
     Proved,
     MaximalityResult,
     Skipped,
@@ -30,12 +31,8 @@ from purefields.oracle import (
     basis_discriminant,
     certification_json_dict,
     certify,
-    coordinates_in_basis,
-    dual_basis_coords,
     is_algebraic_integer,
-    mul,
     p_maximality_enum,
-    trace,
 )
 from purefields.purebasis import (
     BasisElement,
@@ -45,6 +42,8 @@ from purefields.purebasis import (
     integral_basis,
     prime_power_basis,
 )
+from rational_reference import FieldElement, coordinates_in_basis, mul, trace
+from rational_reference import is_algebraic_integer as reference_is_integral
 
 
 def power_basis(n: int, m: int) -> IntegralBasis:
@@ -58,8 +57,32 @@ def element(field: PureField, *coords) -> FieldElement:
     return FieldElement(field, tuple(Fraction(c) for c in coords))
 
 
+def basis_element(*coords) -> BasisElement:
+    """N(alpha)/d in lowest terms from power-basis coordinates."""
+    return BasisElement.from_qpoly(QPolynomial(coords))
+
+
+class ReachedCharpoly(Exception):
+    pass
+
+
+def _raising_charpoly(matrix):
+    raise ReachedCharpoly
+
+
+def passes_trace_test(field: PureField, e: BasisElement) -> bool:
+    """Whether is_algebraic_integer gets past its trace test to charpoly."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "charpoly", _raising_charpoly)
+        try:
+            is_algebraic_integer(field, e)
+        except ReachedCharpoly:
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
-# field arithmetic
+# field arithmetic: the rational reference twin
 # ---------------------------------------------------------------------------
 
 def test_field_element_validation():
@@ -119,47 +142,55 @@ def test_trace_examples():
 def test_multiplication_by_alpha_has_minimal_charpoly():
     for n, m in [(2, 7), (3, 10), (6, 5), (9, 55)]:
         f = PureField.create(n, m)
-        alpha = FieldElement.alpha_power(f, 1)
-        assert charpoly(_multiplication_matrix(alpha)) == f.minimal_polynomial
+        assert charpoly(_multiplication_matrix(f, (0, 1))) == f.minimal_polynomial
 
 
 # ---------------------------------------------------------------------------
-# dual coordinates and integrality
+# the trace test and integrality
 # ---------------------------------------------------------------------------
 
 def test_dual_coords_of_one():
+    # the trace pairings of 1/6 in a sextic field are (1, 0, ..., 0): it
+    # passes the trace test, and only the characteristic polynomial
+    # (X - 1/6)^6 rejects it
     f = PureField.create(6, 5)
-    assert dual_basis_coords(FieldElement.one(f)) == tuple(
-        Fraction(6 if i == 0 else 0) for i in range(6)
-    )
+    one_sixth = BasisElement(QPolynomial([1]), 6)
+    assert passes_trace_test(f, one_sixth)
+    assert not is_algebraic_integer(f, one_sixth)
+    assert not is_algebraic_integer(f, BasisElement(QPolynomial([1]), 3))
 
 
 def test_dual_coords_flag_non_integer():
-    # Tr((a/p) * a^(n-1)) = n*m/p is not an integer when p divides neither
+    # Tr((a/7) * a^2) = 3*10/7 is not an integer, so the trace test alone
+    # rejects a/7 and the characteristic polynomial is never formed
     f = PureField.create(3, 10)
-    e = element(f, 0, Fraction(1, 7), 0)
-    coords = dual_basis_coords(e)
-    assert coords[2] == Fraction(3 * 10, 7)
-    assert any(c.denominator != 1 for c in coords)
+    e = BasisElement(QPolynomial([0, 1]), 7)
+    fe = FieldElement.from_basis_element(f, e)
+    assert trace(mul(fe, element(f, 0, 0, 1))) == Fraction(30, 7)
+    assert not passes_trace_test(f, e)
+    assert not is_algebraic_integer(f, e)
 
 
 def test_dual_coords_integral_on_certified_basis():
     basis, _ = integral_basis(PureField.create(12, 17))
+    powers = [FieldElement.alpha_power(basis.field, i) for i in range(12)]
     for e in basis.elements:
         fe = FieldElement.from_basis_element(basis.field, e)
-        assert all(t.denominator == 1 for t in dual_basis_coords(fe))
+        assert all(trace(mul(fe, a)).denominator == 1 for a in powers)
+        assert e.denominator == 1 or passes_trace_test(basis.field, e)
+        assert is_algebraic_integer(basis.field, e)
 
 
 def test_is_algebraic_integer_examples():
     f10 = PureField.create(3, 10)   # 10 = 1 mod 9
-    assert is_algebraic_integer(
-        element(f10, Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-    )
+    assert is_algebraic_integer(f10, basis_element(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
     f2 = PureField.create(3, 2)
-    assert not is_algebraic_integer(element(f2, Fraction(1, 3), Fraction(1, 3), 0))
+    assert not is_algebraic_integer(f2, basis_element(Fraction(1, 3), Fraction(1, 3), 0))
     f = PureField.create(7, 3)
     for j in range(7):
-        assert is_algebraic_integer(FieldElement.alpha_power(f, j))
+        assert is_algebraic_integer(f, BasisElement(QPolynomial.x_power(j), 1))
+    with pytest.raises(ValueError):
+        is_algebraic_integer(f10, BasisElement(QPolynomial.x_power(3), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,14 +198,17 @@ def test_is_algebraic_integer_examples():
 def test_integral_implies_integer_dual_coords(coeffs):
     # one-directional: integrality forces integer trace pairings
     basis, _ = integral_basis(PureField.create(3, 10))
-    elems = [
-        FieldElement.from_basis_element(basis.field, e) for e in basis.elements
-    ]
-    total = element(basis.field, 0, 0, 0)
-    for c, e in zip(coeffs, elems):
-        total = total + element(basis.field, *(Fraction(c) * x for x in e.coords))
-    assert is_algebraic_integer(total)
-    assert all(t.denominator == 1 for t in dual_basis_coords(total))
+    total = QPolynomial()
+    for c, e in zip(coeffs, basis.elements):
+        total = total + e.as_qpoly() * c
+    if total.is_zero():
+        return
+    x = BasisElement.from_qpoly(total)
+    assert is_algebraic_integer(basis.field, x)
+    assert x.denominator == 1 or passes_trace_test(basis.field, x)
+    fx = FieldElement.from_basis_element(basis.field, x)
+    powers = [FieldElement.alpha_power(basis.field, i) for i in range(3)]
+    assert all(trace(mul(fx, a)).denominator == 1 for a in powers)
 
 
 @settings(max_examples=80, deadline=None)
@@ -184,13 +218,24 @@ def test_integral_implies_integer_dual_coords(coeffs):
     st.lists(st.fractions(-40, 40, max_denominator=36), min_size=12, max_size=12),
 )
 def test_shifted_coordinates_match_products(n, m, coords):
-    # the trace pairings and the multiplication matrix are read off the
-    # coordinates by a shift; they must equal the products they stand for
+    # the trace test and the multiplication matrix are read off the
+    # numerator by a shift; they must agree with the products they stand
+    # for, and the integrality verdict with the rational twin's
     field = PureField.create(n, m)
-    e = FieldElement(field, tuple(coords[:n]))
+    if not any(coords[:n]):
+        return
+    x = basis_element(*coords[:n])
+    numerator = x.numerator.integer_coefficients()
     powers = [FieldElement.alpha_power(field, i) for i in range(n)]
-    assert dual_basis_coords(e) == tuple(trace(mul(e, a)) for a in powers)
-    assert _multiplication_matrix(e).entries == tuple(mul(e, a).coords for a in powers)
+    scaled = FieldElement.from_basis_element(field, BasisElement(x.numerator, 1))
+    assert _multiplication_matrix(field, numerator).entries == tuple(
+        mul(scaled, a).coords for a in powers
+    )
+    fx = FieldElement.from_basis_element(field, x)
+    pairings_integral = all(trace(mul(fx, a)).denominator == 1 for a in powers)
+    if x.denominator > 1:
+        assert passes_trace_test(field, x) == pairings_integral
+    assert is_algebraic_integer(field, x) == reference_is_integral(fx)
 
 
 def test_coordinates_in_basis_roundtrip():
@@ -263,7 +308,7 @@ def test_maximality_proved_for_degree_nine_family():
 def test_maximality_counterexample_quadratic():
     result = p_maximality_enum(power_basis(2, 5), 2)
     assert isinstance(result, CounterexampleFound)
-    assert result.element.coords == (Fraction(1, 2), Fraction(1, 2))
+    assert result.element == BasisElement(QPolynomial([1, 1]), 2)
 
 
 def test_maximality_degree_twelve():
@@ -329,8 +374,8 @@ def test_maximality_skips_lattice_without_one():
     assert p_maximality_enum(lattice(-1), 2) == Proved()
 
 
-# power-basis coordinates of the witnesses the rational-arithmetic solve
-# found; the integer solve must return the very same elements
+# power-basis coordinates num[i]/den of the witnesses the rational-arithmetic
+# solve found; the integer solve must return the very same elements
 PINNED_COUNTEREXAMPLES = {
     (9, 55, 3): [Fraction(1, 3)] * 9,
     (12, 17, 2): [Fraction(1, 2), 0, 0] * 4,
@@ -344,7 +389,9 @@ PINNED_COUNTEREXAMPLES = {
 def test_counterexample_coordinates_pinned(n, m, p):
     result = p_maximality_enum(power_basis(n, m), p)
     assert isinstance(result, CounterexampleFound)
-    assert list(result.element.coords) == PINNED_COUNTEREXAMPLES[n, m, p]
+    num = result.element.numerator.integer_coefficients()
+    coords = [Fraction(c, result.element.denominator) for c in num]
+    assert coords + [0] * (n - len(num)) == PINNED_COUNTEREXAMPLES[n, m, p]
 
 
 @pytest.mark.parametrize("n, m, p, maximal", [(9, 55, 3, False), (12, 17, 2, True)])
@@ -375,8 +422,8 @@ def _exhaustive_maximality_scan(basis: IntegralBasis, p: int) -> MaximalityResul
             for t in range(n)
         ]
         candidate = FieldElement(field, tuple(x / p for x in numerator))
-        if is_algebraic_integer(candidate):
-            return CounterexampleFound(candidate)
+        if reference_is_integral(candidate):
+            return CounterexampleFound(candidate.to_basis_element())
     return Proved()
 
 
@@ -398,9 +445,11 @@ def test_fast_route_matches_exhaustive_scan():
             assert type(fast) is type(slow), (n, m, p)
             if isinstance(fast, CounterexampleFound):
                 for found in (fast.element, slow.element):
-                    assert is_algebraic_integer(found)
+                    assert is_algebraic_integer(basis.field, found)
                     # the witness must leave the lattice
-                    in_basis = coordinates_in_basis(found, basis)
+                    in_basis = coordinates_in_basis(
+                        FieldElement.from_basis_element(basis.field, found), basis
+                    )
                     assert any(c.denominator != 1 for c in in_basis)
 
 
@@ -462,7 +511,8 @@ def _stacked_multiplier_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     if not kernel:
         return Proved()
     numerator = combination(kernel[0])
-    return CounterexampleFound(FieldElement(field, tuple(c / p for c in numerator.coords)))
+    candidate = FieldElement(field, tuple(c / p for c in numerator.coords))
+    return CounterexampleFound(candidate.to_basis_element())
 
 
 def test_echelon_route_matches_stacked_system():
@@ -476,7 +526,7 @@ def test_echelon_route_matches_stacked_system():
                     slow = _stacked_multiplier_scan(basis, p)
                     assert type(fast) is type(slow), (n, m, p)
                     if isinstance(fast, CounterexampleFound):
-                        assert fast.element.coords == slow.element.coords, (n, m, p)
+                        assert fast.element == slow.element, (n, m, p)
 
 
 @pytest.mark.parametrize("n, m", [(24, 73), (30, 7)])
@@ -499,9 +549,13 @@ def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
 
 
 def test_counterexample_is_always_integral_and_outside():
-    result = p_maximality_enum(power_basis(9, 55), 3)
+    basis = power_basis(9, 55)
+    result = p_maximality_enum(basis, 3)
     assert isinstance(result, CounterexampleFound)
-    assert is_algebraic_integer(result.element)
+    assert is_algebraic_integer(basis.field, result.element)
+    found = FieldElement.from_basis_element(basis.field, result.element)
+    assert reference_is_integral(found)
+    assert any(c.denominator != 1 for c in coordinates_in_basis(found, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +725,7 @@ def test_certify_integrality_matches_per_element_test():
     ]
     for basis in candidates:
         elems = [FieldElement.from_basis_element(basis.field, e) for e in basis.elements]
-        expected = tuple(is_algebraic_integer(e) for e in elems)
+        expected = tuple(reference_is_integral(e) for e in elems)
         assert certify(basis, enum_budget=1).integrality == expected, basis
 
 
@@ -689,13 +743,36 @@ def test_certify_tests_elements_only_off_orders(monkeypatch, make_basis, calls):
     basis = make_basis()
     seen = []
 
-    def counting(e):
+    def counting(field, e):
         seen.append(e)
-        return is_algebraic_integer(e)
+        return is_algebraic_integer(field, e)
 
     monkeypatch.setattr(oracle, "is_algebraic_integer", counting)
     certify(basis)
     assert len(seen) == calls
+
+
+def test_certify_forms_no_fraction_on_an_order(monkeypatch):
+    # an order is integral by closure, and every other check runs on the
+    # integer numerators and the integer structure table
+    bases = [
+        build_basis(PureField.create(n, m))
+        for n, m in [(6, 10), (9, 55), (12, 17), (18, 7), (24, 5)]
+    ]
+    original = fractions.Fraction.__new__
+    made = []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    oracle._structure_constants.cache_clear()
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting))
+    # a budget above 3^24, so that every p-maximality proof runs
+    reports = [certify(basis, enum_budget=3 ** 24) for basis in bases]
+    monkeypatch.undo()
+    assert len(made) == 0
+    assert all(report.certified and not report.skipped for report in reports)
 
 
 def test_certify_power_basis_with_index():

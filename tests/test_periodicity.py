@@ -5,7 +5,7 @@ import json
 import pytest
 
 from purefields.exactmath import QPolynomial
-from purefields.oracle import FieldElement, is_algebraic_integer
+from purefields.oracle import is_algebraic_integer
 from purefields.periodicity import (
     ParametricRow,
     SkippedClass,
@@ -175,8 +175,8 @@ class TestDegreeTwelveAtlas:
             for m in (row.witness, row.second_witness):
                 field = PureField.create(12, m)
                 for poly in row.polynomials:
-                    el = FieldElement.from_qpoly(field, poly)
-                    assert is_algebraic_integer(el)
+                    el = BasisElement.from_qpoly(poly)
+                    assert is_algebraic_integer(field, el)
 
 
 class TestVerify:
