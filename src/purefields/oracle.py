@@ -170,14 +170,30 @@ def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
 def _power_basis_discriminant(field: PureField) -> int:
     # Gram determinant det[Tr(alpha^(i+j))]; alpha^k = m^(k div n) *
     # alpha^(k mod n) and Tr(alpha^j) = n*[j == 0] for 0 <= j < n, so the
-    # matrix is integral; no closed discriminant formula enters here
+    # matrix is integral; no closed discriminant formula enters here.
+    # Each row has its one nonzero entry where i + j = 0 (mod n), so the
+    # determinant is the sign of that permutation, (-1)^(n - cycles),
+    # times the product of those entries
     n, m = field.n, field.m
 
     def power_trace(k: int) -> int:
         return n * m ** (k // n) if k % n == 0 else 0
 
     gram = [[power_trace(i + j) for j in range(n)] for i in range(n)]
-    return det_int(gram)
+    nonzero = [[j for j, x in enumerate(row) if x] for row in gram]
+    columns = [js[0] for js in nonzero if len(js) == 1]
+    if sorted(columns) != list(range(n)):
+        raise ArithmeticError("internal error: the power-basis Gram matrix is not monomial")
+    cycles = 0
+    unseen = set(range(n))
+    while unseen:
+        cycles += 1
+        j = unseen.pop()
+        while columns[j] in unseen:
+            j = columns[j]
+            unseen.remove(j)
+    sign = -1 if (n - cycles) % 2 else 1
+    return sign * math.prod(row[j] for row, j in zip(gram, columns))
 
 
 def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> int | Fraction:

@@ -3,17 +3,50 @@
 The library certifies on integer numerators N(alpha)/d.  These are the
 rational routes it replaced, kept to cross-check it: a field element as
 power-basis coordinates in Fractions, with its product, trace, coordinates
-in a triangular basis and integrality test, and the p-adic valuation of a
-rational number.
+in a triangular basis and integrality test, the p-adic valuation of a
+rational number, and the Faddeev-LeVerrier characteristic polynomial.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from purefields.exactmath import QPolynomial, RatMatrix, charpoly, vp_int
+from purefields.exactmath import QPolynomial, vp_int
 from purefields.purebasis import BasisElement, IntegralBasis, PureField
+
+
+def charpoly(rows) -> list[Fraction]:
+    """Coefficients, constant first, of the monic det(X*I - M) of a square
+    rational matrix given as rows.
+
+    The matrix is cleared to integers by a common denominator L and the
+    coefficients are recovered by the Faddeev-LeVerrier recurrence, whose
+    trace divisions are exact over Z; the answer is rescaled by powers of
+    L.  It forms n - 1 matrix products and shares no code with
+    exactmath.charpoly.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    scale = math.lcm(*(Fraction(c).denominator for row in rows for c in row))
+    N = [[int(Fraction(c) * scale) for c in row] for row in rows]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    Mk = [row[:] for row in N]
+    coeffs[n - 1] = -sum(Mk[i][i] for i in range(n))
+    for k in range(2, n + 1):
+        for i in range(n):
+            Mk[i][i] += coeffs[n - k + 1]
+        columns = list(zip(*Mk))
+        Mk = [[sum(map(operator.mul, row, col)) for col in columns] for row in N]
+        tr = sum(Mk[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("inexact trace division in characteristic polynomial")
+        coeffs[n - k] = -(tr // k)
+    return [Fraction(coeffs[i], scale ** (n - i)) for i in range(n + 1)]
 
 
 def vp_rational(p: int, a) -> int:
@@ -113,7 +146,7 @@ def is_algebraic_integer(e: FieldElement) -> bool:
     rows = [mul(e, FieldElement.alpha_power(e.field, j)) for j in range(e.field.n)]
     if any(trace(row).denominator != 1 for row in rows):
         return False
-    return charpoly(RatMatrix([row.coords for row in rows])).is_integral()
+    return all(c.denominator == 1 for c in charpoly([row.coords for row in rows]))
 
 
 def coordinates_in_basis(e: FieldElement, basis: IntegralBasis) -> tuple[Fraction, ...]:

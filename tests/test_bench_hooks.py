@@ -138,3 +138,23 @@ def test_workload_verdicts_hold(name):
     finally:
         workload.restore()
     assert total > 0
+
+
+def test_refute_integrality_goes_through_charpoly():
+    # refute's integrality calls must keep reaching charpoly on the matrix
+    # the tracer counts, so a faster charpoly shows in exactmath.charpoly_s
+    # rather than a route round it emptying the layer
+    workload = load_perfbench("workloads").WORKLOADS["refute"](random.Random("refute/1"))
+    tracer = load_tracing().Tracer()
+    workload.install(tracer, NoClock())
+    tracer.install("purefields")
+    try:
+        for item in workload.cycle():
+            _, result = workload.run(item)
+            assert workload.check(item, result)[1] == []
+    finally:
+        tracer.restore()
+        workload.restore()
+    metrics = tracer.layer_metrics()
+    assert metrics["exactmath.charpoly.dim_sum"][0] > 0
+    assert 0 < metrics["oracle.integrality.charpoly_ratio"][0] <= 1

@@ -31,6 +31,7 @@ from purefields.exactmath import (
     vp_int,
 )
 from purefields.newton import FpExtPolynomial
+from rational_reference import charpoly as reference_charpoly
 from rational_reference import vp_rational
 
 
@@ -412,6 +413,75 @@ def test_charpoly_examples():
     assert charpoly(RatMatrix([[1, 0], [0, 2]])) == QPolynomial([2, -3, 1])
     companion = RatMatrix([[0, 0, 7], [1, 0, 0], [0, 1, 0]])
     assert charpoly(companion) == QPolynomial([-7, 0, 0, 1])
+    with pytest.raises(ValueError):
+        charpoly(RatMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_rat_matrix_keeps_ints():
+    M = RatMatrix([[1, Fraction(1, 2)], [Fraction(5, 2), 2]])
+    assert [[type(c) for c in row] for row in M.entries] == [[int, Fraction], [Fraction, int]]
+    assert M == RatMatrix([[Fraction(1), Fraction(1, 2)], [Fraction(5, 2), Fraction(2)]])
+    assert det_rational(M) == Fraction(3, 4)
+
+
+def assert_charpoly_matches_reference(rows):
+    assert list(charpoly(RatMatrix(rows)).coefficients) == reference_charpoly(rows)
+
+
+def square_matrices(entries):
+    return st.integers(1, 20).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
+NEAR_1E30 = st.one_of(
+    st.integers(10 ** 30 - 50, 10 ** 30 + 50), st.integers(-10 ** 30 - 50, -10 ** 30 + 50)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices(SMALL_RATIONALS))
+def test_charpoly_matches_reference_on_rationals(rows):
+    assert_charpoly_matches_reference(rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(square_matrices(NEAR_1E30))
+def test_charpoly_matches_reference_on_huge_integers(rows):
+    assert_charpoly_matches_reference(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_charpoly_matches_reference_at_every_degree(n):
+    # every split of n into baby and giant steps, the edges n = s^2 and
+    # s^2 +- 1 (3, 4, 5, 8, 9, 10, 15, 16, 17) among them
+    rng = random.Random(n)
+    rows = [[Fraction(rng.randint(-50, 50), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+    assert_charpoly_matches_reference(rows)
+    rows = [[rng.choice((1, -1)) * 10 ** 30 + rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+    assert_charpoly_matches_reference(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_charpoly_closed_forms(n):
+    X = QPolynomial([0, 1])
+    zero = [[0] * n for _ in range(n)]
+    assert charpoly(RatMatrix(zero)) == X ** n
+    scalar = [[Fraction(-7, 3) * (i == j) for j in range(n)] for i in range(n)]
+    assert charpoly(RatMatrix(scalar)) == QPolynomial([Fraction(7, 3), 1]) ** n
+    jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    assert charpoly(RatMatrix(jordan)) == X ** n
+    # the companion matrix of X^n - m: ones below the diagonal, m in the corner
+    companion = [[int(j == i - 1) for j in range(n)] for i in range(n)]
+    companion[0][n - 1] += 10 ** 20 + 39
+    assert charpoly(RatMatrix(companion)) == X ** n - QPolynomial([10 ** 20 + 39])
+    # u v^T has the one nonzero eigenvalue v.u
+    u = [Fraction(i - 3, i + 1) for i in range(n)]
+    v = [Fraction(2 * i + 1, 5) for i in range(n)]
+    rank_one = [[a * b for b in v] for a in u]
+    trace = sum(a * b for a, b in zip(u, v))
+    assert charpoly(RatMatrix(rank_one)) == X ** n - trace * X ** (n - 1)
 
 
 def test_charpoly_matches_sympy():
@@ -429,8 +499,7 @@ def test_charpoly_matches_sympy():
 
 def test_charpoly_cayley_hamilton():
     rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randint(1, 4)
+    for n in range(1, 11):
         m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         poly = charpoly(RatMatrix(m))
         # evaluate the polynomial at the matrix

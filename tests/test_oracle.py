@@ -5,6 +5,7 @@ and against the rational twins in rational_reference."""
 import fractions
 import itertools
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from purefields.oracle import (
     MaximalityResult,
     Skipped,
     _multiplication_matrix,
+    _power_basis_discriminant,
     basis_discriminant,
     certification_json_dict,
     certify,
@@ -43,6 +45,7 @@ from purefields.purebasis import (
     prime_power_basis,
 )
 from rational_reference import FieldElement, coordinates_in_basis, mul, trace
+from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
 
 
@@ -140,9 +143,20 @@ def test_trace_examples():
 
 
 def test_multiplication_by_alpha_has_minimal_charpoly():
-    for n, m in [(2, 7), (3, 10), (6, 5), (9, 55)]:
+    for n, m in [(2, 7), (3, 10), (6, 5), (9, 55), (24, 5)]:
         f = PureField.create(n, m)
         assert charpoly(_multiplication_matrix(f, (0, 1))) == f.minimal_polynomial
+
+
+def test_multiplication_matrix_charpoly_matches_reference_at_degree_24():
+    field = PureField.create(24, -10)
+    rng = random.Random(24)
+    for support in (2, 6, 24):
+        numerator = [0] * 24
+        for i in rng.sample(range(24), support):
+            numerator[i] = rng.randint(-30, 30) or 1
+        M = _multiplication_matrix(field, numerator)
+        assert list(charpoly(M).coefficients) == reference_charpoly(M.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +276,15 @@ def test_power_basis_discriminants():
 
 
 def test_power_basis_discriminant_formula_grid():
-    for n in range(2, 9):
+    # the Gram route reads its determinant off one entry per row; the
+    # whole certifier route cross-checks against it at small n
+    for n in range(2, 65):
         for m in (-5, -2, 3, 7):
             sign = -1 if ((n - 1) * (n + 2) // 2) % 2 else 1
-            assert basis_discriminant(power_basis(n, m)) == sign * n ** n * m ** (n - 1)
+            expected = sign * n ** n * m ** (n - 1)
+            assert _power_basis_discriminant(PureField.create(n, m)) == expected
+            if n <= 8:
+                assert basis_discriminant(power_basis(n, m)) == expected
 
 
 def test_dedekind_basis_discriminant():
