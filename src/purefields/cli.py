@@ -232,6 +232,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type of a budget or a bound: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
@@ -254,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--enum-budget",
-        type=int,
+        type=_non_negative_int,
         default=2**24,
         help="coset budget for the maximality enumeration (default 2^24)",
     )
@@ -293,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_atlas.add_argument("--n", type=int, required=True, help="field degree")
     p_atlas.add_argument(
         "--scan-bound",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="witness search bound (default 10 * n0)",
     )

@@ -318,11 +318,15 @@ def p_maximality_enum(
     Everything is built on integers from the structure table.  The
     radical is the kernel of a Frobenius power, and each Frobenius image
     b_k^p is formed by p - 1 products with b_k, each a sum of table rows
-    b_i * b_k.  The generator products of I_p are solved in its Hermite
-    basis by exact divisions alone, because that lattice contains p*O and
-    so its diagonal entries lie in {1, p}.  The multiplier conditions are
-    fed one by one to exactmath.fp_reduce, and the proof stops at full
-    rank.
+    b_i * b_k.  Since I_p is an ideal, y multiplies all of it into p*I_p
+    once it does so for a set of O-module generators, p*1 and the radical
+    vectors.  The condition p*1 imposes is y in I_p, whose rows are those
+    of the Frobenius-power system, so the echelon that yields the radical
+    is also the multiplier system's first n conditions.  The radical
+    vectors' products are solved in the Hermite basis of I_p by exact
+    divisions alone, because that lattice contains p*O and so its
+    diagonal entries lie in {1, p}.  Their conditions are fed one by one
+    to exactmath.fp_reduce, and the proof stops at full rank.
     """
     field = basis.field
     n = field.n
@@ -356,7 +360,12 @@ def p_maximality_enum(
     power = frobenius
     for _ in range(e - 1):
         power = [[x % p for x in row] for row in _int_mat_mul(power, frobenius)]
-    radical = fp_kernel([[power[i][j] for i in range(n)] for j in range(n)], p)
+    # row j, sum_i x_i * power[i][j] = 0, is one condition of x in I_p
+    echelon: dict[int, list[int]] = {}
+    for j in range(n):
+        fp_reduce(echelon, [power[i][j] for i in range(n)], p)
+    # the rows are already reduced, so this kernel costs O(n^2)
+    radical = fp_kernel(list(echelon.values()) or [[0] * n], p)
     if not radical:
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral
         return Proved()
@@ -392,11 +401,14 @@ def p_maximality_enum(
         return w
 
     # y is a multiplier when y*g lands in p*I_p for every generator g of
-    # I_p; in I_p-coordinates that is one mod-p linear system on y.  Its
-    # conditions go one by one into a reduced echelon form of at most n
-    # rows, and the proof ends once the multipliers are down to p*O
-    echelon: dict[int, list[int]] = {}
-    for g in lattice:
+    # I_p; in I_p-coordinates that is one mod-p linear system on y.  The
+    # generator p*1 asks for y*p in p*I_p, that is y in I_p: the echelon
+    # above already holds those conditions.  A Hermite row p*e_j adds
+    # nothing, y*p*b_j lying in p*I_p for every y in I_p, so only the
+    # radical vectors remain.  Their conditions go one by one into the same
+    # reduced echelon form of at most n rows, and the proof ends once the
+    # multipliers are down to p*O
+    for g in radical:
         rows = [solve_in_lattice(_row_combination(g, table[k])) for k in range(n)]
         # one condition per coordinate t: sum_k y_k * rows[k][t] = 0 mod p
         for condition in zip(*rows):

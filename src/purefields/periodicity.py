@@ -93,10 +93,15 @@ def _square_free_witnesses(r: int, n0: int, scan_bound: int):
             yield m
 
 
-def _certified_row(n: int, m: int, enum_budget: int) -> tuple[QPolynomial, ...]:
-    """The certified basis of Q(m^(1/n)) as a tuple of polynomials."""
+def _certified_elements(n: int, m: int, enum_budget: int) -> tuple[BasisElement, ...]:
+    """The certified basis of Q(m^(1/n)).
+
+    Each element N(alpha)/d is in lowest terms, so two bases are equal as
+    polynomial tuples exactly when their elements are equal: comparing
+    them forms no Fraction.
+    """
     basis, _ = integral_basis(PureField.create(n, m), enum_budget=enum_budget)
-    return tuple(e.as_qpoly() for e in basis.elements)
+    return basis.elements
 
 
 def atlas(
@@ -131,13 +136,13 @@ def atlas(
             rows[r] = UnknownRow(scan_bound)
             continue
         first, second = witnesses
-        polys_a = _certified_row(n, first, enum_budget)
-        if polys_a != _certified_row(n, second, enum_budget):
+        elements = _certified_elements(n, first, enum_budget)
+        if elements != _certified_elements(n, second, enum_budget):
             raise RuntimeError(
                 f"periodicity violated at residue {r} mod {n0}: "
                 f"witnesses {first} and {second} yield different rows"
             )
-        rows[r] = ParametricRow(first, second, polys_a)
+        rows[r] = ParametricRow(first, second, tuple(e.as_qpoly() for e in elements))
     return PeriodAtlas(n, n0, rows)
 
 
@@ -157,7 +162,9 @@ def verify_periodicity(
         if m % n0 != r:
             raise ValueError(f"{m} is not congruent to {r} mod {n0}")
     # PureField.create rejects non-square-free radicands.
-    return _certified_row(n, m1, enum_budget) == _certified_row(n, m2, enum_budget)
+    return _certified_elements(n, m1, enum_budget) == _certified_elements(
+        n, m2, enum_budget
+    )
 
 
 def _coefficient_strings(poly: QPolynomial) -> list[str]:

@@ -330,6 +330,23 @@ class TestAtlas:
         assert doc["rows"]["1"] == {"unknown_below": 2}
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("basis", "--n", "6", "--m", "10", "--enum-budget", "-1"), "--enum-budget"),
+        (("verify", "--n", "6", "--m", "10", "--enum-budget", "-1"), "--enum-budget"),
+        (("atlas", "--n", "4", "--enum-budget", "-1"), "--enum-budget"),
+        (("atlas", "--n", "4", "--scan-bound", "-5"), "--scan-bound"),
+        (("basis", "--n", "6", "--m", "10", "--enum-budget", "many"), "--enum-budget"),
+    ],
+)
+def test_negative_budget_or_bound_is_invalid_input(capsys, argv, option):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}:" in err
+
+
 class TestVerify:
     def test_certified_field(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--n", "12", "--m", "53")

@@ -20,6 +20,7 @@ from purefields.exactmath import (
     charpoly,
     det_rational,
     fp_kernel,
+    fp_reduce,
     hnf_rows,
 )
 from purefields.oracle import (
@@ -566,6 +567,116 @@ def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
     assert outcomes == {Proved, CounterexampleFound}
     assert row_counts and max(row_counts) <= n
 
+
+
+def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
+    """The multiplier system fed every Hermite row of I_p, p*e_j included.
+
+    An integer twin on the oracle's own structure table that takes the
+    radical from the columns of x -> x^(p^e), multiplies every row of the
+    Hermite basis of I_p and solves each product in that basis by
+    back-substitution, stopping at full rank.
+    """
+    n = basis.field.n
+    table = oracle._structure_constants(basis)[1]
+    frobenius = []
+    for k in range(n):
+        image = [int(i == k) for i in range(n)]
+        for _ in range(p - 1):
+            image = [x % p for x in oracle._row_combination(image, table[k])]
+        frobenius.append(image)
+    images = [[int(i == k) for i in range(n)] for k in range(n)]
+    power = 1
+    while True:
+        images = [
+            [sum(v[i] * frobenius[i][t] for i in range(n)) % p for t in range(n)]
+            for v in images
+        ]
+        power *= p
+        if power >= n:
+            break
+    radical = fp_kernel([[images[k][t] for k in range(n)] for t in range(n)], p)
+    if not radical:
+        return Proved()
+    ideal = [[p * int(i == j) for j in range(n)] for i in range(n)]
+    lattice = hnf_rows(ideal + [list(v) for v in radical], n)
+    echelon: dict[int, list[int]] = {}
+    for g in lattice:
+        rows = []
+        for k in range(n):
+            rem = oracle._row_combination(g, table[k])
+            w = [0] * n
+            for j in range(n - 1, -1, -1):
+                w[j], r = divmod(rem[j], lattice[j][j])
+                assert r == 0
+                rem = [a - w[j] * c for a, c in zip(rem, lattice[j])]
+            rows.append(w)
+        for condition in zip(*rows):
+            if fp_reduce(echelon, condition, p) and len(echelon) == n:
+                return Proved()
+    u = fp_kernel(list(echelon.values()), p)[0]
+    y = sum(
+        (e.as_qpoly() * c for c, e in zip(u, basis.elements) if c), QPolynomial([0])
+    )
+    return CounterexampleFound(BasisElement.from_qpoly(y / p))
+
+
+def _order_with_q_maximal_part(field: PureField, q: int) -> IntegralBasis:
+    """Z[alpha] + q*O_K, an order between Z[alpha] and O_K."""
+    n = field.n
+    maximal = build_basis(field).elements
+    common = math.lcm(*(e.denominator for e in maximal))
+    rows = [[common * int(i == j) for j in range(n)] for i in range(n)]
+    for e in maximal:
+        num = e.numerator.integer_coefficients()
+        scale = q * (common // e.denominator)
+        rows.append([scale * c for c in num] + [0] * (n - len(num)))
+    elements = []
+    for row in hnf_rows(rows, n):
+        g = math.gcd(common, *row)
+        elements.append(BasisElement(QPolynomial([c // g for c in row]), common // g))
+    return IntegralBasis(field, tuple(elements))
+
+
+@pytest.mark.parametrize(
+    "n, m", [(18, 649), (20, -199), (24, 73), (27, 10), (30, -7), (32, 5), (36, -7)]
+)
+def test_generators_of_the_radical_ideal_match_every_hermite_row(n, m):
+    field = PureField.create(n, m)
+    primes = [p for p, _ in field.factorization]
+    orders = [build_basis(field), power_basis(n, m)]
+    orders += [_order_with_q_maximal_part(field, q) for q in primes]
+    outcomes = set()
+    for basis in orders:
+        for p in primes:
+            fast = p_maximality_enum(basis, p, enum_budget=p ** n)
+            assert fast == _every_hermite_row_scan(basis, p), (n, m, p, basis)
+            outcomes.add(type(fast))
+    assert outcomes == {Proved, CounterexampleFound}
+
+
+LARGE_FIELD_SEED_ONE = [
+    (18, 649), (18, 547), (20, -199), (21, 442),
+    (21, -439), (22, 3391), (24, -1151), (24, 5),
+]
+
+
+def test_proof_feeds_at_most_two_n_conditions(monkeypatch):
+    # the n rows of the radical's own echelon, then one radical vector's n
+    # conditions: rows p*e_j of the Hermite basis are never multiplied
+    fed = []
+
+    def counting_reduce(echelon, row, p):
+        fed.append(row)
+        return fp_reduce(echelon, row, p)
+
+    monkeypatch.setattr(oracle, "fp_reduce", counting_reduce)
+    for n, m in LARGE_FIELD_SEED_ONE:
+        basis = build_basis(PureField.create(n, m))
+        for p, _ in basis.field.factorization:
+            fed.clear()
+            assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
+            assert len(fed) <= 2 * n, (n, m, p, len(fed))
 
 def test_counterexample_is_always_integral_and_outside():
     basis = power_basis(9, 55)
