@@ -3,9 +3,10 @@
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality is proved through the multiplier ring of the
-p-radical.  All three read one integer structure table, the coordinates of
-every b_i * b_j over their least common denominator D: closure is D == 1,
-and the discriminant is an integer determinant over a power of D.
+p-radical.  All three read one integer structure table, the nonzero
+coordinates of every b_i * b_j over their least common denominator D:
+closure is D == 1, and the discriminant is an integer determinant over a
+power of D.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
 integer polynomial and d > 0, in lowest terms.  The checks run on the
@@ -29,7 +30,6 @@ from fractions import Fraction
 from .exactmath import (
     QPolynomial,
     RatMatrix,
-    _int_mat_mul,
     charpoly,
     det_int,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
@@ -76,63 +76,71 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     return all(int(c) % d ** (n - k) == 0 for k, c in enumerate(coefficients))
 
 
-StructureTable = tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]
+StructureTable = tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
 
 
 @functools.lru_cache(maxsize=1)
 def _structure_constants(basis: IntegralBasis) -> StructureTable:
-    """(D, rows): coordinate k of b_i * b_j in the basis is rows[i][j][k] / D.
+    """(D, rows): rows[i][j] holds the nonzero coordinates of b_i * b_j as
+    (k, c) pairs, k ascending, each coordinate being c / D.
 
     With b_i = N_i(alpha)/d_i, each product is taken on the integer
-    numerators, reduced by alpha^n = m, and peeled off against the
-    triangular basis from the top degree down over one common denominator.
-    D is the least common denominator of every coordinate, so D == 1
-    exactly when the lattice is closed under multiplication.  The most
-    recent table is kept, so certify and each prime's p_maximality_enum
-    share one; its rows are tuples of ints, hence immutable.
+    numerators, alpha^n = m folded in as it is formed, and peeled off
+    against the triangular basis from the top degree down over one common
+    denominator; the peel stops only at nonzero coordinates, so the sparse
+    form comes with it.  D is the least common denominator of every
+    coordinate, so D == 1 exactly when the lattice is closed under
+    multiplication.  The most recent table is kept, so certify and each
+    prime's p_maximality_enum share one; it is made of tuples, hence
+    immutable.
     """
     n, m = basis.field.n, basis.field.m
     nums = [e.numerator.integer_coefficients() for e in basis.elements]
     dens = [e.denominator for e in basis.elements]
     support = [[(a, x) for a, x in enumerate(num) if x] for num in nums]
     below = [[(t, x) for t, x in enumerate(num[:-1]) if x] for num in nums]
-    # each product as (numerators, denominator) in lowest terms
-    products: list[list[tuple[list[int], int]]] = [[([], 1)] * n for _ in range(n)]
+    # each product as (nonzero coordinates, denominator) in lowest terms
+    products: list[list[tuple[list[tuple[int, int]], int]]] = [
+        [([], 1)] * n for _ in range(n)
+    ]
     common = 1
     for i in range(n):
         for j in range(i, n):
-            prod = [0] * (2 * n - 1)
+            # the product is rem/scale; rem stays an integer vector
+            rem = [0] * n
             for a, x in support[i]:
                 for b, y in support[j]:
-                    prod[a + b] += x * y
-            for k in range(2 * n - 2, n - 1, -1):
-                if prod[k]:
-                    prod[k - n] += m * prod[k]
-            # the product is rem/scale; rem stays an integer vector
-            rem, scale = prod[:n], dens[i] * dens[j]
-            coords = [0] * n
+                    if a + b < n:
+                        rem[a + b] += x * y
+                    else:
+                        rem[a + b - n] += m * x * y
+            scale = dens[i] * dens[j]
+            coords: list[tuple[int, int]] = []
             for k in range(n - 1, -1, -1):
                 if rem[k]:
                     lead = nums[k][k]
                     g = lead // math.gcd(rem[k], lead)
                     if g != 1:
                         rem = [r * g for r in rem]
-                        coords = [c * g for c in coords]
+                        coords = [(t, c * g) for t, c in coords]
                         scale *= g
+                    # rem[k] != 0, so the quotient and the coordinate are too
                     q = rem[k] // lead
-                    coords[k] = q * dens[k]
+                    coords.append((k, q * dens[k]))
                     for t, c in below[k]:
                         rem[t] -= q * c
-            g = math.gcd(scale, *coords)
-            if g != 1:
-                coords = [c // g for c in coords]
-                scale //= g
+            coords.reverse()
+            if scale != 1:
+                g = math.gcd(scale, *(c for _, c in coords))
+                if g != 1:
+                    coords = [(k, c // g) for k, c in coords]
+                    scale //= g
             products[i][j] = products[j][i] = (coords, scale)
             common = math.lcm(common, scale)
     rows = tuple(
         tuple(
             tuple(coords) if scale == common
-            else tuple(c * (common // scale) for c in coords)
+            else tuple((k, c * (common // scale)) for k, c in coords)
             for coords, scale in row
         )
         for row in products
@@ -217,14 +225,15 @@ def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> int | Fr
     dens = [e.denominator for e in basis.elements]
     # Tr(N(alpha)/d) = n * N_0 / d, the power-basis trace form being diagonal
     scale = math.lcm(*(d // math.gcd(n * num[0], d) for num, d in zip(nums, dens)))
-    traces = [
-        (k, n * num[0] * scale // d) for k, (num, d) in enumerate(zip(nums, dens)) if num[0]
-    ]
+    traces = {
+        k: n * num[0] * scale // d for k, (num, d) in enumerate(zip(nums, dens)) if num[0]
+    }
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            coords = rows[i][j]
-            gram[i][j] = gram[j][i] = sum(coords[k] * t for k, t in traces)
+            gram[i][j] = gram[j][i] = sum(
+                c * traces[k] for k, c in rows[i][j] if k in traces
+            )
     det = det_int(gram)
     gram_scale = (common * scale) ** n
 
@@ -270,14 +279,26 @@ class Skipped:
 MaximalityResult = Proved | CounterexampleFound | Skipped
 
 
-def _row_combination(coefficients: list[int], rows) -> list[int]:
-    """sum_i coefficients[i] * rows[i]; with rows = table[k], the table
-    rows b_i * b_k, that is x * b_k for x with the given coordinates."""
-    out = [0] * len(rows[0])
-    for c, row in zip(coefficients, rows):
-        if c:
-            out = [a + c * b for a, b in zip(out, row)]
+def _row_combination(coefficients: Sequence[int], rows, n: int) -> list[int]:
+    """sum_i coefficients[i] * rows[i], dense, the rows given by their
+    nonzero (k, c) pairs; with rows = table[k], the products b_i * b_k,
+    that is x * b_k for x with the given coordinates."""
+    out = [0] * n
+    for a, row in zip(coefficients, rows):
+        if a:
+            for k, c in row:
+                out[k] += a * c
     return out
+
+
+def _product_mod_p(x, rows, p: int) -> list[tuple[int, int]]:
+    """sum_i x_i * rows[i] mod p as its nonzero (k, c) pairs, x and each
+    row given by theirs; with rows = table[k], that is x * b_k mod p."""
+    out: dict[int, int] = {}
+    for i, a in x:
+        for k, c in rows[i]:
+            out[k] = out.get(k, 0) + a * c
+    return [(k, r) for k, c in out.items() if (r := c % p)]
 
 
 def budget_skip_reason(p: int, n: int, enum_budget: int) -> str | None:
@@ -315,16 +336,18 @@ def p_maximality_enum(
     the same question with the same witnesses, so the budget guard is kept
     on the nominal coset count p^n.
 
-    Everything is built on integers from the structure table.  The
-    radical is the kernel of a Frobenius power, and each Frobenius image
-    b_k^p is formed by p - 1 products with b_k, each a sum of table rows
-    b_i * b_k.  Since I_p is an ideal, y multiplies all of it into p*I_p
+    Everything is built on integers from the structure table, whose
+    entries are the nonzero coordinates of each product.  The radical is
+    the kernel of a Frobenius power, and each Frobenius image b_k^p is
+    formed by p - 1 products with b_k, each a sum of table rows b_i * b_k.
+    Since I_p is an ideal, y multiplies all of it into p*I_p
     once it does so for a set of O-module generators, p*1 and the radical
     vectors.  The condition p*1 imposes is y in I_p, whose rows are those
     of the Frobenius-power system, so the echelon that yields the radical
     is also the multiplier system's first n conditions.  The radical
-    vectors' products are solved in the Hermite basis of I_p by exact
-    divisions alone, because that lattice contains p*O and so its
+    vectors' products are solved in the Hermite basis of I_p, taken from
+    the radical vectors and the p*e_j at the echelon's pivot columns, by
+    exact divisions alone, because that lattice contains p*O and so its
     diagonal entries lie in {1, p}.  Their conditions are fed one by one
     to exactmath.fp_reduce, and the proof stops at full rank.
     """
@@ -350,28 +373,39 @@ def p_maximality_enum(
     # fixed by the images b_k^p, each taken as p - 1 products with b_k
     frobenius = []
     for k in range(n):
-        image = [int(i == k) for i in range(n)]
+        image = [(k, 1)]
         for _ in range(p - 1):
-            image = [x % p for x in _row_combination(image, table[k])]
+            image = _product_mod_p(image, table[k], p)
         frobenius.append(image)
     e = 1
     while p ** e < n:
         e += 1
+    # row k of the power is the image of b_k under x -> x^(p^e)
     power = frobenius
     for _ in range(e - 1):
-        power = [[x % p for x in row] for row in _int_mat_mul(power, frobenius)]
-    # row j, sum_i x_i * power[i][j] = 0, is one condition of x in I_p
+        power = [_product_mod_p(row, frobenius, p) for row in power]
+    # column j, sum_i x_i * power[i][j] = 0, is one condition of x in I_p
+    columns = [[0] * n for _ in range(n)]
+    for i, row in enumerate(power):
+        for j, c in row:
+            columns[j][i] = c
     echelon: dict[int, list[int]] = {}
-    for j in range(n):
-        fp_reduce(echelon, [power[i][j] for i in range(n)], p)
+    for column in columns:
+        # a zero column is no condition, and would leave the echelon as it is
+        if any(column):
+            fp_reduce(echelon, column, p)
     # the rows are already reduced, so this kernel costs O(n^2)
     radical = fp_kernel(list(echelon.values()) or [[0] * n], p)
     if not radical:
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral
         return Proved()
 
-    # I_p = pO + radical lifts, as a full-rank sublattice in basis coordinates
-    ideal_rows = [[p * int(i == j) for j in range(n)] for i in range(n)]
+    # I_p = pO + radical lifts, as a full-rank sublattice in basis
+    # coordinates.  Each radical vector is 1 at its free column and 0 at
+    # the others, so p*e_j at a free column j is p times a radical vector
+    # less multiples of the p*e_j at pivot columns: those p*e_j and the
+    # radical vectors, n rows in all, span the lattice
+    ideal_rows = [[p * int(i == j) for j in range(n)] for i in echelon]
     ideal_rows.extend(list(v) for v in radical)
     lattice = hnf_rows(ideal_rows, n)
 
@@ -409,7 +443,7 @@ def p_maximality_enum(
     # reduced echelon form of at most n rows, and the proof ends once the
     # multipliers are down to p*O
     for g in radical:
-        rows = [solve_in_lattice(_row_combination(g, table[k])) for k in range(n)]
+        rows = [solve_in_lattice(_row_combination(g, table[k], n)) for k in range(n)]
         # one condition per coordinate t: sum_k y_k * rows[k][t] = 0 mod p
         for condition in zip(*rows):
             if fp_reduce(echelon, condition, p) and len(echelon) == n:

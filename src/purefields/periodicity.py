@@ -113,11 +113,13 @@ def atlas(
     rows must agree as literal polynomial tuples, otherwise periodicity is
     violated and a RuntimeError reports the offending class.  A witness
     whose p-maximality check is skipped for budget raises
-    CertificationSkipped.
+    CertificationSkipped, and a negative scan_bound raises ValueError.
     """
     n0 = period_modulus(n)
     if scan_bound is None:
         scan_bound = 10 * n0
+    elif scan_bound < 0:
+        raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
     primes = [p for p, _ in factorize(n)]
     rows: dict[int, AtlasRow] = {}
     for r in range(n0):

@@ -569,6 +569,19 @@ def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
 
 
 
+def _dense_table(rows, n: int) -> list[list[list[int]]]:
+    # every coordinate of each product, zeros included
+    dense = []
+    for row in rows:
+        dense.append([])
+        for pairs in row:
+            coords = [0] * n
+            for k, c in pairs:
+                coords[k] = c
+            dense[-1].append(coords)
+    return dense
+
+
 def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     """The multiplier system fed every Hermite row of I_p, p*e_j included.
 
@@ -578,12 +591,20 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     back-substitution, stopping at full rank.
     """
     n = basis.field.n
-    table = oracle._structure_constants(basis)[1]
+    table = _dense_table(oracle._structure_constants(basis)[1], n)
+
+    def row_combination(coefficients, rows):
+        out = [0] * n
+        for c, row in zip(coefficients, rows):
+            if c:
+                out = [a + c * b for a, b in zip(out, row)]
+        return out
+
     frobenius = []
     for k in range(n):
         image = [int(i == k) for i in range(n)]
         for _ in range(p - 1):
-            image = [x % p for x in oracle._row_combination(image, table[k])]
+            image = [x % p for x in row_combination(image, table[k])]
         frobenius.append(image)
     images = [[int(i == k) for i in range(n)] for k in range(n)]
     power = 1
@@ -604,7 +625,7 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     for g in lattice:
         rows = []
         for k in range(n):
-            rem = oracle._row_combination(g, table[k])
+            rem = row_combination(g, table[k])
             w = [0] * n
             for j in range(n - 1, -1, -1):
                 w[j], r = divmod(rem[j], lattice[j][j])
@@ -678,6 +699,61 @@ def test_proof_feeds_at_most_two_n_conditions(monkeypatch):
             assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
             assert len(fed) <= 2 * n, (n, m, p, len(fed))
 
+
+def _recording_hnf(monkeypatch) -> list[list[list[int]]]:
+    # the generator rows of every lattice p_maximality_enum builds
+    calls = []
+
+    def recording(rows, ncols):
+        calls.append([list(r) for r in rows])
+        return hnf_rows(rows, ncols)
+
+    monkeypatch.setattr(oracle, "hnf_rows", recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, m", [(18, 649), (20, -199), (24, 73), (27, 10), (30, -7), (32, 5), (36, -7)]
+)
+def test_pivot_rows_and_radical_span_every_p_e_j(monkeypatch, n, m):
+    # the p*e_j at pivot columns and the radical vectors have the same
+    # Hermite form as every p*e_j and the radical vectors
+    field = PureField.create(n, m)
+    primes = [p for p, _ in field.factorization]
+    orders = [build_basis(field), power_basis(n, m)]
+    orders += [_order_with_q_maximal_part(field, q) for q in primes]
+    calls = _recording_hnf(monkeypatch)
+    compared = 0
+    for basis in orders:
+        for p in primes:
+            calls.clear()
+            p_maximality_enum(basis, p, enum_budget=p ** n)
+            assert len(calls) <= 1
+            for rows in calls:
+                p_rows = [r for r in rows if sorted(r) == [0] * (n - 1) + [p]]
+                radical = [r for r in rows if r not in p_rows]
+                # each radical vector is 1 at its free column, reduced mod p
+                assert all(max(r) < p and 1 in r for r in radical), (n, m, p)
+                every = [[p * int(i == j) for j in range(n)] for i in range(n)]
+                assert hnf_rows(rows, n) == hnf_rows(every + radical, n), (n, m, p)
+                compared += 1
+    assert compared
+
+
+def test_radical_ideal_gets_n_generator_rows(monkeypatch):
+    # n - dim(radical) rows p*e_j and dim(radical) radical vectors
+    calls = _recording_hnf(monkeypatch)
+    lattices = 0
+    for n, m in LARGE_FIELD_SEED_ONE:
+        basis = build_basis(PureField.create(n, m))
+        for p, _ in basis.field.factorization:
+            calls.clear()
+            assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
+            assert [len(rows) for rows in calls] in ([], [n]), (n, m, p)
+            lattices += len(calls)
+    assert lattices
+
+
 def test_counterexample_is_always_integral_and_outside():
     basis = power_basis(9, 55)
     result = p_maximality_enum(basis, 3)
@@ -738,11 +814,17 @@ def test_certify_builds_structure_table_once(make_basis):
     common, rows = oracle._structure_constants(basis)
     assert isinstance(common, int) and (common == 1) == report.ring_closed
     assert isinstance(rows, tuple) and len(rows) == basis.field.n
+    # each product as its nonzero coordinates (k, c), k strictly increasing
     for row in rows:
         assert isinstance(row, tuple) and len(row) == basis.field.n
-        for coords in row:
-            assert isinstance(coords, tuple)
-            assert all(type(c) is int for c in coords)
+        for pairs in row:
+            assert isinstance(pairs, tuple) and pairs
+            for pair in pairs:
+                assert isinstance(pair, tuple) and len(pair) == 2
+                assert type(pair[1]) is int and pair[1] != 0
+            ks = [k for k, _ in pairs]
+            assert all(type(k) is int for k in ks)
+            assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < basis.field.n
     # a new basis is one more build, even when every prime stops at the budget
     before = oracle._structure_constants.cache_info().misses
     certify(power_basis(basis.field.n, basis.field.m), enum_budget=1)
@@ -798,7 +880,7 @@ def test_integer_table_matches_field_arithmetic():
         denominators = [c.denominator for row in expected for coords in row for c in coords]
         # D is the least common denominator of every coordinate
         assert common == math.lcm(*denominators), basis
-        for row, expected_row in zip(rows, expected):
+        for row, expected_row in zip(_dense_table(rows, basis.field.n), expected):
             for coords, expected_coords in zip(row, expected_row):
                 assert tuple(Fraction(c, common) for c in coords) == expected_coords
         is_closed = all(d == 1 for d in denominators)

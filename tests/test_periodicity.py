@@ -75,6 +75,16 @@ class TestQuadraticAtlas:
         assert atl.rows[1].scan_bound == 2
         assert isinstance(atl.rows[3], UnknownRow)
 
+    def test_negative_scan_bound_raises(self):
+        for bound in (-1, -5):
+            with pytest.raises(ValueError, match="scan_bound"):
+                atlas(4, scan_bound=bound)
+        # zero is a bound like any other: no radicand is admissible below 1
+        assert all(
+            isinstance(row, (UnknownRow, SkippedClass))
+            for row in atlas(4, scan_bound=0).rows.values()
+        )
+
 
 @pytest.fixture(scope="module")
 def atlas9():
