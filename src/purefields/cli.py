@@ -58,9 +58,11 @@ log = logging.getLogger("purefields")
 def _configure_logging() -> None:
     name = os.environ.get("PUREFIELDS_LOG", "").upper()
     if name:
+        # an int only for a level name; any other name, BASIC_FORMAT too, means WARNING
+        level = logging.getLevelName(name)
         logging.basicConfig(
             stream=sys.stderr,
-            level=getattr(logging, name, logging.WARNING),
+            level=level if isinstance(level, int) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
 

@@ -7,7 +7,8 @@ poly_ext_gcd, the one Euclid); QPolynomial, FpPolynomial and
 newton.FpExtPolynomial supply only Q, F_p and F_p[x]/(phi).
 
 Integer matrices are plain lists of rows, which Hermite normal form and
-fraction-free determinants take as they are.  All row reduction over
+determinants take as they are; a determinant expands single-entry rows
+and columns away before fraction-free elimination.  All row reduction over
 F_p goes through fp_reduce, one Gauss-Jordan step into a reduced echelon
 form; fp_kernel is built on it, and callers that can stop early (at full
 rank) feed it rows one at a time.  Rational matrices, kept for exact
@@ -19,8 +20,10 @@ operation is exact; no floats anywhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -573,11 +576,57 @@ def hnf_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[list[int]]:
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination."""
+    """Determinant of a square integer matrix, exact on its nonzero structure.
+
+    Each live row or column with one nonzero entry is Laplace-expanded away,
+    signed by the positions of its row and column among the live ones, and
+    an empty one gives 0 at once; fraction-free elimination runs only on the
+    core that is left, so a monomial matrix costs O(n^2).
+    """
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise ValueError("determinant of an empty or non-square matrix")
-    a = [list(row) for row in rows]
+    # support[0][i] holds the live columns of row i's nonzeros, support[1][j]
+    # the live rows of column j's; a peeled line's set is emptied
+    support = ([set(compress(range(n), row)) for row in rows], [set() for _ in range(n)])
+    for i, js in enumerate(support[0]):
+        for j in js:
+            support[1][j].add(i)
+    if not all(map(all, support)):
+        return 0
+    live = (list(range(n)), list(range(n)))
+    product, parity = 1, 0
+    stack = [(axis, k) for axis in (0, 1) for k in range(n) if len(support[axis][k]) == 1]
+    while stack:
+        axis, k = stack.pop()
+        if len(support[axis][k]) != 1:
+            continue
+        (other,) = support[axis][k]
+        i, j = (k, other) if axis == 0 else (other, k)
+        product *= rows[i][j]
+        # drop row i and column j; each leaves the lines that cross it
+        for side, index, partner in ((0, i, j), (1, j, i)):
+            r = bisect_left(live[side], index)
+            parity ^= r & 1
+            del live[side][r]
+            line = support[side][index]
+            line.discard(partner)
+            for cross in line:
+                left = support[1 - side][cross]
+                left.discard(index)
+                if not left:
+                    return 0
+                if len(left) == 1:
+                    stack.append((1 - side, cross))
+            line.clear()
+    if live[0]:
+        product *= _bareiss([[rows[i][j] for j in live[1]] for i in live[0]])
+    return -product if parity else product
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    # fraction-free elimination, in place; every division is exact
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):

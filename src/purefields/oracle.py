@@ -69,7 +69,7 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     d = element.denominator
     if d == 1:
         return True
-    numerator = element.numerator.integer_coefficients()
+    numerator = element.int_numerator
     if (n * numerator[0]) % d or any((n * m * c) % d for c in numerator[1:]):
         return False
     coefficients = charpoly(_multiplication_matrix(field, numerator)).coefficients
@@ -95,7 +95,7 @@ def _structure_constants(basis: IntegralBasis) -> StructureTable:
     immutable.
     """
     n, m = basis.field.n, basis.field.m
-    nums = [e.numerator.integer_coefficients() for e in basis.elements]
+    nums = [e.int_numerator for e in basis.elements]
     dens = [e.denominator for e in basis.elements]
     support = [[(a, x) for a, x in enumerate(num) if x] for num in nums]
     below = [[(t, x) for t, x in enumerate(num[:-1]) if x] for num in nums]
@@ -170,7 +170,7 @@ def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
     if not _multiplicatively_closed(table):
         return _NOT_CLOSED
     b0 = basis.elements[0]
-    if b0.denominator != 1 or b0.numerator.integer_coefficients() not in ((1,), (-1,)):
+    if b0.denominator != 1 or b0.int_numerator not in ((1,), (-1,)):
         return "the lattice does not contain 1; p-maximality is about orders"
     return None
 
@@ -179,29 +179,13 @@ def _power_basis_discriminant(field: PureField) -> int:
     # Gram determinant det[Tr(alpha^(i+j))]; alpha^k = m^(k div n) *
     # alpha^(k mod n) and Tr(alpha^j) = n*[j == 0] for 0 <= j < n, so the
     # matrix is integral; no closed discriminant formula enters here.
-    # Each row has its one nonzero entry where i + j = 0 (mod n), so the
-    # determinant is the sign of that permutation, (-1)^(n - cycles),
-    # times the product of those entries
+    # Each row has its one nonzero entry where i + j = 0 (mod n), so
+    # det_int peels the whole matrix away
     n, m = field.n, field.m
-
-    def power_trace(k: int) -> int:
-        return n * m ** (k // n) if k % n == 0 else 0
-
-    gram = [[power_trace(i + j) for j in range(n)] for i in range(n)]
-    nonzero = [[j for j, x in enumerate(row) if x] for row in gram]
-    columns = [js[0] for js in nonzero if len(js) == 1]
-    if sorted(columns) != list(range(n)):
-        raise ArithmeticError("internal error: the power-basis Gram matrix is not monomial")
-    cycles = 0
-    unseen = set(range(n))
-    while unseen:
-        cycles += 1
-        j = unseen.pop()
-        while columns[j] in unseen:
-            j = columns[j]
-            unseen.remove(j)
-    sign = -1 if (n - cycles) % 2 else 1
-    return sign * math.prod(row[j] for row, j in zip(gram, columns))
+    return det_int([
+        [n * m ** ((i + j) // n) if (i + j) % n == 0 else 0 for j in range(n)]
+        for i in range(n)
+    ])
 
 
 def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> int | Fraction:
@@ -221,7 +205,7 @@ def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> int | Fr
     """
     n = basis.field.n
     common, rows = table
-    nums = [e.numerator.integer_coefficients() for e in basis.elements]
+    nums = [e.int_numerator for e in basis.elements]
     dens = [e.denominator for e in basis.elements]
     # Tr(N(alpha)/d) = n * N_0 / d, the power-basis trace form being diagonal
     scale = math.lcm(*(d // math.gcd(n * num[0], d) for num, d in zip(nums, dens)))
@@ -459,7 +443,7 @@ def p_maximality_enum(
     for u_k, e in zip(u, basis.elements):
         if u_k:
             scale = u_k * (common // e.denominator)
-            for t, c in enumerate(e.numerator.integer_coefficients()):
+            for t, c in enumerate(e.int_numerator):
                 numerator[t] += scale * c
     g = math.gcd(p * common, *numerator)
     candidate = BasisElement(
@@ -549,7 +533,7 @@ def certification_json_dict(report: CertificationReport) -> dict:
             maximality[str(p)] = {"status": "skipped", "reason": result.reason}
         else:
             # num is padded to the n coordinates, one per integrality entry
-            num = list(result.element.numerator.integer_coefficients())
+            num = list(result.element.int_numerator)
             num += [0] * (len(report.integrality) - len(num))
             maximality[str(p)] = {
                 "status": "counterexample",

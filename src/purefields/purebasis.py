@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from functools import cached_property
 from itertools import combinations
 
@@ -102,21 +103,21 @@ class BasisElement:
 
     numerator: QPolynomial
     denominator: int
+    # the numerator's coefficients as ints, read once here for every caller
+    int_numerator: tuple[int, ...] = dataclass_field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.denominator <= 0:
             raise ValueError("denominator must be positive")
-        # one pass over the numerator: integral coefficients, and the gcd
-        # of their numerators with the denominator
-        g = self.denominator
-        for c in self.numerator.coefficients:
-            if c.denominator != 1:
-                raise ValueError("numerator must have integer coefficients")
-            g = math.gcd(g, c.numerator)
+        coefficients = self.numerator.coefficients
+        if any(c.denominator != 1 for c in coefficients):
+            raise ValueError("numerator must have integer coefficients")
         if self.numerator.is_zero():
             raise ValueError("zero basis element")
-        if g != 1:
+        ints = tuple(c.numerator for c in coefficients)
+        if math.gcd(self.denominator, *ints) != 1:
             raise ValueError("element not in lowest terms")
+        object.__setattr__(self, "int_numerator", ints)
 
     @classmethod
     def from_qpoly(cls, q: QPolynomial) -> "BasisElement":
@@ -156,7 +157,8 @@ class IntegralBasis:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.field, self.elements))
+        # equal bases have equal numerators, so this agrees with ==
+        return hash((self.field, tuple(e.int_numerator for e in self.elements)))
 
     def __hash__(self) -> int:
         # the certifier's structure-table cache is keyed on the basis, so
@@ -184,7 +186,7 @@ class IntegralBasis:
         rows = []
         for e in self.elements:
             scale = common // e.denominator
-            coeffs = e.numerator.integer_coefficients()
+            coeffs = e.int_numerator
             rows.append([scale * (coeffs[j] if j < len(coeffs) else 0) for j in range(n)])
         return common, tuple(map(tuple, hnf_rows(rows, n)))
 
@@ -313,7 +315,7 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
     merged = tuple(sorted(f for basis in bases for f in basis.field.factorization))
     strides = [n // n_i for n_i in degrees]
     pieces = [
-        [(e.numerator.integer_coefficients(), e.denominator) for e in basis.elements]
+        [(e.int_numerator, e.denominator) for e in basis.elements]
         for basis in bases
     ]
 
@@ -433,7 +435,7 @@ def basis_json_dict(basis: IntegralBasis, report: IndexReport) -> dict:
     return {
         **ledger_json_dict(basis.field, report),
         "elements": [
-            {"num": list(e.numerator.integer_coefficients()), "den": e.denominator}
+            {"num": list(e.int_numerator), "den": e.denominator}
             for e in basis.elements
         ],
         "hnf": {"den": common, "matrix": [list(row) for row in matrix]},

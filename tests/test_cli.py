@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 import time
@@ -123,6 +124,23 @@ class TestBasis:
         assert code == 3
         assert out == ""
         assert "p = 2" in err and "p = 5" in err
+
+    @pytest.mark.parametrize("name", ["basic_format", "bogus"])
+    def test_log_name_that_is_no_level_falls_back(self, capsys, monkeypatch, name):
+        # logging.BASIC_FORMAT is a string, not a level; neither it nor an
+        # unknown name may stop the command.  An empty root handler list
+        # lets basicConfig act as it does in a fresh interpreter
+        _, default, _ = invoke(capsys, "basis", "--n", "4", "--m", "3")
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])
+        monkeypatch.setenv("PUREFIELDS_LOG", name)
+        level = root.level
+        try:
+            code, out, err = invoke(capsys, "basis", "--n", "4", "--m", "3")
+            assert root.level == logging.WARNING
+        finally:
+            root.setLevel(level)
+        assert (code, out) == (0, default), err
 
     def test_output_path_silences_stdout(self, capsys, tmp_path):
         target = tmp_path / "basis.json"

@@ -408,6 +408,100 @@ def test_det():
     assert det_rational(RatMatrix([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
 
 
+def _bareiss_reference(rows):
+    # plain fraction-free elimination on the whole matrix, blind to zeros
+    n = len(rows)
+    a = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+_HUGE = 10 ** 30
+_det_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(_HUGE - 9, _HUGE + 9),
+    st.integers(-_HUGE - 9, -_HUGE + 9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), density=st.floats(0, 1))
+def test_det_int_matches_full_elimination(data, n, density):
+    # the seeded mask picks the nonzero positions, then only those are drawn
+    mask = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    support = [(i, j) for i in range(n) for j in range(n) if mask.random() < density]
+    entries = data.draw(st.lists(_det_entries, min_size=len(support), max_size=len(support)))
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(support, entries):
+        rows[i][j] = x
+    assert det_int(rows) == _bareiss_reference(rows)
+
+
+def _inversions(perm):
+    return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+
+
+def test_det_int_of_permutation_and_monomial_matrices():
+    rng = random.Random(15)
+    for n in range(1, 11):
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            sign = -1 if _inversions(perm) % 2 else 1
+            permutation = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+            assert det_int(permutation) == sign, perm
+            scales = [rng.choice([-7, -2, 3, 5, _HUGE]) for _ in range(n)]
+            monomial = [[s * x for x in row] for s, row in zip(scales, permutation)]
+            assert det_int(monomial) == sign * math.prod(scales), perm
+
+
+def test_det_int_zero_row_or_column():
+    rng = random.Random(16)
+    dense = [[rng.randint(1, 9) for _ in range(5)] for _ in range(5)]
+    for k in range(5):
+        zero_row = [row if i != k else [0] * 5 for i, row in enumerate(dense)]
+        zero_col = [[x if j != k else 0 for j, x in enumerate(row)] for row in dense]
+        assert det_int(zero_row) == 0
+        assert det_int(zero_col) == 0
+    # lines that empty only once single-entry lines are expanded away
+    assert det_int([[1, 0, 0], [2, 0, 0], [3, 4, 5]]) == 0
+    assert det_int([[0, 1, 1], [0, 0, 1], [1, 1, 1]]) == 1
+
+
+def test_det_int_block_triangular():
+    # blocks of sizes 3, 1 and 4 on the diagonal, arbitrary above, zero below
+    rng = random.Random(17)
+    sizes = [3, 1, 4]
+    n = sum(sizes)
+    starts = [sum(sizes[:b]) for b in range(len(sizes))]
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    for _ in range(10):
+        rows = [
+            [rng.randint(-9, 9) if block[j] >= block[i] else 0 for j in range(n)]
+            for i in range(n)
+        ]
+        expected = math.prod(
+            _bareiss_reference([row[s:s + size] for row in rows[s:s + size]])
+            for s, size in zip(starts, sizes)
+        )
+        assert det_int(rows) == expected == _bareiss_reference(rows)
+
+
 def test_charpoly_examples():
     assert charpoly(RatMatrix([[0, 0], [0, 0]])) == QPolynomial([0, 0, 1])
     assert charpoly(RatMatrix([[1, 0], [0, 2]])) == QPolynomial([2, -3, 1])

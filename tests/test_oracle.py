@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purefields import oracle
+from purefields import exactmath, oracle
 from purefields.exactmath import (
     QPolynomial,
     RatMatrix,
@@ -42,6 +42,7 @@ from purefields.purebasis import (
     IntegralBasis,
     PureField,
     build_basis,
+    index_report,
     integral_basis,
     prime_power_basis,
 )
@@ -286,6 +287,31 @@ def test_power_basis_discriminant_formula_grid():
             assert _power_basis_discriminant(PureField.create(n, m)) == expected
             if n <= 8:
                 assert basis_discriminant(power_basis(n, m)) == expected
+
+
+def test_trace_gram_leaves_det_int_a_core_of_at_most_two(monkeypatch):
+    # the bases are triangular and mostly plain powers, so the trace Gram
+    # is nearly monomial: single-entry rows and columns are expanded away
+    # and fraction-free elimination sees at most a 2 x 2 core
+    cores = []
+    bareiss = exactmath._bareiss
+
+    def recording(a):
+        cores.append(len(a))
+        return bareiss(a)
+
+    monkeypatch.setattr(exactmath, "_bareiss", recording)
+    for n, m in LARGE_FIELD_SEED_ONE:
+        field = PureField.create(n, m)
+        cores.clear()
+        assert basis_discriminant(build_basis(field)) == index_report(field).field_discriminant
+        assert max(cores, default=0) <= 2, (n, m, cores)
+
+
+@pytest.mark.parametrize("n, m", [(128, 3), (256, 3)])
+def test_large_degree_discriminant_matches_ledger(n, m):
+    field = PureField.create(n, m)
+    assert basis_discriminant(build_basis(field)) == index_report(field).field_discriminant
 
 
 def test_dedekind_basis_discriminant():

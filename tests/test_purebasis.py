@@ -477,19 +477,26 @@ def test_build_basis_matches_pairwise_fold():
 
 
 def test_basis_hash_is_computed_once(monkeypatch):
+    # the basis hash is formed once per basis object, from the integer
+    # numerators read at construction, never from the QPolynomials
     calls = []
-    qpoly_hash = QPolynomial.__hash__
+    field_hash = PureField.__hash__
 
     def counting_hash(self):
         calls.append(self)
-        return qpoly_hash(self)
+        return field_hash(self)
 
-    monkeypatch.setattr(QPolynomial, "__hash__", counting_hash)
+    def no_hash(self):
+        raise AssertionError("a numerator QPolynomial was hashed")
+
     basis = build_basis(PureField.create(12, 17))
+    monkeypatch.setattr(PureField, "__hash__", counting_hash)
+    monkeypatch.setattr(QPolynomial, "__hash__", no_hash)
     first = hash(basis)
-    assert len(calls) == 12
+    assert len(calls) == 1
     assert hash(basis) == first
-    assert len(calls) == 12
+    assert len(calls) == 1
+    monkeypatch.undo()
     # equal bases built separately still hash equal
     again = build_basis(PureField.create(12, 17))
     assert again is not basis and again == basis and hash(again) == first
