@@ -3,10 +3,12 @@
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality is proved through the multiplier ring of the
-p-radical.  All three read one integer structure table, the nonzero
-coordinates of every b_i * b_j over their least common denominator D:
-closure is D == 1, and the discriminant is an integer determinant over a
-power of D.
+p-radical.  No table of all n^2 products b_i * b_j is formed.  Each
+product a check needs is taken on the integer numerators and peeled once
+against the triangular basis.  Closure is Round 2's order test: n shifts
+by c*alpha and the products of a few Z[c*alpha]-module generators.  The
+discriminant is the power-basis Gram determinant times the squared
+transition determinant.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
 integer polynomial and d > 0, in lowest terms.  The checks run on the
@@ -26,6 +28,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactmath import (
     QPolynomial,
@@ -76,82 +79,110 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     return all(int(c) % d ** (n - k) == 0 for k, c in enumerate(coefficients))
 
 
-StructureTable = tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
+def _supports(basis: IntegralBasis) -> list[tuple[int, list[tuple[int, int]]]]:
+    # (d_k, nonzero (t, c) of N_k, t ascending) for b_k = N_k(alpha)/d_k;
+    # the last pair is the leading coefficient
+    return [
+        (e.denominator, [(t, c) for t, c in enumerate(e.int_numerator) if c])
+        for e in basis.elements
+    ]
+
+
+def _product(field: PureField, a, b) -> list[int]:
+    """a(alpha) * b(alpha), dense, a and b given by their nonzero (t, c)
+    pairs; alpha^n = m is folded in as the product is formed."""
+    n, m = field.n, field.m
+    out = [0] * n
+    for s, x in a:
+        for t, y in b:
+            if s + t < n:
+                out[s + t] += x * y
+            else:
+                out[s + t - n] += m * x * y
+    return out
+
+
+def _peel(supports, rem: list[int], scale: int) -> tuple[dict[int, int], int]:
+    """The nonzero coordinates {k: c} of rem(alpha)/scale in the triangular
+    basis, as integers over their least common denominator, which is 1
+    exactly when the element lies in the lattice.
+
+    The basis is peeled off from the top degree down, rem (consumed) and
+    scale multiplied up whenever a leading coefficient does not divide the
+    remainder, so rem stays an integer vector.
+    """
+    coords = {}
+    for k in range(len(rem) - 1, -1, -1):
+        if rem[k]:
+            d, support = supports[k]
+            lead = support[-1][1]
+            q, r = divmod(rem[k], lead)
+            if r:
+                # abs: a negative lead must not flip the sign of the scale
+                g = abs(lead) // math.gcd(rem[k], lead)
+                rem = [x * g for x in rem]
+                coords = {j: c * g for j, c in coords.items()}
+                scale *= g
+                q = rem[k] // lead
+            coords[k] = q * d
+            for t, c in support:
+                rem[t] -= q * c
+    if scale != 1:
+        g = math.gcd(scale, *coords.values())
+        coords = {k: c // g for k, c in coords.items()}
+        scale //= g
+    return coords, scale
+
+
+class ClosureCertificate(NamedTuple):
+    """Why the lattice L is or is not closed under multiplication.
+
+    multiplier is c, the least c > 0 with c*alpha in L; generators is G,
+    the indices of a set of Z[c*alpha]-module generators of L.
+    """
+
+    multiplier: int
+    generators: tuple[int, ...]
+    closed: bool
 
 
 @functools.lru_cache(maxsize=1)
-def _structure_constants(basis: IntegralBasis) -> StructureTable:
-    """(D, rows): rows[i][j] holds the nonzero coordinates of b_i * b_j as
-    (k, c) pairs, k ascending, each coordinate being c / D.
+def _structure_constants(basis: IntegralBasis) -> ClosureCertificate:
+    """Decide closure from n shifts and the products of a few generators.
 
-    With b_i = N_i(alpha)/d_i, each product is taken on the integer
-    numerators, alpha^n = m folded in as it is formed, and peeled off
-    against the triangular basis from the top degree down over one common
-    denominator; the peel stops only at nonzero coordinates, so the sparse
-    form comes with it.  D is the least common denominator of every
-    coordinate, so D == 1 exactly when the lattice is closed under
-    multiplication.  The most recent table is kept, so certify and each
-    prime's p_maximality_enum share one; it is made of tuples, hence
-    immutable.
+    A closed L contains beta = c*alpha, so beta*L lies in L; conversely
+    once beta*L does, L is a Z[beta]-module, L*L is the Z[beta]-span of
+    the b_g*b_h over g, h in G, and L is closed iff each of those lies in
+    L (Round 2's order test, Cohen, section 6.1).  The shift beta*b_(i-1)
+    has degree i, and when its coordinate on b_i is +-1, b_i is a
+    Z[beta]-combination of b_0, ..., b_(i-1); so G holds 0 and every i
+    where that coordinate is not +-1.  Each product is peeled once.  The
+    most recent certificate is kept, so certify and each prime's
+    p_maximality_enum share one; the name is the benchmark tracer's.
     """
-    n, m = basis.field.n, basis.field.m
-    nums = [e.int_numerator for e in basis.elements]
-    dens = [e.denominator for e in basis.elements]
-    support = [[(a, x) for a, x in enumerate(num) if x] for num in nums]
-    below = [[(t, x) for t, x in enumerate(num[:-1]) if x] for num in nums]
-    # each product as (nonzero coordinates, denominator) in lowest terms
-    products: list[list[tuple[list[tuple[int, int]], int]]] = [
-        [([], 1)] * n for _ in range(n)
-    ]
-    common = 1
-    for i in range(n):
-        for j in range(i, n):
-            # the product is rem/scale; rem stays an integer vector
-            rem = [0] * n
-            for a, x in support[i]:
-                for b, y in support[j]:
-                    if a + b < n:
-                        rem[a + b] += x * y
-                    else:
-                        rem[a + b - n] += m * x * y
-            scale = dens[i] * dens[j]
-            coords: list[tuple[int, int]] = []
-            for k in range(n - 1, -1, -1):
-                if rem[k]:
-                    lead = nums[k][k]
-                    g = lead // math.gcd(rem[k], lead)
-                    if g != 1:
-                        rem = [r * g for r in rem]
-                        coords = [(t, c * g) for t, c in coords]
-                        scale *= g
-                    # rem[k] != 0, so the quotient and the coordinate are too
-                    q = rem[k] // lead
-                    coords.append((k, q * dens[k]))
-                    for t, c in below[k]:
-                        rem[t] -= q * c
-            coords.reverse()
-            if scale != 1:
-                g = math.gcd(scale, *(c for _, c in coords))
-                if g != 1:
-                    coords = [(k, c // g) for k, c in coords]
-                    scale //= g
-            products[i][j] = products[j][i] = (coords, scale)
-            common = math.lcm(common, scale)
-    rows = tuple(
-        tuple(
-            tuple(coords) if scale == common
-            else tuple((k, c * (common // scale)) for k, c in coords)
-            for coords, scale in row
+    field = basis.field
+    n = field.n
+    supports = _supports(basis)
+    # c is the least common denominator of alpha's coordinates
+    c = _peel(supports, [0, 1] + [0] * (n - 2), 1)[1]
+    generators = [0]
+    closed = True
+    for i, (d, support) in enumerate(supports):
+        coords, scale = _peel(supports, _product(field, [(1, c)], support), d)
+        closed = closed and scale == 1
+        if i + 1 < n and abs(coords.get(i + 1, 0)) != scale:
+            generators.append(i + 1)
+    if closed:
+        pairs = [(supports[g], supports[h]) for g in generators for h in generators if g <= h]
+        closed = all(
+            _peel(supports, _product(field, a, b), d * e)[1] == 1
+            for (d, a), (e, b) in pairs
         )
-        for row in products
-    )
-    return common, rows
+    return ClosureCertificate(c, tuple(generators), closed)
 
 
-def _multiplicatively_closed(table: StructureTable) -> bool:
-    # an order is closed under multiplication: every pairwise product has
-    # integer coordinates in the basis itself, i.e. the table's D is 1
-    return table[0] == 1
+def _multiplicatively_closed(certificate: ClosureCertificate) -> bool:
+    return certificate.closed
 
 
 _NOT_CLOSED = (
@@ -159,7 +190,7 @@ _NOT_CLOSED = (
 )
 
 
-def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
+def _order_defect(basis: IntegralBasis, certificate: ClosureCertificate) -> str | None:
     """Why the lattice is not an order, or None when it is one.
 
     A full lattice that is closed under multiplication and contains 1 is a
@@ -167,7 +198,7 @@ def _order_defect(basis: IntegralBasis, table: StructureTable) -> str | None:
     By triangularity 1 is in the lattice iff b_0 = +-1, and b_0 is in
     lowest terms.
     """
-    if not _multiplicatively_closed(table):
+    if not _multiplicatively_closed(certificate):
         return _NOT_CLOSED
     b0 = basis.elements[0]
     if b0.denominator != 1 or b0.int_numerator not in ((1,), (-1,)):
@@ -179,62 +210,38 @@ def _power_basis_discriminant(field: PureField) -> int:
     # Gram determinant det[Tr(alpha^(i+j))]; alpha^k = m^(k div n) *
     # alpha^(k mod n) and Tr(alpha^j) = n*[j == 0] for 0 <= j < n, so the
     # matrix is integral; no closed discriminant formula enters here.
-    # Each row has its one nonzero entry where i + j = 0 (mod n), so
-    # det_int peels the whole matrix away
+    # Row i has its one nonzero entry at j = -i (mod n), Tr(1) = n for
+    # i = 0 and Tr(alpha^n) = n*m after, so det_int peels the whole matrix
+    # away
     n, m = field.n, field.m
-    return det_int([
-        [n * m ** ((i + j) // n) if (i + j) % n == 0 else 0 for j in range(n)]
-        for i in range(n)
-    ])
-
-
-def _discriminant_exact(basis: IntegralBasis, table: StructureTable) -> int | Fraction:
-    """Trace-pairing discriminant with an internal dual-route cross-check.
-
-    The Gram matrix comes from the structure constants, Tr(b_i b_j) =
-    sum_k c_ijk Tr(b_k), and stays on integers: with the table's common
-    denominator D and the traces Tr(b_k) = t_k / L over their common
-    denominator L (1 on an order, as on every integral lattice), the
-    entries are G_ij / (D L) with G integral, so the discriminant is
-    det_int(G) / (D L)^n.  It must equal the power-basis Gram determinant
-    times the squared transition determinant (triangular, so the product
-    of leading coefficients over the product of denominators); the two
-    are compared cross-multiplied.  Disagreement means a bug in the
-    oracle itself, never bad input, hence the raise.  The result is an
-    int whenever it is an integer, as on every order.
-    """
-    n = basis.field.n
-    common, rows = table
-    nums = [e.int_numerator for e in basis.elements]
-    dens = [e.denominator for e in basis.elements]
-    # Tr(N(alpha)/d) = n * N_0 / d, the power-basis trace form being diagonal
-    scale = math.lcm(*(d // math.gcd(n * num[0], d) for num, d in zip(nums, dens)))
-    traces = {
-        k: n * num[0] * scale // d for k, (num, d) in enumerate(zip(nums, dens)) if num[0]
-    }
-    gram = [[0] * n for _ in range(n)]
+    gram = []
     for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(
-                c * traces[k] for k, c in rows[i][j] if k in traces
-            )
-    det = det_int(gram)
-    gram_scale = (common * scale) ** n
+        row = [0] * n
+        row[-i % n] = n * m if i else n
+        gram.append(row)
+    return det_int(gram)
 
-    leads = math.prod(num[i] for i, num in enumerate(nums))
-    power_disc = _power_basis_discriminant(basis.field)
-    if det * math.prod(dens) ** 2 != power_disc * leads ** 2 * gram_scale:
-        raise ArithmeticError(
-            "internal error: Gram and transition-matrix discriminants disagree"
-        )
-    if det % gram_scale:
-        return Fraction(det, gram_scale)
-    return det // gram_scale
+
+def _discriminant_exact(basis: IntegralBasis) -> int | Fraction:
+    """Trace-pairing discriminant of the lattice, from the transition matrix.
+
+    The basis is triangular over the power basis, so the transition
+    determinant is the product of leading coefficients over the product of
+    denominators, and the discriminant is the power-basis Gram determinant
+    times its square.  The result is an int whenever it is an integer, as
+    on every order.
+    """
+    leads = math.prod(e.int_numerator[-1] for e in basis.elements)
+    numerator = _power_basis_discriminant(basis.field) * leads ** 2
+    denominator = math.prod(e.denominator for e in basis.elements) ** 2
+    if numerator % denominator:
+        return Fraction(numerator, denominator)
+    return numerator // denominator
 
 
 def basis_discriminant(basis: IntegralBasis) -> int:
     """Discriminant of the Z-module spanned by the basis."""
-    value = _discriminant_exact(basis, _structure_constants(basis))
+    value = _discriminant_exact(basis)
     if isinstance(value, Fraction):
         raise ArithmeticError("discriminant is not an integer; basis is not integral")
     return value
@@ -263,26 +270,41 @@ class Skipped:
 MaximalityResult = Proved | CounterexampleFound | Skipped
 
 
-def _row_combination(coefficients: Sequence[int], rows, n: int) -> list[int]:
-    """sum_i coefficients[i] * rows[i], dense, the rows given by their
-    nonzero (k, c) pairs; with rows = table[k], the products b_i * b_k,
-    that is x * b_k for x with the given coordinates."""
-    out = [0] * n
-    for a, row in zip(coefficients, rows):
-        if a:
-            for k, c in row:
-                out[k] += a * c
-    return out
-
-
 def _product_mod_p(x, rows, p: int) -> list[tuple[int, int]]:
     """sum_i x_i * rows[i] mod p as its nonzero (k, c) pairs, x and each
-    row given by theirs; with rows = table[k], that is x * b_k mod p."""
+    row given by theirs."""
     out: dict[int, int] = {}
     for i, a in x:
         for k, c in rows[i]:
             out[k] = out.get(k, 0) + a * c
     return [(k, r) for k, c in out.items() if (r := c % p)]
+
+
+def _numerator(coefficients: Sequence[int], supports) -> tuple[list[int], int]:
+    """(N, L): sum_k coefficients[k] * b_k = N(alpha)/L, L the lcm of the
+    basis denominators and N dense."""
+    common = math.lcm(*(d for d, _ in supports))
+    numerator = [0] * len(supports)
+    for u, (d, support) in zip(coefficients, supports):
+        if u:
+            scale = u * (common // d)
+            for t, c in support:
+                numerator[t] += scale * c
+    return numerator, common
+
+
+def _power(field: PureField, support, e: int) -> list[int]:
+    # N(alpha)^e, dense: one shift for a monomial N, else e - 1 products
+    # with N; e >= 2
+    if len(support) == 1:
+        (t, c), = support
+        power = [0] * field.n
+        power[t * e % field.n] = c ** e * field.m ** (t * e // field.n)
+        return power
+    power = _product(field, support, support)
+    for _ in range(e - 2):
+        power = _product(field, [(t, c) for t, c in enumerate(power) if c], support)
+    return power
 
 
 def budget_skip_reason(p: int, n: int, enum_budget: int) -> str | None:
@@ -320,11 +342,11 @@ def p_maximality_enum(
     the same question with the same witnesses, so the budget guard is kept
     on the nominal coset count p^n.
 
-    Everything is built on integers from the structure table, whose
-    entries are the nonzero coordinates of each product.  The radical is
-    the kernel of a Frobenius power, and each Frobenius image b_k^p is
-    formed by p - 1 products with b_k, each a sum of table rows b_i * b_k.
-    Since I_p is an ideal, y multiplies all of it into p*I_p
+    Everything is built on integers, each product formed in the power
+    basis on the integer numerators when it is needed and peeled once
+    against the triangular basis.  The radical is the kernel of a
+    Frobenius power, whose images b_k^p = N_k^p / d_k^p are n such
+    products.  Since I_p is an ideal, y multiplies all of it into p*I_p
     once it does so for a set of O-module generators, p*1 and the radical
     vectors.  The condition p*1 imposes is y in I_p, whose rows are those
     of the Frobenius-power system, so the echelon that yields the radical
@@ -345,22 +367,18 @@ def p_maximality_enum(
 
     # the multiplier argument needs a genuine order, so that every
     # multiplier found below is integral
-    structure = _structure_constants(basis)
-    defect = _order_defect(basis, structure)
+    defect = _order_defect(basis, _structure_constants(basis))
     if defect is not None:
         return Skipped(defect)
-    # closed, so D == 1 and the rows are the structure constants themselves
-    table = structure[1]
+    supports = _supports(basis)
 
     # the p-radical of O/pO is the kernel of a Frobenius power: x nilpotent
     # iff x^(p^e) = 0 once p^e >= n, and x -> x^p is F_p-linear, so it is
-    # fixed by the images b_k^p, each taken as p - 1 products with b_k
+    # fixed by the images b_k^p, each an integer vector since O is closed
     frobenius = []
-    for k in range(n):
-        image = [(k, 1)]
-        for _ in range(p - 1):
-            image = _product_mod_p(image, table[k], p)
-        frobenius.append(image)
+    for d, support in supports:
+        image = _peel(supports, _power(field, support, p), d ** p)[0]
+        frobenius.append([(t, r) for t, c in image.items() if (r := c % p)])
     e = 1
     while p ** e < n:
         e += 1
@@ -402,9 +420,11 @@ def p_maximality_enum(
     ]
     lattice_rows.reverse()
 
-    def solve_in_lattice(v: list[int]) -> list[int]:
+    def solve_in_lattice(v: dict[int, int]) -> list[int]:
         # w with w * lattice = v, peeled off from the top coordinate down
-        rem = list(v)
+        rem = [0] * n
+        for k, c in v.items():
+            rem[k] = c
         w = [0] * n
         for j, diagonal, below in lattice_rows:
             if rem[j]:
@@ -427,7 +447,13 @@ def p_maximality_enum(
     # reduced echelon form of at most n rows, and the proof ends once the
     # multipliers are down to p*O
     for g in radical:
-        rows = [solve_in_lattice(_row_combination(g, table[k], n)) for k in range(n)]
+        # g * b_k = M(alpha) * N_k(alpha) / (L * d_k), with g = M(alpha)/L
+        numerator, common = _numerator(g, supports)
+        numerator = [(t, c) for t, c in enumerate(numerator) if c]
+        rows = [
+            solve_in_lattice(_peel(supports, _product(field, numerator, support), common * d)[0])
+            for d, support in supports
+        ]
         # one condition per coordinate t: sum_k y_k * rows[k][t] = 0 mod p
         for condition in zip(*rows):
             if fp_reduce(echelon, condition, p) and len(echelon) == n:
@@ -437,14 +463,7 @@ def p_maximality_enum(
     # echelon form, and with it the kernel basis, is unique
     kernel = fp_kernel(list(echelon.values()) or [[0] * n], p)
     # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
-    u = kernel[0]
-    common = math.lcm(*(e.denominator for e in basis.elements))
-    numerator = [0] * n
-    for u_k, e in zip(u, basis.elements):
-        if u_k:
-            scale = u_k * (common // e.denominator)
-            for t, c in enumerate(e.int_numerator):
-                numerator[t] += scale * c
+    numerator, common = _numerator(kernel[0], supports)
     g = math.gcd(p * common, *numerator)
     candidate = BasisElement(
         QPolynomial([c // g for c in numerator]), p * common // g
@@ -507,14 +526,13 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
     one, with the characteristic polynomial as the last resort.
     """
     field = basis.field
-    table = _structure_constants(basis)
-    defect = _order_defect(basis, table)
+    defect = _order_defect(basis, _structure_constants(basis))
     ring_closed = defect != _NOT_CLOSED
     if defect is None:
         integrality = (True,) * field.n
     else:
         integrality = tuple(is_algebraic_integer(field, e) for e in basis.elements)
-    disc = _discriminant_exact(basis, table)
+    disc = _discriminant_exact(basis)
     disc_match = disc == index_report(field).field_discriminant
     maximality = {
         p: p_maximality_enum(basis, p, enum_budget=enum_budget)

@@ -114,7 +114,9 @@ class BasisElement:
             raise ValueError("numerator must have integer coefficients")
         if self.numerator.is_zero():
             raise ValueError("zero basis element")
-        ints = tuple(c.numerator for c in coefficients)
+        # from a list: tuple() of a generator resizes, which drifts tuples
+        # between CPython's per-size free lists until a full collection
+        ints = tuple([c.numerator for c in coefficients])
         if math.gcd(self.denominator, *ints) != 1:
             raise ValueError("element not in lowest terms")
         object.__setattr__(self, "int_numerator", ints)
@@ -161,7 +163,7 @@ class IntegralBasis:
         return hash((self.field, tuple(e.int_numerator for e in self.elements)))
 
     def __hash__(self) -> int:
-        # the certifier's structure-table cache is keyed on the basis, so
+        # the certifier's closure-certificate cache is keyed on the basis, so
         # hash every coefficient once per basis object, not once per lookup
         return self._hash
 

@@ -25,6 +25,7 @@ from purefields.exactmath import (
 )
 from purefields.oracle import (
     CertificationReport,
+    ClosureCertificate,
     CounterexampleFound,
     Proved,
     MaximalityResult,
@@ -49,6 +50,7 @@ from purefields.purebasis import (
 from rational_reference import FieldElement, coordinates_in_basis, mul, trace
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
+from table_reference import gram_discriminant, structure_constants
 
 
 def power_basis(n: int, m: int) -> IntegralBasis:
@@ -291,8 +293,9 @@ def test_power_basis_discriminant_formula_grid():
 
 def test_trace_gram_leaves_det_int_a_core_of_at_most_two(monkeypatch):
     # the bases are triangular and mostly plain powers, so the trace Gram
-    # is nearly monomial: single-entry rows and columns are expanded away
-    # and fraction-free elimination sees at most a 2 x 2 core
+    # of the table twin is nearly monomial: single-entry rows and columns
+    # are expanded away and fraction-free elimination sees at most a 2 x 2
+    # core; the certifier's transition route never reaches elimination
     cores = []
     bareiss = exactmath._bareiss
 
@@ -303,8 +306,12 @@ def test_trace_gram_leaves_det_int_a_core_of_at_most_two(monkeypatch):
     monkeypatch.setattr(exactmath, "_bareiss", recording)
     for n, m in LARGE_FIELD_SEED_ONE:
         field = PureField.create(n, m)
+        basis = build_basis(field)
         cores.clear()
-        assert basis_discriminant(build_basis(field)) == index_report(field).field_discriminant
+        assert basis_discriminant(basis) == index_report(field).field_discriminant
+        assert cores == [], (n, m, cores)
+        twin = gram_discriminant(basis, structure_constants(basis))
+        assert twin == index_report(field).field_discriminant
         assert max(cores, default=0) <= 2, (n, m, cores)
 
 
@@ -611,13 +618,13 @@ def _dense_table(rows, n: int) -> list[list[list[int]]]:
 def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     """The multiplier system fed every Hermite row of I_p, p*e_j included.
 
-    An integer twin on the oracle's own structure table that takes the
+    An integer twin on the structure table of table_reference that takes the
     radical from the columns of x -> x^(p^e), multiplies every row of the
     Hermite basis of I_p and solves each product in that basis by
     back-substitution, stopping at full rank.
     """
     n = basis.field.n
-    table = _dense_table(oracle._structure_constants(basis)[1], n)
+    table = _dense_table(structure_constants(basis)[1], n)
 
     def row_combination(coefficients, rows):
         out = [0] * n
@@ -825,24 +832,35 @@ def _six_lattice_not_closed() -> IntegralBasis:
     ids=["not-closed-6", "certified-12", "certified-30"],
 )
 def test_certify_builds_structure_table_once(make_basis):
+    # _structure_constants builds the closure certificate, no longer a table
     basis = make_basis()
+    n = basis.field.n
     primes = [p for p, _ in basis.field.factorization]
     oracle._structure_constants.cache_clear()
-    report = certify(basis, enum_budget=max(primes) ** basis.field.n)
+    report = certify(basis, enum_budget=max(primes) ** n)
     info = oracle._structure_constants.cache_info()
-    # certify builds the table; every prime's proof reuses it
+    # certify builds the certificate; every prime's proof reuses it
     assert (info.misses, info.hits) == (1, len(primes))
     if report.ring_closed:
         assert report.certified and all(r == Proved() for r in report.maximality.values())
     else:
         assert all("closed" in r.reason for r in report.maximality.values())
-    # one integer table over its least common denominator D, closed iff D == 1
-    common, rows = oracle._structure_constants(basis)
+    certificate = oracle._structure_constants(basis)
+    assert certificate.closed is report.ring_closed
+    multiplier = certificate.multiplier
+    assert type(multiplier) is int and multiplier == _alpha_multiplier(basis)
+    # G holds 0, strictly increasing, inside the basis
+    generators = certificate.generators
+    assert isinstance(generators, tuple) and generators[0] == 0
+    assert list(generators) == sorted(set(generators)) and generators[-1] < n
+    # the table twin: one integer table over its least common denominator
+    # D, closed iff D == 1
+    common, rows = structure_constants(basis)
     assert isinstance(common, int) and (common == 1) == report.ring_closed
-    assert isinstance(rows, tuple) and len(rows) == basis.field.n
+    assert isinstance(rows, tuple) and len(rows) == n
     # each product as its nonzero coordinates (k, c), k strictly increasing
     for row in rows:
-        assert isinstance(row, tuple) and len(row) == basis.field.n
+        assert isinstance(row, tuple) and len(row) == n
         for pairs in row:
             assert isinstance(pairs, tuple) and pairs
             for pair in pairs:
@@ -850,10 +868,10 @@ def test_certify_builds_structure_table_once(make_basis):
                 assert type(pair[1]) is int and pair[1] != 0
             ks = [k for k, _ in pairs]
             assert all(type(k) is int for k in ks)
-            assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < basis.field.n
+            assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < n
     # a new basis is one more build, even when every prime stops at the budget
     before = oracle._structure_constants.cache_info().misses
-    certify(power_basis(basis.field.n, basis.field.m), enum_budget=1)
+    certify(power_basis(n, basis.field.m), enum_budget=1)
     assert oracle._structure_constants.cache_info().misses == before + 1
 
 
@@ -900,8 +918,7 @@ def test_integer_table_matches_field_arithmetic():
     ]
     closure = []
     for basis in built + powers + mutants:
-        table = oracle._structure_constants(basis)
-        common, rows = table
+        common, rows = structure_constants(basis)
         expected = _field_route_table(basis)
         denominators = [c.denominator for row in expected for coords in row for c in coords]
         # D is the least common denominator of every coordinate
@@ -910,7 +927,8 @@ def test_integer_table_matches_field_arithmetic():
             for coords, expected_coords in zip(row, expected_row):
                 assert tuple(Fraction(c, common) for c in coords) == expected_coords
         is_closed = all(d == 1 for d in denominators)
-        assert oracle._multiplicatively_closed(table) == is_closed, basis
+        certificate = oracle._structure_constants(basis)
+        assert oracle._multiplicatively_closed(certificate) == is_closed, basis
         closure.append(is_closed)
     # the orders are closed, and some mutant is not
     assert all(closure[:len(built + powers)]) and not all(closure)
@@ -942,14 +960,166 @@ def test_discriminant_of_non_orders_matches_trace_gram():
     ]
     both_scaled = 0
     for basis in candidates:
-        table = oracle._structure_constants(basis)
+        table = structure_constants(basis)
         elems = [FieldElement.from_basis_element(basis.field, e) for e in basis.elements]
         trace_lcd = math.lcm(*(trace(e).denominator for e in elems))
         assert table[0] > 1, basis
-        assert oracle._discriminant_exact(basis, table) == _trace_gram_determinant(basis)
+        assert not oracle._structure_constants(basis).closed, basis
+        expected = _trace_gram_determinant(basis)
+        assert oracle._discriminant_exact(basis) == expected
+        assert gram_discriminant(basis, table) == expected
         both_scaled += trace_lcd > 1
-    # the table's D and the traces' common denominator both enter the scale
+    # the table's D and the traces' common denominator both enter the
+    # twin's scale
     assert both_scaled >= 3
+
+
+# ---------------------------------------------------------------------------
+# the closure certificate against the table twin
+# ---------------------------------------------------------------------------
+
+_NOT_CLOSED = "the lattice is not multiplicatively closed; p-maximality is about orders"
+_WITHOUT_ONE = "the lattice does not contain 1; p-maximality is about orders"
+
+
+def _table_report(basis: IntegralBasis) -> CertificationReport:
+    """certify's report with every check on the table twin: closure from its
+    D, the discriminant from its trace Gram, p-maximality by the Hermite-row
+    scan on its rows, and integrality by the rational twin."""
+    field = basis.field
+    table = structure_constants(basis)
+    closed = table[0] == 1
+    b0 = basis.elements[0]
+    has_one = b0.denominator == 1 and b0.int_numerator in ((1,), (-1,))
+    if closed and has_one:
+        integrality = (True,) * field.n
+    else:
+        integrality = tuple(
+            reference_is_integral(FieldElement.from_basis_element(field, e))
+            for e in basis.elements
+        )
+    disc_match = gram_discriminant(basis, table) == index_report(field).field_discriminant
+    maximality = {
+        p: Skipped(_NOT_CLOSED) if not closed
+        else Skipped(_WITHOUT_ONE) if not has_one
+        else _every_hermite_row_scan(basis, p)
+        for p, _ in field.factorization
+    }
+    return CertificationReport(integrality, closed, disc_match, maximality)
+
+
+def _assert_matches_table_twin(
+    basis: IntegralBasis,
+) -> tuple[ClosureCertificate, CertificationReport]:
+    certificate = oracle._structure_constants(basis)
+    table = structure_constants(basis)
+    assert certificate.closed == (table[0] == 1), basis
+    assert oracle._discriminant_exact(basis) == gram_discriminant(basis, table), basis
+    report = certify(basis, enum_budget=basis.field.n ** basis.field.n)
+    assert certification_json_dict(report) == certification_json_dict(_table_report(basis))
+    return certificate, report
+
+
+def _alpha_multiplier(basis: IntegralBasis) -> int:
+    # the least c > 0 with c*alpha in the lattice, by rational coordinates
+    alpha = FieldElement.alpha_power(basis.field, 1)
+    return math.lcm(*(c.denominator for c in coordinates_in_basis(alpha, basis)))
+
+
+@pytest.mark.parametrize("n, m", [(3, 10), (6, 10)])
+def test_order_without_alpha_is_closed(n, m):
+    # Z[2a] is a ring, yet a * 1 is not in it: closure is decided by
+    # beta = 2a, not by a
+    field = PureField.create(n, m)
+    basis = IntegralBasis(
+        field, tuple(BasisElement(QPolynomial.x_power(j, 2 ** j), 1) for j in range(n))
+    )
+    certificate, report = _assert_matches_table_twin(basis)
+    assert certificate == (2, (0,), True)
+    assert report.ring_closed and all(report.integrality) and not report.certified
+
+
+def test_numerator_bumps_of_b1_leave_alpha_outside():
+    # refute's numerator-bump corruptions of b_1: bumping its lead puts
+    # alpha outside the lattice, bumping its constant term does not
+    multipliers = set()
+    closed = set()
+    for n, m in [(3, 10), (4, 17), (6, 10), (8, 3), (9, -26), (12, 17)]:
+        basis = build_basis(PureField.create(n, m))
+        b1 = basis.elements[1]
+        for i in range(2):
+            bumped = [c + (t == i) for t, c in enumerate(b1.int_numerator)]
+            try:
+                changed = BasisElement(QPolynomial(bumped), b1.denominator)
+            except ValueError:
+                continue
+            mutant = IntegralBasis(basis.field, basis.elements[:1] + (changed,) + basis.elements[2:])
+            certificate, _ = _assert_matches_table_twin(mutant)
+            assert certificate.multiplier == _alpha_multiplier(mutant), mutant
+            multipliers.add(certificate.multiplier)
+            if certificate.multiplier > 1:
+                closed.add(certificate.closed)
+    # alpha left the lattice, and such lattices were found closed and not
+    assert max(multipliers) > 1 and closed == {True, False}
+
+
+@st.composite
+def triangular_lattices(draw):
+    n = draw(st.integers(2, 12))
+    m = draw(st.sampled_from((-7, -2, 2, 3, 10, 26)))
+    elements = []
+    for i in range(n):
+        lead = draw(st.sampled_from((1, -1, 2, -2, 3, -3)))
+        lower = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)), min_size=i, max_size=i))
+        den = draw(st.one_of(st.just(1), st.integers(1, 12)))
+        numerator = lower + [lead]
+        g = math.gcd(den, *numerator)
+        elements.append(BasisElement(QPolynomial([c // g for c in numerator]), den // g))
+    return IntegralBasis(PureField.create(n, m), tuple(elements))
+
+
+@settings(max_examples=80, deadline=None)
+@given(triangular_lattices())
+def test_closure_certificate_matches_table_twin(basis):
+    certificate, _ = _assert_matches_table_twin(basis)
+    assert certificate.multiplier == _alpha_multiplier(basis)
+
+
+def test_certify_forms_products_on_demand(monkeypatch):
+    # the table formed n(n+1)/2 products; closure forms one peel of alpha,
+    # n shifts and the products of at most five generators (0 and each
+    # degree where the denominators jump), and each prime's proof n
+    # Frobenius images and n products per radical vector consumed (one on
+    # these fields)
+    peels = []
+    peel = oracle._peel
+
+    def counting(supports, rem, scale):
+        peels.append(scale)
+        return peel(supports, rem, scale)
+
+    monkeypatch.setattr(oracle, "_peel", counting)
+    for n, m in LARGE_FIELD_SEED_ONE:
+        basis = build_basis(PureField.create(n, m))
+        oracle._structure_constants.cache_clear()
+        peels.clear()
+        certificate = oracle._structure_constants(basis)
+        size = len(certificate.generators)
+        assert certificate.closed and certificate.multiplier == 1 and size <= 5
+        assert len(peels) <= 1 + n + size * (size + 1) // 2 < n * (n + 1) // 2
+        for p, _ in basis.field.factorization:
+            peels.clear()
+            assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
+            assert len(peels) in (n, 2 * n), (n, m, p, len(peels))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_large_degree_certifies_with_the_budget_lifted(n):
+    field = PureField.create(n, 3)
+    basis = build_basis(field)
+    report = certify(basis, enum_budget=2 ** n)
+    assert report.certified and report.maximality == {2: Proved()}
+    assert basis_discriminant(basis) == index_report(field).field_discriminant
 
 
 def test_certify_integrality_matches_per_element_test():
@@ -992,7 +1162,7 @@ def test_certify_tests_elements_only_off_orders(monkeypatch, make_basis, calls):
 
 def test_certify_forms_no_fraction_on_an_order(monkeypatch):
     # an order is integral by closure, and every other check runs on the
-    # integer numerators and the integer structure table
+    # integer numerators
     bases = [
         build_basis(PureField.create(n, m))
         for n, m in [(6, 10), (9, 55), (12, 17), (18, 7), (24, 5)]
