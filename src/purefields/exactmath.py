@@ -11,15 +11,21 @@ determinants take as they are; a determinant expands single-entry rows
 and columns away before fraction-free elimination.  All row reduction over
 F_p goes through fp_reduce, one Gauss-Jordan step into a reduced echelon
 form; fp_kernel is built on it, and callers that can stop early (at full
-rank) feed it rows one at a time.  Rational matrices, kept for exact
-characteristic polynomials, are immutable values; both charpoly and
-det_rational clear their denominators once and work on integers.  Every
-operation is exact; no floats anywhere.
+rank) feed it rows one at a time.  A row over F_p is packed into one int,
+a lane of whole bytes per column (FpLanes), so a step is a few big-int
+operations: one multiple of each pivot row added, then one exact
+multiply-and-shift that takes every lane mod p at once.  Rational
+matrices, kept for exact characteristic polynomials, are immutable
+values; both charpoly and det_rational clear their denominators once and
+work on integers.  Every operation is exact; no floats anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -730,48 +736,131 @@ def charpoly(M: RatMatrix) -> QPolynomial:
     return QPolynomial([Fraction(coeffs[k], scale ** k) for k in range(n, -1, -1)])
 
 
-def fp_reduce(echelon: dict[int, list[int]], row: Sequence[int], p: int) -> bool:
-    """One Gauss-Jordan step over F_p: add row to a reduced echelon form.
+class FpLanes:
+    """Rows over F_p of a fixed number of columns, each packed into one int.
 
-    echelon maps each pivot column to its row, whose entry there is 1 and
-    whose entries in every other pivot column are 0.  The row is reduced
-    against it; if anything is left, it becomes the pivot row of its first
-    nonzero column, is cleared from the other rows, and True is returned.
-    Rows fed in any order give the same reduced echelon form of their span.
+    Column j is the lane of width bytes at byte j * width; rows go in and
+    out through bytes.  A lane holds a residue in [0, p) between steps and
+    stays below 2^w inside one, w the bit length of p - 1 + (n + 1)(p - 1)^2
+    for n columns: enough for a residue plus one multiple (p - c) * pivot,
+    c < p, per column.  reduce takes every lane mod p at once by the exact
+    multiply-and-shift q = floor(x * M / 2^s), with s = w + bitlen(p) and
+    M = ceil(2^s / p): q = x div p for every x < 2^w, and a lane of at least
+    s + w + 1 bits holds x * M, so no lane carries into the next.  For
+    p >= 256 the width is a multiple of eight bytes, so that the residues
+    unpack as 64-bit words; p must then be below 2^64.
     """
-    row = [x % p for x in row]
-    for col, pivot in echelon.items():
-        c = row[col]
+
+    __slots__ = ("p", "ncols", "width", "size", "_magic", "_shift", "_quotients")
+
+    def __init__(self, ncols: int, p: int):
+        if p >= 1 << 64:
+            raise ValueError(f"p must be below 2^64, got {p}")
+        w = (p - 1 + (ncols + 1) * (p - 1) ** 2).bit_length()
+        self.p, self.ncols = p, ncols
+        self._shift = w + p.bit_length()
+        self._magic = -(-(1 << self._shift) // p)
+        self.width = -(-(self._shift + w + 1) // 8)
+        if p >= 256:
+            self.width = -(-self.width // 8) * 8
+        self.size = ncols * self.width
+        # 2^w - 1 in every lane: the bits of each lane's quotient
+        one = (1).to_bytes(self.width, "little")
+        self._quotients = ((1 << w) - 1) * int.from_bytes(one * ncols, "little")
+
+    def reduce(self, x: int) -> int:
+        """Every lane of x mod p, each lane below 2^w."""
+        return x - ((x * self._magic >> self._shift) & self._quotients) * self.p
+
+    def unpack(self, row: int) -> Sequence[int]:
+        """The lanes of a row whose lanes are residues."""
+        data = row.to_bytes(self.size, "little")
+        if self.p < 256:
+            # the low byte of each lane
+            return data[::self.width]
+        # the low 64-bit word of each lane
+        words = array("Q", data)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words[::self.width // 8]
+
+    def columns(self, rows: Iterable[Iterable[tuple[int, int]]]) -> list[int]:
+        """The packed columns of the square matrix whose row i has the
+        nonzero entries (j, c): column j holds c mod p in lane i."""
+        p = self.p
+        nbytes = -(-(p - 1).bit_length() // 8)
+        out = [bytearray(self.size) for _ in range(self.ncols)]
+        # row i goes into lane i, at byte i * width of every column
+        for at, row in zip(range(0, self.size, self.width), rows, strict=True):
+            for j, c in row:
+                out[j][at:at + nbytes] = (c % p).to_bytes(nbytes, "little")
+        return [int.from_bytes(column, "little") for column in out]
+
+
+@functools.lru_cache(maxsize=256)
+def fp_lanes(ncols: int, p: int) -> FpLanes:
+    """The lane layout of rows of ncols columns over F_p, built once."""
+    return FpLanes(ncols, p)
+
+
+def fp_reduce(
+    echelon: dict[int, tuple[int, Sequence[int]]], row: int, lanes: FpLanes
+) -> bool:
+    """One Gauss-Jordan step over F_p: add a packed row to a reduced
+    echelon form.
+
+    echelon maps each pivot column to its packed row, whose lane there is
+    1 and whose lanes in every other pivot column are 0, together with
+    that row's lanes unpacked, so that one lane of every row is read in
+    O(1).  row has residues in its lanes.  Since the form is reduced, the
+    multiple of each pivot row to take away is the row's own lane c at
+    that column, so the row gets (p - c) * pivot for every pivot and then
+    one reduction of all lanes.  If anything is left, it becomes the pivot
+    row of its first nonzero column, is cleared from the other rows, and
+    True is returned.  Rows fed in any order give the same reduced echelon
+    form of their span.
+    """
+    p = lanes.p
+    entries = lanes.unpack(row)
+    reduced = True
+    for col, (pivot, _) in echelon.items():
+        c = entries[col]
         if c:
-            row = [(a - c * b) % p for a, b in zip(row, pivot)]
-    lead = next((col for col, x in enumerate(row) if x), None)
-    if lead is None:
+            row += (p - c) * pivot
+            reduced = False
+    if not reduced:
+        row = lanes.reduce(row)
+        entries = lanes.unpack(row)
+    if not row:
         return False
-    inv = pow(row[lead], -1, p)
-    row = [x * inv % p for x in row]
-    for col, other in echelon.items():
-        c = other[lead]
+    lead = next(compress(range(lanes.ncols), entries))
+    c = entries[lead]
+    if c != 1:
+        row = lanes.reduce(row * pow(c, -1, p))
+        entries = lanes.unpack(row)
+    for col, (other, other_entries) in echelon.items():
+        c = other_entries[lead]
         if c:
-            echelon[col] = [(a - c * b) % p for a, b in zip(other, row)]
-    echelon[lead] = row
+            other = lanes.reduce(other + (p - c) * row)
+            echelon[col] = other, lanes.unpack(other)
+    echelon[lead] = row, entries
     return True
 
 
-def fp_kernel(rows: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : M x = 0 over F_p} of the given matrix,
-    one vector per free column of the reduced echelon form."""
-    if not rows:
-        raise ValueError("empty matrix")
-    ncols = len(rows[0])
-    echelon: dict[int, list[int]] = {}
+def fp_kernel(rows: Iterable[int], lanes: FpLanes) -> list[tuple[int, ...]]:
+    """Basis of the right kernel {x : M x = 0 over F_p} of the matrix whose
+    rows are packed in lanes, one vector per free column of the reduced
+    echelon form."""
+    echelon: dict[int, tuple[int, Sequence[int]]] = {}
     for row in rows:
-        fp_reduce(echelon, row, p)
+        fp_reduce(echelon, row, lanes)
+    ncols, p = lanes.ncols, lanes.p
     basis: list[tuple[int, ...]] = []
     for free in range(ncols):
         if free not in echelon:
             v = [0] * ncols
             v[free] = 1
-            for col, row in echelon.items():
-                v[col] = -row[free] % p
+            for col, (_, entries) in echelon.items():
+                v[col] = -entries[free] % p
             basis.append(tuple(v))
     return basis

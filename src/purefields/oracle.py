@@ -23,6 +23,7 @@ certifies bases handed to it; it never builds one.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from collections.abc import Sequence
@@ -37,6 +38,7 @@ from .exactmath import (
     det_int,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
     fp_kernel,
+    fp_lanes,
     fp_reduce,
     hnf_rows,
     is_prime,
@@ -252,7 +254,16 @@ def basis_discriminant(basis: IntegralBasis) -> int:
 
 @dataclass(frozen=True)
 class Proved:
-    """No element of (1/p)*O outside O is an algebraic integer."""
+    """No element of (1/p)*O outside O is an algebraic integer.
+
+    The evidence takes no part in comparisons or reports:
+    radical_dimension is the F_p-dimension of the p-radical of O/pO, and
+    generators the number of radical vectors whose products were fed
+    before the multiplier system reached full rank n.
+    """
+
+    radical_dimension: int = dataclasses.field(default=0, compare=False)
+    generators: int = dataclasses.field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -355,7 +366,12 @@ def p_maximality_enum(
     the radical vectors and the p*e_j at the echelon's pivot columns, by
     exact divisions alone, because that lattice contains p*O and so its
     diagonal entries lie in {1, p}.  Their conditions are fed one by one
-    to exactmath.fp_reduce, and the proof stops at full rank.
+    to exactmath.fp_reduce, and the proof stops at full rank.  Both
+    systems go to it as packed rows, one int per row with a lane per
+    basis element, written straight from the sparse entries: the
+    radical's columns from the Frobenius-power rows, and each radical
+    vector's n conditions from its n solved products.  A Proved carries
+    the radical's dimension and the number of radical vectors multiplied.
     """
     field = basis.field
     n = field.n
@@ -386,21 +402,20 @@ def p_maximality_enum(
     power = frobenius
     for _ in range(e - 1):
         power = [_product_mod_p(row, frobenius, p) for row in power]
-    # column j, sum_i x_i * power[i][j] = 0, is one condition of x in I_p
-    columns = [[0] * n for _ in range(n)]
-    for i, row in enumerate(power):
-        for j, c in row:
-            columns[j][i] = c
-    echelon: dict[int, list[int]] = {}
-    for column in columns:
+    # column j, sum_i x_i * power[i][j] = 0, is one condition of x in I_p,
+    # written from the sparse rows straight into one packed int
+    lanes = fp_lanes(n, p)
+    echelon: dict[int, tuple[int, Sequence[int]]] = {}
+    for column in lanes.columns(power):
         # a zero column is no condition, and would leave the echelon as it is
-        if any(column):
-            fp_reduce(echelon, column, p)
-    # the rows are already reduced, so this kernel costs O(n^2)
-    radical = fp_kernel(list(echelon.values()) or [[0] * n], p)
+        if column:
+            fp_reduce(echelon, column, lanes)
+    # the rows are already reduced, so feeding them again adds no multiple
+    # of a pivot row, and this kernel costs O(n^2) lane reads
+    radical = fp_kernel([row for row, _ in echelon.values()], lanes)
     if not radical:
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral
-        return Proved()
+        return Proved(0, 0)
 
     # I_p = pO + radical lifts, as a full-rank sublattice in basis
     # coordinates.  Each radical vector is 1 at its free column and 0 at
@@ -420,12 +435,13 @@ def p_maximality_enum(
     ]
     lattice_rows.reverse()
 
-    def solve_in_lattice(v: dict[int, int]) -> list[int]:
-        # w with w * lattice = v, peeled off from the top coordinate down
+    def solve_in_lattice(v: dict[int, int]) -> list[tuple[int, int]]:
+        # the nonzero (j, w_j) of w with w * lattice = v, peeled off from the
+        # top coordinate down
         rem = [0] * n
         for k, c in v.items():
             rem[k] = c
-        w = [0] * n
+        w = []
         for j, diagonal, below in lattice_rows:
             if rem[j]:
                 q, r = divmod(rem[j], diagonal)
@@ -433,7 +449,7 @@ def p_maximality_enum(
                     raise ArithmeticError(
                         "internal error: product left the radical ideal"
                     )
-                w[j] = q
+                w.append((j, q))
                 for t, c in below:
                     rem[t] -= q * c
         return w
@@ -446,7 +462,7 @@ def p_maximality_enum(
     # radical vectors remain.  Their conditions go one by one into the same
     # reduced echelon form of at most n rows, and the proof ends once the
     # multipliers are down to p*O
-    for g in radical:
+    for generators, g in enumerate(radical, 1):
         # g * b_k = M(alpha) * N_k(alpha) / (L * d_k), with g = M(alpha)/L
         numerator, common = _numerator(g, supports)
         numerator = [(t, c) for t, c in enumerate(numerator) if c]
@@ -454,14 +470,15 @@ def p_maximality_enum(
             solve_in_lattice(_peel(supports, _product(field, numerator, support), common * d)[0])
             for d, support in supports
         ]
-        # one condition per coordinate t: sum_k y_k * rows[k][t] = 0 mod p
-        for condition in zip(*rows):
-            if fp_reduce(echelon, condition, p) and len(echelon) == n:
-                return Proved()
+        # one condition per coordinate t, sum_k y_k * rows[k][t] = 0 mod p:
+        # column t of the rows, packed
+        for condition in lanes.columns(rows):
+            if fp_reduce(echelon, condition, lanes) and len(echelon) == n:
+                return Proved(len(radical), generators)
 
     # the echelon rows span the whole system's row space, whose reduced
     # echelon form, and with it the kernel basis, is unique
-    kernel = fp_kernel(list(echelon.values()) or [[0] * n], p)
+    kernel = fp_kernel([row for row, _ in echelon.values()], lanes)
     # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
     numerator, common = _numerator(kernel[0], supports)
     g = math.gcd(p * common, *numerator)

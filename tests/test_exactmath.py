@@ -22,6 +22,7 @@ from purefields.exactmath import (
     ext_gcd,
     factorize,
     fp_kernel,
+    fp_lanes,
     fp_reduce,
     hnf_rows,
     is_prime,
@@ -31,6 +32,8 @@ from purefields.exactmath import (
     vp_int,
 )
 from purefields.newton import FpExtPolynomial
+from fp_reference import fp_kernel as reference_fp_kernel
+from fp_reference import fp_reduce as reference_fp_reduce
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import vp_rational
 
@@ -607,16 +610,47 @@ def test_charpoly_cayley_hamilton():
         assert all(acc[i][j] == 0 for i in range(n) for j in range(n))
 
 
+PACKED_PRIMES = [2, 3, 5, 7, 11, 251, 257, 65537]
+
+
+def _pack_raw(lanes, values):
+    # one lane of lanes.width bytes per column, little-endian, holding the
+    # value itself
+    return int.from_bytes(
+        b"".join(v.to_bytes(lanes.width, "little") for v in values), "little"
+    )
+
+
+def _pack(lanes, row):
+    return _pack_raw(lanes, [c % lanes.p for c in row])
+
+
+def _packed_kernel(rows, p):
+    lanes = fp_lanes(len(rows[0]), p)
+    return fp_kernel([_pack(lanes, row) for row in rows], lanes)
+
+
+def _unpacked(echelon, lanes):
+    # each pivot row as a list, checked against the lanes kept beside it
+    rows = {}
+    for col, (row, entries) in sorted(echelon.items()):
+        assert list(entries) == list(lanes.unpack(row))
+        rows[col] = list(entries)
+    return rows
+
+
 def test_fp_kernel():
     # x + y = 0 over F_3 has kernel spanned by (2, 1) after normalization
-    basis = fp_kernel([[1, 1]], 3)
+    basis = _packed_kernel([[1, 1]], 3)
     assert len(basis) == 1
     v = basis[0]
     assert (v[0] + v[1]) % 3 == 0 and any(v)
     # identity has trivial kernel
-    assert fp_kernel([[1, 0], [0, 1]], 5) == []
+    assert _packed_kernel([[1, 0], [0, 1]], 5) == []
     # zero map has full kernel
-    assert len(fp_kernel([[0, 0], [0, 0]], 2)) == 2
+    assert len(_packed_kernel([[0, 0], [0, 0]], 2)) == 2
+    # so has no row at all
+    assert fp_kernel([], fp_lanes(3, 7)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def _gauss_jordan_kernel(rows, p):
@@ -650,12 +684,30 @@ def _gauss_jordan_kernel(rows, p):
     return basis
 
 
+def _lane_bound_rows(ncols, p, pivots):
+    """Rows that drive a lane to its bound p - 1 + pivots*(p - 1)^2.
+
+    The first rows are e_i + (p - 1)*(the free columns) for i < pivots, a
+    reduced echelon form as it stands; the next is 1 at every pivot column
+    and p - 1 at every free one, so each pivot row is added p - 1 times to
+    it.  Rows of p - 1 entries, one more column zeroed in each, follow
+    until there are ncols pivots."""
+    free = [int(j >= pivots) for j in range(ncols)]
+    rows = [[int(j == i) + (p - 1) * free[j] for j in range(ncols)] for i in range(pivots)]
+    rows.append([1 if j < pivots else p - 1 for j in range(ncols)])
+    rows.extend([p - 1] * (ncols - k) + [0] * k for k in range(ncols))
+    return rows
+
+
 @st.composite
 def fp_matrices(draw):
     """(rows, p): random, rank-deficient (rows repeated as combinations of
-    earlier ones) or all-zero rows, entries of either sign."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    ncols = draw(st.integers(1, 6))
+    earlier ones), all-zero rows, or rows at the lane bound; entries of
+    either sign."""
+    p = draw(st.sampled_from(PACKED_PRIMES))
+    ncols = draw(st.integers(1, 40))
+    if draw(st.integers(0, 4)) == 0:
+        return _lane_bound_rows(ncols, p, draw(st.integers(0, ncols - 1))), p
     entry = st.integers(-2 * p, 2 * p)
     rows = []
     for _ in range(draw(st.integers(1, 8))):
@@ -675,18 +727,71 @@ def fp_matrices(draw):
 @given(fp_matrices())
 def test_fp_kernel_matches_gauss_jordan(case):
     rows, p = case
-    assert fp_kernel(rows, p) == _gauss_jordan_kernel(rows, p)
+    kernel = _packed_kernel(rows, p)
+    assert kernel == _gauss_jordan_kernel(rows, p)
+    assert kernel == reference_fp_kernel(rows, p)
 
 
 @settings(max_examples=100, deadline=None)
 @given(fp_matrices())
 def test_fp_reduce_reports_rank_in_any_row_order(case):
     rows, p = case
+    lanes = fp_lanes(len(rows[0]), p)
+    packed = [_pack(lanes, row) for row in rows]
     forward, backward = {}, {}
-    added = [fp_reduce(forward, row, p) for row in rows]
-    for row in reversed(rows):
-        fp_reduce(backward, row, p)
+    added = [fp_reduce(forward, row, lanes) for row in packed]
+    for row in reversed(packed):
+        fp_reduce(backward, row, lanes)
     # one pivot per True, and the reduced echelon form is the span's own
     assert sum(added) == len(forward)
     assert dict(sorted(forward.items())) == dict(sorted(backward.items()))
-    assert fp_kernel(rows, p) == fp_kernel(rows[::-1], p)
+    assert fp_kernel(packed, lanes) == fp_kernel(packed[::-1], lanes)
+    # step by step the list-based twin reports the same and holds the same form
+    reference: dict[int, list[int]] = {}
+    assert [reference_fp_reduce(reference, row, p) for row in rows] == added
+    assert _unpacked(forward, lanes) == dict(sorted(reference.items()))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_fp_reduce_at_the_lane_bound(p):
+    for ncols in (1, 2, 3, 17, 40):
+        lanes = fp_lanes(ncols, p)
+        for pivots in (0, ncols // 2, ncols - 1):
+            echelon, reference = {}, {}
+            for row in _lane_bound_rows(ncols, p, pivots):
+                assert fp_reduce(echelon, _pack(lanes, row), lanes) == reference_fp_reduce(
+                    reference, row, p
+                )
+                assert _unpacked(echelon, lanes) == dict(sorted(reference.items()))
+            assert len(echelon) == ncols
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_lane_reduction_is_mod_p_up_to_the_lane_bound(p):
+    for ncols in (1, 2, 17, 40):
+        lanes = fp_lanes(ncols, p)
+        # every lane stays below 2^w between reductions
+        w = (p - 1 + (ncols + 1) * (p - 1) ** 2).bit_length()
+        edge = [(1 << w) - 1 - k for k in range(ncols)]
+        for values in (edge, [(1 << w) - 1] * ncols, [0, p, p - 1, 2 * p, p * p][:ncols]):
+            values += [0] * (ncols - len(values))
+            reduced = lanes.reduce(_pack_raw(lanes, values))
+            assert list(lanes.unpack(reduced)) == [v % p for v in values]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_columns_are_the_transposed_rows(p):
+    rng = random.Random(p)
+    for ncols in (1, 5, 40):
+        lanes = fp_lanes(ncols, p)
+        dense = [[rng.choice([0, 0, 1, -1, p - 1, rng.randrange(-3 * p, 3 * p)]) for _ in range(ncols)] for _ in range(ncols)]
+        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in dense]
+        transposed = [list(column) for column in zip(*dense)]
+        assert lanes.columns(sparse) == [_pack(lanes, column) for column in transposed]
+    with pytest.raises(ValueError):
+        fp_lanes(2, p).columns([[(0, 1)]])
+
+
+def test_lane_layout_is_built_once_per_size_and_prime():
+    assert fp_lanes(24, 3) is fp_lanes(24, 3)
+    assert fp_lanes(24, 3) is not fp_lanes(24, 2)

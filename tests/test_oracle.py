@@ -47,6 +47,8 @@ from purefields.purebasis import (
     integral_basis,
     prime_power_basis,
 )
+from fp_reference import fp_kernel as reference_fp_kernel
+from fp_reference import fp_reduce as reference_fp_reduce
 from rational_reference import FieldElement, coordinates_in_basis, mul, trace
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
@@ -507,7 +509,8 @@ def test_fast_route_matches_exhaustive_scan():
 
 
 def _stacked_multiplier_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
-    """The whole n^2-row multiplier system in one fp_kernel call.
+    """The whole n^2-row multiplier system in one call of the list-based
+    fp_kernel twin.
 
     The slow twin of the early-stopping echelon route: the radical comes
     from exact powers x^(p^e) in the field, and every generator product is
@@ -540,7 +543,7 @@ def _stacked_multiplier_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
                 power = mul(power, x)
         images.append(integer_coords(power))
     # column k holds the image of b_k under the linear map x -> x^(p^e)
-    radical = fp_kernel([[images[k][t] for k in range(n)] for t in range(n)], p)
+    radical = reference_fp_kernel([[images[k][t] for k in range(n)] for t in range(n)], p)
     if not radical:
         return Proved()
     ideal = [[p * int(i == j) for j in range(n)] for i in range(n)]
@@ -560,7 +563,7 @@ def _stacked_multiplier_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
                 rem = [a - w[j] * c for a, c in zip(rem, lattice[j])]
             rows.append([c % p for c in w])
         stacked.extend(zip(*rows))
-    kernel = fp_kernel(stacked, p)
+    kernel = reference_fp_kernel(stacked, p)
     if not kernel:
         return Proved()
     numerator = combination(kernel[0])
@@ -586,9 +589,9 @@ def test_echelon_route_matches_stacked_system():
 def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
     row_counts = []
 
-    def recording_kernel(rows, p):
+    def recording_kernel(rows, lanes):
         row_counts.append(len(rows))
-        return fp_kernel(rows, p)
+        return fp_kernel(rows, lanes)
 
     monkeypatch.setattr(oracle, "fp_kernel", recording_kernel)
     field = PureField.create(n, m)
@@ -649,7 +652,7 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
         power *= p
         if power >= n:
             break
-    radical = fp_kernel([[images[k][t] for k in range(n)] for t in range(n)], p)
+    radical = reference_fp_kernel([[images[k][t] for k in range(n)] for t in range(n)], p)
     if not radical:
         return Proved()
     ideal = [[p * int(i == j) for j in range(n)] for i in range(n)]
@@ -666,9 +669,9 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
                 rem = [a - w[j] * c for a, c in zip(rem, lattice[j])]
             rows.append(w)
         for condition in zip(*rows):
-            if fp_reduce(echelon, condition, p) and len(echelon) == n:
+            if reference_fp_reduce(echelon, condition, p) and len(echelon) == n:
                 return Proved()
-    u = fp_kernel(list(echelon.values()), p)[0]
+    u = reference_fp_kernel(list(echelon.values()), p)[0]
     y = sum(
         (e.as_qpoly() * c for c, e in zip(u, basis.elements) if c), QPolynomial([0])
     )
@@ -720,9 +723,9 @@ def test_proof_feeds_at_most_two_n_conditions(monkeypatch):
     # conditions: rows p*e_j of the Hermite basis are never multiplied
     fed = []
 
-    def counting_reduce(echelon, row, p):
+    def counting_reduce(echelon, row, lanes):
         fed.append(row)
-        return fp_reduce(echelon, row, p)
+        return fp_reduce(echelon, row, lanes)
 
     monkeypatch.setattr(oracle, "fp_reduce", counting_reduce)
     for n, m in LARGE_FIELD_SEED_ONE:
@@ -731,6 +734,38 @@ def test_proof_feeds_at_most_two_n_conditions(monkeypatch):
             fed.clear()
             assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
             assert len(fed) <= 2 * n, (n, m, p, len(fed))
+
+
+def test_proved_carries_its_evidence():
+    for n, m in LARGE_FIELD_SEED_ONE:
+        field = PureField.create(n, m)
+        report = certify(build_basis(field), enum_budget=n ** n)
+        for p, result in report.maximality.items():
+            assert isinstance(result, Proved), (n, m, p)
+            assert 0 <= result.radical_dimension < n
+            if result.radical_dimension:
+                assert 1 <= result.generators <= result.radical_dimension, (n, m, p)
+            else:
+                assert result.generators == 0
+            # the evidence is neither compared, nor hashed, nor reported
+            assert result == Proved() and hash(result) == hash(Proved())
+        assert certification_json_dict(report)["maximality"] == {
+            str(p): {"status": "proved"} for p, _ in field.factorization
+        }
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_certify_with_lanes_wider_than_a_byte(m):
+    # at p = 257 a residue takes two bytes of its lane
+    report = certify(build_basis(PureField.create(257, m)), enum_budget=257 ** 257)
+    assert isinstance(report.maximality[257], Proved)
+    assert certification_json_dict(report) == {
+        "integrality": [True] * 257,
+        "ring_closed": True,
+        "disc_match": True,
+        "maximality": {"257": {"status": "proved"}},
+        "certified": True,
+    }
 
 
 def _recording_hnf(monkeypatch) -> list[list[list[int]]]:
