@@ -10,14 +10,14 @@ Integer matrices are plain lists of rows, which Hermite normal form and
 determinants take as they are; a determinant expands single-entry rows
 and columns away before fraction-free elimination.  All row reduction over
 F_p goes through fp_reduce, one Gauss-Jordan step into a reduced echelon
-form; fp_kernel is built on it, and callers that can stop early (at full
-rank) feed it rows one at a time.  A row over F_p is packed into one int,
-a lane of whole bytes per column (FpLanes), so a step is a few big-int
-operations: one multiple of each pivot row added, then one exact
-multiply-and-shift that takes every lane mod p at once.  Rational
-matrices, kept for exact characteristic polynomials, are immutable
-values; both charpoly and det_rational clear their denominators once and
-work on integers.  Every operation is exact; no floats anywhere.
+form that callers feed one row at a time, so they can stop early at full
+rank; fp_kernel reads a kernel basis straight off that form.  A row over
+F_p is packed into one int, a lane of whole bytes per column (FpLanes),
+so a step is a few big-int operations: one multiple of each pivot row
+added, then one exact multiply-and-shift that takes every lane mod p at
+once.  Rational matrices, kept for exact characteristic polynomials, are
+immutable values; both charpoly and det_rational clear their denominators
+once and work on integers.  Every operation is exact; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -847,13 +847,12 @@ def fp_reduce(
     return True
 
 
-def fp_kernel(rows: Iterable[int], lanes: FpLanes) -> list[tuple[int, ...]]:
-    """Basis of the right kernel {x : M x = 0 over F_p} of the matrix whose
-    rows are packed in lanes, one vector per free column of the reduced
-    echelon form."""
-    echelon: dict[int, tuple[int, Sequence[int]]] = {}
-    for row in rows:
-        fp_reduce(echelon, row, lanes)
+def fp_kernel(
+    echelon: dict[int, tuple[int, Sequence[int]]], lanes: FpLanes
+) -> list[tuple[int, ...]]:
+    """Basis of the right kernel over F_p of the rows held in a reduced
+    echelon form that fp_reduce filled, one vector per free column, read
+    straight off the pivot rows' lanes."""
     ncols, p = lanes.ncols, lanes.p
     basis: list[tuple[int, ...]] = []
     for free in range(ncols):

@@ -361,17 +361,20 @@ def p_maximality_enum(
     once it does so for a set of O-module generators, p*1 and the radical
     vectors.  The condition p*1 imposes is y in I_p, whose rows are those
     of the Frobenius-power system, so the echelon that yields the radical
-    is also the multiplier system's first n conditions.  The radical
-    vectors' products are solved in the Hermite basis of I_p, taken from
-    the radical vectors and the p*e_j at the echelon's pivot columns, by
-    exact divisions alone, because that lattice contains p*O and so its
-    diagonal entries lie in {1, p}.  Their conditions are fed one by one
-    to exactmath.fp_reduce, and the proof stops at full rank.  Both
+    is also the multiplier system's first n conditions.  Each radical
+    vector's products are peeled twice: against the basis, for their
+    O-coordinates, and then against the Hermite basis of I_p, taken from
+    the radical vectors and the p*e_j at the echelon's pivot columns,
+    which is triangular too; a product that needs a denominator there has
+    left I_p, which an ideal cannot allow.  Their conditions are fed one
+    by one to exactmath.fp_reduce, and the proof stops at full rank.  Both
     systems go to it as packed rows, one int per row with a lane per
     basis element, written straight from the sparse entries: the
     radical's columns from the Frobenius-power rows, and each radical
-    vector's n conditions from its n solved products.  A Proved carries
-    the radical's dimension and the number of radical vectors multiplied.
+    vector's n conditions from its n peeled products.  Both kernels, the
+    radical and a counterexample, are read off the one reduced echelon
+    form that fp_reduce keeps.  A Proved carries the radical's dimension
+    and the number of radical vectors multiplied.
     """
     field = basis.field
     n = field.n
@@ -410,9 +413,7 @@ def p_maximality_enum(
         # a zero column is no condition, and would leave the echelon as it is
         if column:
             fp_reduce(echelon, column, lanes)
-    # the rows are already reduced, so feeding them again adds no multiple
-    # of a pivot row, and this kernel costs O(n^2) lane reads
-    radical = fp_kernel([row for row, _ in echelon.values()], lanes)
+    radical = fp_kernel(echelon, lanes)
     if not radical:
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral
         return Proved(0, 0)
@@ -424,35 +425,12 @@ def p_maximality_enum(
     # radical vectors, n rows in all, span the lattice
     ideal_rows = [[p * int(i == j) for j in range(n)] for i in echelon]
     ideal_rows.extend(list(v) for v in radical)
-    lattice = hnf_rows(ideal_rows, n)
-
     # the lattice contains p*Z^n, so its lower-triangular HNF has every
-    # diagonal entry in {1, p}: each back-substitution step is one exact
-    # divmod, and a remainder means the vector lies outside the lattice
-    lattice_rows = [
-        (j, row[j], [(t, c) for t, c in enumerate(row[:j]) if c])
-        for j, row in enumerate(lattice)
+    # diagonal entry in {1, p}, and its rows peel like a triangular basis
+    ideal = [
+        (1, [(t, c) for t, c in enumerate(row[:j + 1]) if c])
+        for j, row in enumerate(hnf_rows(ideal_rows, n))
     ]
-    lattice_rows.reverse()
-
-    def solve_in_lattice(v: dict[int, int]) -> list[tuple[int, int]]:
-        # the nonzero (j, w_j) of w with w * lattice = v, peeled off from the
-        # top coordinate down
-        rem = [0] * n
-        for k, c in v.items():
-            rem[k] = c
-        w = []
-        for j, diagonal, below in lattice_rows:
-            if rem[j]:
-                q, r = divmod(rem[j], diagonal)
-                if r:
-                    raise ArithmeticError(
-                        "internal error: product left the radical ideal"
-                    )
-                w.append((j, q))
-                for t, c in below:
-                    rem[t] -= q * c
-        return w
 
     # y is a multiplier when y*g lands in p*I_p for every generator g of
     # I_p; in I_p-coordinates that is one mod-p linear system on y.  The
@@ -466,10 +444,17 @@ def p_maximality_enum(
         # g * b_k = M(alpha) * N_k(alpha) / (L * d_k), with g = M(alpha)/L
         numerator, common = _numerator(g, supports)
         numerator = [(t, c) for t, c in enumerate(numerator) if c]
-        rows = [
-            solve_in_lattice(_peel(supports, _product(field, numerator, support), common * d)[0])
-            for d, support in supports
-        ]
+        rows = []
+        for d, support in supports:
+            coords = _peel(supports, _product(field, numerator, support), common * d)[0]
+            rem = [0] * n
+            for k, c in coords.items():
+                rem[k] = c
+            # the I_p-coordinates of g * b_k, integers exactly when it lies in I_p
+            coords, scale = _peel(ideal, rem, 1)
+            if scale != 1:
+                raise ArithmeticError("internal error: product left the radical ideal")
+            rows.append(coords.items())
         # one condition per coordinate t, sum_k y_k * rows[k][t] = 0 mod p:
         # column t of the rows, packed
         for condition in lanes.columns(rows):
@@ -478,7 +463,7 @@ def p_maximality_enum(
 
     # the echelon rows span the whole system's row space, whose reduced
     # echelon form, and with it the kernel basis, is unique
-    kernel = fp_kernel([row for row, _ in echelon.values()], lanes)
+    kernel = fp_kernel(echelon, lanes)
     # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
     numerator, common = _numerator(kernel[0], supports)
     g = math.gcd(p * common, *numerator)

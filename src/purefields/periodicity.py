@@ -12,6 +12,7 @@ the periodicity claim on demand for concrete pairs of radicands.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -75,21 +76,20 @@ class PeriodAtlas:
 
 
 def _square_free_witnesses(r: int, n0: int, scan_bound: int):
-    """Square-free m with m = r mod n0, |m| <= scan_bound, smallest first.
+    """Square-free m with m = r mod n0 (0 <= r < n0), |m| <= scan_bound,
+    smallest first.
 
     Ties between m and -m go to the positive one; 0 and +-1 are not radicands.
     """
-    candidates = sorted(
-        (
-            m
-            for t in range(-(scan_bound // n0) - 1, scan_bound // n0 + 2)
-            for m in (t * n0 + r,)
-            if m not in (0, 1, -1) and abs(m) <= scan_bound
-        ),
+    # r + n0*t (t >= 0) and r - n0*t (t >= 1) each run outward in |m|, so
+    # merging them lazily costs nothing beyond the witnesses taken
+    members = heapq.merge(
+        itertools.count(r, n0),
+        itertools.count(r - n0, -n0),
         key=lambda m: (abs(m), m < 0),
     )
-    for m in candidates:
-        if isinstance(square_free_check(m), SquareFree):
+    for m in itertools.takewhile(lambda m: abs(m) <= scan_bound, members):
+        if m not in (0, 1, -1) and isinstance(square_free_check(m), SquareFree):
             yield m
 
 

@@ -626,8 +626,12 @@ def _pack(lanes, row):
 
 
 def _packed_kernel(rows, p):
+    # the kernel is read off the reduced echelon form fp_reduce fills
     lanes = fp_lanes(len(rows[0]), p)
-    return fp_kernel([_pack(lanes, row) for row in rows], lanes)
+    echelon = {}
+    for row in rows:
+        fp_reduce(echelon, _pack(lanes, row), lanes)
+    return fp_kernel(echelon, lanes)
 
 
 def _unpacked(echelon, lanes):
@@ -649,13 +653,13 @@ def test_fp_kernel():
     assert _packed_kernel([[1, 0], [0, 1]], 5) == []
     # zero map has full kernel
     assert len(_packed_kernel([[0, 0], [0, 0]], 2)) == 2
-    # so has no row at all
-    assert fp_kernel([], fp_lanes(3, 7)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # so has an empty echelon
+    assert fp_kernel({}, fp_lanes(3, 7)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def _gauss_jordan_kernel(rows, p):
     """Column-by-column Gauss-Jordan over the whole matrix at once, the
-    elimination fp_kernel ran before it was built on fp_reduce."""
+    elimination fp_kernel ran before it read the echelon fp_reduce fills."""
     ncols = len(rows[0])
     a = [[c % p for c in row] for row in rows]
     pivot_of_col = {}
@@ -745,7 +749,8 @@ def test_fp_reduce_reports_rank_in_any_row_order(case):
     # one pivot per True, and the reduced echelon form is the span's own
     assert sum(added) == len(forward)
     assert dict(sorted(forward.items())) == dict(sorted(backward.items()))
-    assert fp_kernel(packed, lanes) == fp_kernel(packed[::-1], lanes)
+    assert fp_kernel(forward, lanes) == fp_kernel(backward, lanes)
+    assert fp_kernel(forward, lanes) == reference_fp_kernel(rows, p)
     # step by step the list-based twin reports the same and holds the same form
     reference: dict[int, list[int]] = {}
     assert [reference_fp_reduce(reference, row, p) for row in rows] == added

@@ -587,21 +587,30 @@ def test_echelon_route_matches_stacked_system():
 
 @pytest.mark.parametrize("n, m", [(24, 73), (30, 7)])
 def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
-    row_counts = []
+    # every condition of one proof goes into one reduced echelon form, and
+    # both kernels (the radical and a counterexample) read that same dict
+    fed, read = [], []
 
-    def recording_kernel(rows, lanes):
-        row_counts.append(len(rows))
-        return fp_kernel(rows, lanes)
+    def recording_reduce(echelon, row, lanes):
+        fed.append(echelon)
+        return fp_reduce(echelon, row, lanes)
 
+    def recording_kernel(echelon, lanes):
+        assert fed and all(e is echelon for e in fed)
+        read.append(echelon)
+        return fp_kernel(echelon, lanes)
+
+    monkeypatch.setattr(oracle, "fp_reduce", recording_reduce)
     monkeypatch.setattr(oracle, "fp_kernel", recording_kernel)
     field = PureField.create(n, m)
     outcomes = set()
     for basis in (power_basis(n, m), build_basis(field)):
         for p, _ in field.factorization:
+            fed.clear()
             outcomes.add(type(p_maximality_enum(basis, p, enum_budget=p ** n)))
     # both the proof and the counterexample path ran
     assert outcomes == {Proved, CounterexampleFound}
-    assert row_counts and max(row_counts) <= n
+    assert read and max(len(e) for e in read) <= n
 
 
 
@@ -1126,11 +1135,12 @@ def test_certify_forms_products_on_demand(monkeypatch):
     # degree where the denominators jump), and each prime's proof n
     # Frobenius images and n products per radical vector consumed (one on
     # these fields)
-    peels = []
+    peels, ideal_peels = [], []
     peel = oracle._peel
 
     def counting(supports, rem, scale):
-        peels.append(scale)
+        # a peel against the basis, or one against the Hermite rows of I_p
+        (peels if supports == oracle._supports(basis) else ideal_peels).append(scale)
         return peel(supports, rem, scale)
 
     monkeypatch.setattr(oracle, "_peel", counting)
@@ -1144,8 +1154,12 @@ def test_certify_forms_products_on_demand(monkeypatch):
         assert len(peels) <= 1 + n + size * (size + 1) // 2 < n * (n + 1) // 2
         for p, _ in basis.field.factorization:
             peels.clear()
-            assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
+            ideal_peels.clear()
+            result = p_maximality_enum(basis, p, enum_budget=p ** n)
+            assert result == Proved()
             assert len(peels) in (n, 2 * n), (n, m, p, len(peels))
+            # each radical vector multiplied peels its n products in I_p
+            assert len(ideal_peels) == n * result.generators, (n, m, p)
 
 
 @pytest.mark.parametrize("n", [512, 1024])

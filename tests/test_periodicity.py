@@ -1,10 +1,12 @@
 """Tests for the residue-class periodicity of integral bases."""
 
 import json
+import time
 
 import pytest
 
-from purefields.exactmath import QPolynomial
+from purefields import periodicity
+from purefields.exactmath import QPolynomial, SquareFree, square_free_check
 from purefields.oracle import is_algebraic_integer
 from purefields.periodicity import (
     ParametricRow,
@@ -84,6 +86,33 @@ class TestQuadraticAtlas:
             isinstance(row, (UnknownRow, SkippedClass))
             for row in atlas(4, scan_bound=0).rows.values()
         )
+
+
+class TestWitnessScan:
+    @pytest.mark.parametrize("n0", [2, 8, 9, 72])
+    def test_witnesses_are_the_class_members_smallest_first(self, n0):
+        # every member of the class below the bound, sorted outright
+        for r in range(n0):
+            for bound in (0, 1, 2, 5, 37, 200):
+                expected = sorted(
+                    (
+                        m
+                        for m in range(-bound, bound + 1)
+                        if m % n0 == r
+                        and m not in (0, 1, -1)
+                        and isinstance(square_free_check(m), SquareFree)
+                    ),
+                    key=lambda m: (abs(m), m < 0),
+                )
+                found = list(periodicity._square_free_witnesses(r, n0, bound))
+                assert found == expected, (n0, r, bound)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_scan_bound_costs_nothing_beyond_the_witnesses(self, n):
+        start = time.perf_counter()
+        wide = atlas(n, scan_bound=10**12)
+        assert time.perf_counter() - start < 1.0
+        assert wide == atlas(n)
 
 
 @pytest.fixture(scope="module")
