@@ -399,18 +399,6 @@ class QPolynomial(Polynomial):
             e >>= 1
         return result
 
-    def times_x_power(self, j: int) -> "QPolynomial":
-        if j < 0:
-            raise ValueError("negative shift")
-        return QPolynomial((Fraction(0),) * j + self.coefficients)
-
-    def denominator(self) -> int:
-        """Least positive c such that c * self has integer coefficients."""
-        out = 1
-        for c in self.coefficients:
-            out = math.lcm(out, c.denominator)
-        return out
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coefficients)
 
@@ -418,13 +406,6 @@ class QPolynomial(Polynomial):
         if not self.is_integral():
             raise ValueError("polynomial has non-integer coefficients")
         return tuple(int(c) for c in self.coefficients)
-
-    def content(self) -> int:
-        """gcd of the coefficients of an integer polynomial (0 for zero)."""
-        g = 0
-        for c in self.integer_coefficients():
-            g = math.gcd(g, c)
-        return g
 
     def __str__(self) -> str:
         if not self.coefficients:
@@ -482,16 +463,6 @@ class FpPolynomial(Polynomial):
 
     def _inverse(self, c: int) -> int:
         return pow(c, -1, self.p)
-
-    @classmethod
-    def from_qpoly(cls, p: int, f: QPolynomial) -> "FpPolynomial":
-        """Reduce f mod p; coefficient denominators must be prime to p."""
-        out = []
-        for c in f.coefficients:
-            if c.denominator % p == 0:
-                raise ValueError("denominator not invertible mod p")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return cls(p, out)
 
     def lift(self) -> QPolynomial:
         """Monic-compatible lift with coefficients in [0, p)."""

@@ -380,6 +380,30 @@ def distinct_irreducible_factors(f: FpPolynomial) -> list[FpPolynomial]:
 # the p-index bound
 # ---------------------------------------------------------------------------
 
+def _square_free_over_q(f: Sequence[int]) -> bool:
+    """Whether gcd(f, f') over Q is a constant, f a nonzero integer
+    polynomial given constant first with no trailing zeros.
+
+    A primitive pseudo-remainder sequence over Z decides it, with no
+    Fraction; for X^N - m it is a single step.
+    """
+    a, b = list(f), [i * c for i, c in enumerate(f)][1:]
+    while len(b) > 1:
+        while len(a) >= len(b):
+            # a <- b_top * a - a_top * X^(deg a - deg b) * b drops deg a
+            top, shift = a.pop(), len(a) - len(b) + 1
+            a = [b[-1] * c for c in a]
+            for j, c in enumerate(b[:-1], shift):
+                a[j] -= top * c
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        g = math.gcd(*a)
+        a, b = b, [c // g for c in a]
+    return True
+
+
 def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     """Lower bound for the p-index of a monic integer polynomial.
 
@@ -390,9 +414,10 @@ def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     """
     if not f.is_integral() or not f.is_monic():
         raise ValueError("index bound expects a monic integer polynomial")
-    if poly_gcd(f, f.derivative()).degree > 0:
+    ints = [c.numerator for c in f.coefficients]
+    if not _square_free_over_q(ints):
         raise ValueError("polynomial must be square-free over Q")
-    fbar = FpPolynomial.from_qpoly(p, f)
+    fbar = FpPolynomial(p, ints)
     total = 0
     exact = True
     for factor in distinct_irreducible_factors(fbar):

@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactmath import (
-    QPolynomial,
     RatMatrix,
     charpoly,
     det_int,
@@ -467,9 +466,7 @@ def p_maximality_enum(
     # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
     numerator, common = _numerator(kernel[0], supports)
     g = math.gcd(p * common, *numerator)
-    candidate = BasisElement(
-        QPolynomial([c // g for c in numerator]), p * common // g
-    )
+    candidate = BasisElement([c // g for c in numerator], p * common // g)
     if not is_algebraic_integer(field, candidate):
         raise ArithmeticError(
             "internal error: multiplier element failed the integrality recheck"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactmath import QPolynomial, SquareFree, factorize, square_free_check
 from .purebasis import BasisElement, PureField, integral_basis
@@ -48,7 +49,12 @@ class ParametricRow:
 
     witness: int
     second_witness: int
-    polynomials: tuple[QPolynomial, ...]
+    elements: tuple[BasisElement, ...]
+
+    @property
+    def polynomials(self) -> tuple[QPolynomial, ...]:
+        """The row as rational polynomials N(X)/d, built on each read."""
+        return tuple(e.numerator / e.denominator for e in self.elements)
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def atlas(
                 f"periodicity violated at residue {r} mod {n0}: "
                 f"witnesses {first} and {second} yield different rows"
             )
-        rows[r] = ParametricRow(first, second, tuple(e.as_qpoly() for e in elements))
+        rows[r] = ParametricRow(first, second, elements)
     return PeriodAtlas(n, n0, rows)
 
 
@@ -169,8 +175,8 @@ def verify_periodicity(
     )
 
 
-def _coefficient_strings(poly: QPolynomial) -> list[str]:
-    return [str(poly.coefficient(i)) for i in range(poly.degree + 1)]
+def _coefficient_strings(element: BasisElement) -> list[str]:
+    return [str(Fraction(c, element.denominator)) for c in element.int_numerator]
 
 
 def atlas_json_dict(atl: PeriodAtlas) -> dict:
@@ -182,7 +188,7 @@ def atlas_json_dict(atl: PeriodAtlas) -> dict:
             rows[str(r)] = {
                 "witness": row.witness,
                 "second_witness": row.second_witness,
-                "basis": [_coefficient_strings(p) for p in row.polynomials],
+                "basis": [_coefficient_strings(e) for e in row.elements],
             }
         elif isinstance(row, SkippedClass):
             rows[str(r)] = {"skip": row.reason}
@@ -193,24 +199,22 @@ def atlas_json_dict(atl: PeriodAtlas) -> dict:
 
 def atlas_pretty(atl: PeriodAtlas) -> str:
     """Human-readable atlas, grouping residue classes that share a row."""
-    groups: dict[tuple[QPolynomial, ...], list[int]] = {}
+    groups: dict[tuple[BasisElement, ...], list[int]] = {}
     skipped: list[int] = []
     unknown: list[int] = []
     for r in sorted(atl.rows):
         row = atl.rows[r]
         if isinstance(row, ParametricRow):
-            groups.setdefault(row.polynomials, []).append(r)
+            groups.setdefault(row.elements, []).append(r)
         elif isinstance(row, SkippedClass):
             skipped.append(r)
         else:
             unknown.append(r)
     lines = [f"degree {atl.n}, period {atl.n0}"]
-    for polys, residues in sorted(groups.items(), key=lambda kv: kv[1][0]):
+    for elements, residues in sorted(groups.items(), key=lambda kv: kv[1][0]):
         residue_list = ", ".join(str(r) for r in residues)
         lines.append(f"m = {residue_list} (mod {atl.n0}):")
-        rendered = ", ".join(
-            str(BasisElement.from_qpoly(p)) for p in polys
-        )
+        rendered = ", ".join(str(e) for e in elements)
         lines.append(f"  [{rendered}]")
     if skipped:
         lines.append(

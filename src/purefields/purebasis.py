@@ -4,9 +4,10 @@ The construction is fully explicit.  For prime-power degree the basis is a
 family of geometric-sum polynomials divided by prime powers, selected by a
 single valuation parameter s.  For composite degree element k is one
 coefficient-wise Chinese remainder step over the degree-k elements of all
-the prime-power bases at once.  build_basis is the one construction path:
-it composes the prime-power bases of a validated field, uncertified;
-integral_basis certifies its result.
+the prime-power bases at once.  Every element is built as a list of int
+coefficients over one denominator; no Fraction is formed.  build_basis is
+the one construction path: it composes the prime-power bases of a
+validated field, uncertified; integral_basis certifies its result.
 Alongside the basis we keep the index ledger: per-prime indices in closed
 form, the total index, and the two discriminants it ties together.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from functools import cached_property
 from itertools import combinations
 
@@ -93,49 +93,45 @@ class PureField:
         return f"Q({self.m}^(1/{self.n}))"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BasisElement:
     """numerator(alpha) / denominator, numerator an integer polynomial.
 
-    Normalized: the gcd of all numerator coefficients and the denominator
-    is 1, so the denominator is the least c with c * element in Z[alpha].
+    The numerator is stored once, as its int coefficients constant first
+    (int_numerator); it may be given as those ints or as a QPolynomial with
+    integer coefficients.  Normalized: the gcd of all numerator
+    coefficients and the denominator is 1, so the denominator is the least
+    c with c * element in Z[alpha].
     """
 
-    numerator: QPolynomial
+    int_numerator: tuple[int, ...]
     denominator: int
-    # the numerator's coefficients as ints, read once here for every caller
-    int_numerator: tuple[int, ...] = dataclass_field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.denominator <= 0:
+    def __init__(self, numerator: QPolynomial | Sequence[int], denominator: int):
+        if denominator <= 0:
             raise ValueError("denominator must be positive")
-        coefficients = self.numerator.coefficients
-        if any(c.denominator != 1 for c in coefficients):
-            raise ValueError("numerator must have integer coefficients")
-        if self.numerator.is_zero():
+        if isinstance(numerator, QPolynomial):
+            if not numerator.is_integral():
+                raise ValueError("numerator must have integer coefficients")
+            numerator = [c.numerator for c in numerator.coefficients]
+        ints = list(numerator)
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
             raise ValueError("zero basis element")
-        # from a list: tuple() of a generator resizes, which drifts tuples
-        # between CPython's per-size free lists until a full collection
-        ints = tuple([c.numerator for c in coefficients])
-        if math.gcd(self.denominator, *ints) != 1:
+        if math.gcd(denominator, *ints) != 1:
             raise ValueError("element not in lowest terms")
-        object.__setattr__(self, "int_numerator", ints)
+        object.__setattr__(self, "int_numerator", tuple(ints))
+        object.__setattr__(self, "denominator", denominator)
 
-    @classmethod
-    def from_qpoly(cls, q: QPolynomial) -> "BasisElement":
-        den = q.denominator()
-        num = q * den
-        g = math.gcd(num.content(), den)
-        if g > 1:
-            num, den = num / g, den // g
-        return cls(num, den)
+    @property
+    def numerator(self) -> QPolynomial:
+        """The numerator as a polynomial, built from the ints on each read."""
+        return QPolynomial(self.int_numerator)
 
     @property
     def degree(self) -> int:
-        return self.numerator.degree
-
-    def as_qpoly(self) -> QPolynomial:
-        return self.numerator / self.denominator
+        return len(self.int_numerator) - 1
 
     def __str__(self) -> str:
         if self.denominator == 1:
@@ -236,8 +232,9 @@ def s_value(p: int, m: int) -> int:
     return vp_int(p, m ** p - m) - 1
 
 
-def h_polynomial(p: int, k: int, r: int, t: int) -> QPolynomial:
-    """The geometric sum (X^(p^k) - r^(p^t)) / (X^(p^(k-t)) - r) expanded.
+def h_polynomial(p: int, k: int, r: int, t: int) -> list[int]:
+    """The geometric sum (X^(p^k) - r^(p^t)) / (X^(p^(k-t)) - r) expanded,
+    as its int coefficients, constant first.
 
     Degree p^k - p^(k-t), with p^t terms r^j * X^(p^(k-t) * (p^t - 1 - j)).
     """
@@ -254,7 +251,7 @@ def h_polynomial(p: int, k: int, r: int, t: int) -> QPolynomial:
     for j in range(terms):
         coeffs[step * (terms - 1 - j)] = power
         power *= r
-    return QPolynomial(coeffs)
+    return coeffs
 
 
 def ind_p_closed_form(p: int, k: int, m: int) -> int:
@@ -280,7 +277,7 @@ def prime_power_basis(p: int, k: int, m: int) -> IntegralBasis:
 def _prime_power_basis(field: PureField, p: int, k: int) -> IntegralBasis:
     m = field.m
     if m % p == 0:
-        power_basis = (BasisElement(QPolynomial.x_power(i), 1) for i in range(field.n))
+        power_basis = (BasisElement([0] * i + [1], 1) for i in range(field.n))
         return IntegralBasis(field, tuple(power_basis))
 
     r = m % p ** (k + 1)
@@ -290,7 +287,7 @@ def _prime_power_basis(field: PureField, p: int, k: int) -> IntegralBasis:
         # row t fills degrees p^k - p^(k-t) up to the start of row t + 1
         h = h_polynomial(p, k, r, t)
         width = p ** (k - t) - (p ** (k - t - 1) if t < top else 0)
-        elements.extend(BasisElement(h.times_x_power(j), p ** t) for j in range(width))
+        elements.extend(BasisElement([0] * j + h, p ** t) for j in range(width))
     return IntegralBasis(field, tuple(elements))
 
 
@@ -337,7 +334,7 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
             # every input is monic, so this only happens for U = 1, where
             # the representative range [0, 1) collapses; keep degree k
             coeffs[k] = modulus
-        elements.append(BasisElement(QPolynomial(coeffs), modulus))
+        elements.append(BasisElement(coeffs, modulus))
     return IntegralBasis(PureField(n, m, merged), tuple(elements))
 
 

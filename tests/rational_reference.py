@@ -5,6 +5,10 @@ rational routes it replaced, kept to cross-check it: a field element as
 power-basis coordinates in Fractions, with its product, trace, coordinates
 in a triangular basis and integrality test, the p-adic valuation of a
 rational number, and the Faddeev-LeVerrier characteristic polynomial.
+It also converts between a BasisElement and one rational polynomial,
+and reduces a rational polynomial mod p, which the library never needs:
+an element keeps its integer numerator, and the Newton index bound reads
+integer coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from purefields.exactmath import QPolynomial, vp_int
+from purefields.exactmath import FpPolynomial, QPolynomial, vp_int
 from purefields.purebasis import BasisElement, IntegralBasis, PureField
 
 
@@ -47,6 +51,29 @@ def charpoly(rows) -> list[Fraction]:
             raise ArithmeticError("inexact trace division in characteristic polynomial")
         coeffs[n - k] = -(tr // k)
     return [Fraction(coeffs[i], scale ** (n - i)) for i in range(n + 1)]
+
+
+def element_from_qpoly(q: QPolynomial) -> BasisElement:
+    """q(alpha) as N(alpha)/d in lowest terms, q a nonzero rational polynomial."""
+    den = math.lcm(*(c.denominator for c in q.coefficients))
+    num = [c.numerator * (den // c.denominator) for c in q.coefficients]
+    g = math.gcd(den, *num)
+    return BasisElement([c // g for c in num], den // g)
+
+
+def element_as_qpoly(element: BasisElement) -> QPolynomial:
+    """N(X)/d as one rational polynomial."""
+    return element.numerator / element.denominator
+
+
+def fp_from_qpoly(p: int, f: QPolynomial) -> FpPolynomial:
+    """Reduce f mod p; coefficient denominators must be prime to p."""
+    out = []
+    for c in f.coefficients:
+        if c.denominator % p == 0:
+            raise ValueError("denominator not invertible mod p")
+        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    return FpPolynomial(p, out)
 
 
 def vp_rational(p: int, a) -> int:
@@ -104,7 +131,7 @@ class FieldElement:
 
     def to_basis_element(self) -> BasisElement:
         """The same element as N(alpha)/d in lowest terms."""
-        return BasisElement.from_qpoly(QPolynomial(self.coords))
+        return element_from_qpoly(QPolynomial(self.coords))
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         if self.field != other.field:

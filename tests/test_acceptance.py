@@ -72,8 +72,8 @@ def parse_element(text: str) -> BasisElement:
     )
 
 
-def parse_row(strings) -> tuple[QPolynomial, ...]:
-    return tuple(parse_element(s).as_qpoly() for s in strings)
+def parse_row(strings) -> tuple[BasisElement, ...]:
+    return tuple(parse_element(s) for s in strings)
 
 
 def smallest_square_free(r: int, n0: int, bound: int, count: int = 1) -> list[int]:
@@ -205,7 +205,7 @@ def test_criterion_01_classical_golden_tables():
             row = quadratic.rows[r]
             assert isinstance(row, ParametricRow)
             assert row.witness == smallest_square_free(r, 4, 40)[0]
-            assert row.polynomials == parse_row(golden)
+            assert row.elements == parse_row(golden)
 
         cubic = atlas(3)
         assert isinstance(cubic.rows[0], SkippedClass)
@@ -217,16 +217,11 @@ def test_criterion_01_classical_golden_tables():
                 # Dedekind prints (1 - X + X^2)/3; the composed representative
                 # differs by an element of the span
                 field = PureField.create(3, row.witness)
-                mine = IntegralBasis(
-                    field,
-                    tuple(BasisElement.from_qpoly(q) for q in row.polynomials),
-                )
-                printed = IntegralBasis(
-                    field, tuple(parse_element(s) for s in golden)
-                )
+                mine = IntegralBasis(field, row.elements)
+                printed = IntegralBasis(field, parse_row(golden))
                 assert spans_equal(mine, printed)
             else:
-                assert row.polynomials == parse_row(golden)
+                assert row.elements == parse_row(golden)
 
         assert time.perf_counter() - start < 1.0
 
@@ -238,7 +233,7 @@ def test_criterion_02_degree_nine_family():
         for m in DEGREE_NINE_WITNESSES:
             assert m % 27 == 1 and abs(m) <= 1000
             basis, report = integral_basis(PureField.create(9, m))
-            assert tuple(e.as_qpoly() for e in basis.elements) == golden
+            assert basis.elements == golden
             assert report.per_prime == {3: 4}
             assert report.total_index == 81
         assert time.perf_counter() - start < 5.0
@@ -256,7 +251,7 @@ def test_criterion_03_degree_twelve_atlas():
 
         powers = parse_row(_POWERS_12)
         for r in DEGREE_TWELVE_POWER_RESIDUES:
-            assert atl.rows[r].polynomials == powers
+            assert atl.rows[r].elements == powers
 
         covered = set(DEGREE_TWELVE_POWER_RESIDUES) | skipped
         for residues, strings in DEGREE_TWELVE_TABLE.items():
@@ -266,16 +261,11 @@ def test_criterion_03_degree_twelve_atlas():
                 assert isinstance(row, ParametricRow)
                 if r in DEGREE_TWELVE_SPAN_ONLY:
                     field = PureField.create(12, row.witness)
-                    mine = IntegralBasis(
-                        field,
-                        tuple(BasisElement.from_qpoly(q) for q in row.polynomials),
-                    )
-                    printed = IntegralBasis(
-                        field, tuple(parse_element(s) for s in strings)
-                    )
+                    mine = IntegralBasis(field, row.elements)
+                    printed = IntegralBasis(field, golden)
                     assert spans_equal(mine, printed)
                 else:
-                    assert row.polynomials == golden
+                    assert row.elements == golden
                 covered.add(r)
         assert covered == set(range(72))
         assert time.perf_counter() - start < 120.0
@@ -397,9 +387,7 @@ def test_criterion_09_negative_radicands():
         assert verify_periodicity(12, 1, first, second)
 
         basis, _ = integral_basis(PureField.create(9, -26))
-        assert tuple(e.as_qpoly() for e in basis.elements) == parse_row(
-            DEGREE_NINE_ROW
-        )
+        assert basis.elements == parse_row(DEGREE_NINE_ROW)
 
 
 def test_criterion_10_mutation_kill():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from purefields.exactmath import FpPolynomial, QPolynomial, vp_int
+from purefields.exactmath import FpPolynomial, QPolynomial, poly_gcd, vp_int
 from purefields.newton import (
+    _square_free_over_q,
     FpExtPolynomial,
     NewtonPolygon,
     Side,
@@ -22,7 +23,7 @@ from purefields.newton import (
     principal_polygon,
     radical_mod_p,
 )
-from rational_reference import vp_rational
+from rational_reference import fp_from_qpoly, vp_rational
 
 X = QPolynomial([0, 1])
 
@@ -262,7 +263,7 @@ def _reference_residual(dev, side):
         if digit.is_zero() or min(vp_rational(p, c) for c in digit.coefficients if c) != u:
             coefficients.append(FpPolynomial(p))
         else:
-            coefficients.append(FpPolynomial.from_qpoly(p, digit / p ** u))
+            coefficients.append(fp_from_qpoly(p, digit / p ** u))
     return FpExtPolynomial(p, phi_bar, coefficients)
 
 
@@ -377,6 +378,27 @@ def test_index_bound_rejects_bad_input():
         index_lower_bound(QPolynomial([Fraction(1, 2), 1]), 3)  # not integral
     with pytest.raises(ValueError):
         index_lower_bound(poly(4, 4, 1), 2)  # (X+2)^2 has a repeated factor
+
+
+monic_integer_polys = st.lists(st.integers(-6, 6), min_size=0, max_size=4).map(
+    lambda c: QPolynomial(c + [1])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_integer_polys, monic_integer_polys, st.booleans())
+@example(X ** 2 - poly(2), X + poly(1), True)   # (X^2 - 2)^2 (X + 1)
+@example(X ** 6 - poly(12), poly(1), False)     # X^N - m: one step
+@example(poly(1), poly(1), False)               # a constant
+def test_square_free_over_q_matches_rational_gcd(g, h, square):
+    # f = g * h^2 has a repeated factor whenever h is not constant
+    f = g * h * h if square else g * h
+    expected = poly_gcd(f, f.derivative()).degree == 0
+    assert _square_free_over_q([c.numerator for c in f.coefficients]) is expected
+    if square and h.degree > 0:
+        assert expected is False
+        with pytest.raises(ValueError, match="square-free"):
+            index_lower_bound(f, 2)
 
 
 def test_index_bound_against_maximal_order():

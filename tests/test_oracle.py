@@ -50,6 +50,7 @@ from purefields.purebasis import (
 from fp_reference import fp_kernel as reference_fp_kernel
 from fp_reference import fp_reduce as reference_fp_reduce
 from rational_reference import FieldElement, coordinates_in_basis, mul, trace
+from rational_reference import element_as_qpoly, element_from_qpoly
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
 from table_reference import gram_discriminant, structure_constants
@@ -68,7 +69,7 @@ def element(field: PureField, *coords) -> FieldElement:
 
 def basis_element(*coords) -> BasisElement:
     """N(alpha)/d in lowest terms from power-basis coordinates."""
-    return BasisElement.from_qpoly(QPolynomial(coords))
+    return element_from_qpoly(QPolynomial(coords))
 
 
 class ReachedCharpoly(Exception):
@@ -220,10 +221,10 @@ def test_integral_implies_integer_dual_coords(coeffs):
     basis, _ = integral_basis(PureField.create(3, 10))
     total = QPolynomial()
     for c, e in zip(coeffs, basis.elements):
-        total = total + e.as_qpoly() * c
+        total = total + element_as_qpoly(e) * c
     if total.is_zero():
         return
-    x = BasisElement.from_qpoly(total)
+    x = element_from_qpoly(total)
     assert is_algebraic_integer(basis.field, x)
     assert x.denominator == 1 or passes_trace_test(basis.field, x)
     fx = FieldElement.from_basis_element(basis.field, x)
@@ -682,9 +683,10 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
                 return Proved()
     u = reference_fp_kernel(list(echelon.values()), p)[0]
     y = sum(
-        (e.as_qpoly() * c for c, e in zip(u, basis.elements) if c), QPolynomial([0])
+        (element_as_qpoly(e) * c for c, e in zip(u, basis.elements) if c),
+        QPolynomial([0]),
     )
-    return CounterexampleFound(BasisElement.from_qpoly(y / p))
+    return CounterexampleFound(element_from_qpoly(y / p))
 
 
 def _order_with_q_maximal_part(field: PureField, q: int) -> IntegralBasis:

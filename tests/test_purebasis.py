@@ -1,6 +1,8 @@
 """Tests for the closed-form basis construction and index ledger."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from purefields.exactmath import QPolynomial, square_free_check, SquareFree
 from purefields import purebasis
+from purefields.cli import canonical_json
 from purefields.purebasis import (
     BasisElement,
     CertificationSkipped,
@@ -26,6 +29,7 @@ from purefields.purebasis import (
     s_value,
     spans_equal,
 )
+from rational_reference import element_as_qpoly, element_from_qpoly
 
 
 def poly(*coeffs):
@@ -110,19 +114,19 @@ def test_ind_p_closed_form_examples():
 # ---------------------------------------------------------------------------
 
 def test_h_polynomial_frozen_examples():
-    assert h_polynomial(3, 2, 1, 1) == poly(1, 0, 0, 1, 0, 0, 1)  # X^6+X^3+1
-    assert h_polynomial(3, 2, 1, 2) == QPolynomial([1] * 9)
-    assert h_polynomial(2, 2, 5, 1) == poly(5, 0, 1)              # X^2+5
-    assert h_polynomial(2, 2, 1, 2) == poly(1, 1, 1, 1)
-    assert h_polynomial(3, 1, 8, 1) == poly(64, 8, 1)
+    assert h_polynomial(3, 2, 1, 1) == [1, 0, 0, 1, 0, 0, 1]  # X^6+X^3+1
+    assert h_polynomial(3, 2, 1, 2) == [1] * 9
+    assert h_polynomial(2, 2, 5, 1) == [5, 0, 1]              # X^2+5
+    assert h_polynomial(2, 2, 1, 2) == [1, 1, 1, 1]
+    assert h_polynomial(3, 1, 8, 1) == [64, 8, 1]
     for p, k, r in [(2, 3, 7), (3, 2, 4), (5, 1, 3)]:
-        assert h_polynomial(p, k, r, 0) == QPolynomial.one()
+        assert h_polynomial(p, k, r, 0) == [1]
 
 
 def test_h_polynomial_geometric_identity():
     # (X^(p^(k-t)) - r) * h_t = X^(p^k) - r^(p^t)
     for p, k, r, t in [(2, 3, 3, 2), (3, 2, 7, 1), (5, 1, 2, 1), (2, 2, 5, 2)]:
-        h = h_polynomial(p, k, r, t)
+        h = QPolynomial(h_polynomial(p, k, r, t))
         lhs = (QPolynomial.x_power(p ** (k - t)) - poly(r)) * h
         rhs = QPolynomial.x_power(p ** k) - poly(r ** (p ** t))
         assert lhs == rhs
@@ -348,7 +352,7 @@ def test_compose_single_piece_is_unchanged():
 def stretch(element, stride, shift):
     """X^shift * element(X^stride) as a rational polynomial."""
     coeffs = [0] * (shift + stride * element.degree + 1)
-    for j, c in enumerate(element.as_qpoly().coefficients):
+    for j, c in enumerate(element_as_qpoly(element).coefficients):
         coeffs[shift + j * stride] = c
     return QPolynomial(coeffs)
 
@@ -367,7 +371,7 @@ def assert_crt_congruences(composed, pieces):
         common = math.prod(u for u, _ in stretched)
         assert gamma.denominator == common, k
         for u, psi in stretched:
-            assert (gamma.as_qpoly() * (common // u) - psi).is_integral(), (k, u)
+            assert (element_as_qpoly(gamma) * (common // u) - psi).is_integral(), (k, u)
 
 
 def test_compose_crt_congruences_hold():
@@ -406,12 +410,12 @@ def two_branch_prime_power_basis(p, k, m):
         for t in range(s + 1):
             h = h_polynomial(p, k, r, t)
             width = p ** (k - s) if t == s else p ** (k - t) - p ** (k - t - 1)
-            elements += [BasisElement(h.times_x_power(j), p ** t) for j in range(width)]
+            elements += [BasisElement([0] * j + h, p ** t) for j in range(width)]
     else:
         for t in range(k):
             h = h_polynomial(p, k, r, t)
             width = p ** (k - t) - p ** (k - t - 1)
-            elements += [BasisElement(h.times_x_power(j), p ** t) for j in range(width)]
+            elements += [BasisElement([0] * j + h, p ** t) for j in range(width)]
         elements.append(BasisElement(h_polynomial(p, k, r, k), p ** k))
     elements.sort(key=lambda e: e.degree)
     return IntegralBasis(field, tuple(elements))
@@ -617,5 +621,95 @@ def test_element_rendering():
 def test_element_normalization_enforced():
     with pytest.raises(ValueError):
         BasisElement(poly(2, 0, 2), 4)
-    e = BasisElement.from_qpoly(QPolynomial([2, 0, 2]) / 4)
+    e = element_from_qpoly(QPolynomial([2, 0, 2]) / 4)
     assert (e.numerator, e.denominator) == (poly(1, 0, 1), 2)
+
+
+@pytest.mark.parametrize(
+    "numerator, denominator, message",
+    [
+        (QPolynomial([Fraction(1, 2), 1]), 1, "integer coefficients"),
+        (QPolynomial(), 1, "zero basis element"),
+        ([], 1, "zero basis element"),
+        ([0, 0], 3, "zero basis element"),
+        (QPolynomial([2, 0, 2]), 4, "lowest terms"),
+        ([3, 6, 0], 9, "lowest terms"),
+        ([1, 1], 0, "denominator must be positive"),
+        (QPolynomial([1, 1]), -2, "denominator must be positive"),
+    ],
+)
+def test_element_rejects_malformed_input(numerator, denominator, message):
+    with pytest.raises(ValueError, match=message):
+        BasisElement(numerator, denominator)
+
+
+@pytest.mark.parametrize(
+    "coefficients, denominator",
+    [([1], 1), ([0, 0, 1], 1), ([4, 0, 3, 0, 4, 0, 0, 0, 1], 6), ([-3, 5, 0], 2)],
+)
+def test_element_from_ints_equals_element_from_qpolynomial(coefficients, denominator):
+    # trailing zeros are trimmed on both routes, as QPolynomial trims them
+    from_ints = BasisElement(coefficients, denominator)
+    from_poly = BasisElement(QPolynomial(coefficients), denominator)
+    assert from_ints == from_poly
+    assert hash(from_ints) == hash(from_poly)
+    assert from_ints.int_numerator == from_poly.int_numerator
+    assert str(from_ints) == str(from_poly)
+
+    # the certifier's closure-certificate cache is keyed on the basis
+    basis = build_basis(PureField.create(12, -71))
+    rebuilt = IntegralBasis(
+        basis.field,
+        tuple(BasisElement(QPolynomial(e.int_numerator), e.denominator) for e in basis.elements),
+    )
+    assert rebuilt == basis and hash(rebuilt) == hash(basis)
+
+
+def test_element_numerator_is_the_polynomial_view():
+    # the basis of Q((-71)^(1/12)), numerators pinned as polynomials
+    expected = [
+        ([1], 1),
+        ([0, 1], 1),
+        ([0, 0, 1], 1),
+        ([0, 0, 0, 1], 1),
+        ([0, 0, 0, 0, 1], 1),
+        ([0, 0, 0, 0, 0, 1], 1),
+        ([1, 0, 0, 0, 0, 0, 1], 2),
+        ([0, 1, 0, 0, 0, 0, 0, 1], 2),
+        ([4, 0, 3, 0, 4, 0, 0, 0, 1], 6),
+        ([9, 4, 0, 9, 0, 4, 9, 0, 0, 1], 12),
+        ([0, 9, 4, 0, 9, 0, 4, 9, 0, 0, 1], 12),
+        ([0, 0, 9, 4, 0, 9, 0, 4, 9, 0, 0, 1], 12),
+    ]
+    basis = build_basis(PureField.create(12, -71))
+    assert [(e.numerator, e.denominator) for e in basis.elements] == [
+        (QPolynomial(c), d) for c, d in expected
+    ]
+    assert all(type(e.numerator) is QPolynomial for e in basis.elements)
+
+
+# m values chosen so that every basis shape min(s, k), and the Eisenstein
+# case p | m, appears at p = 2 (k <= 6), 3 (k <= 3), 5 and 7 (k <= 2)
+GOLDEN_RADICANDS = (2, 3, 5, 6, 7, 10, -3, -15, 26, 1001, 33, 65, 82, 129, 197, 687)
+GOLDEN_CONSTRUCTION_SHA256 = "73edffd74bb5540931ff46cde90d542caa4a21ce5c8e21d1522bd2207a9956aa"
+
+
+def test_golden_radicands_cover_every_shape():
+    for p, top in ((2, 6), (3, 3), (5, 2), (7, 2)):
+        shapes = {
+            "Eisenstein" if m % p == 0 else min(s_value(p, m), top)
+            for m in GOLDEN_RADICANDS
+        }
+        assert shapes == {"Eisenstein", *range(top + 1)}, p
+
+
+def test_construction_bytes_pinned():
+    # the canonical JSON of every uncertified basis for n in 2..64: any
+    # change to what construction emits changes this digest
+    digest = hashlib.sha256()
+    for n in range(2, 65):
+        for m in GOLDEN_RADICANDS:
+            field = PureField.create(n, m)
+            record = basis_json_dict(build_basis(field), index_report(field))
+            digest.update(canonical_json(record).encode())
+    assert digest.hexdigest() == GOLDEN_CONSTRUCTION_SHA256
