@@ -369,10 +369,6 @@ class QPolynomial(Polynomial):
         return 1 / c
 
     @classmethod
-    def one(cls) -> "QPolynomial":
-        return cls((1,))
-
-    @classmethod
     def x_power(cls, j: int, scale: Scalar = 1) -> "QPolynomial":
         """scale * X**j."""
         if j < 0:
@@ -386,18 +382,6 @@ class QPolynomial(Polynomial):
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
             raise ValueError("can only divide by a nonzero scalar")
         return QPolynomial(tuple(c / scalar for c in self.coefficients))
-
-    def __pow__(self, e: int) -> "QPolynomial":
-        if e < 0:
-            raise ValueError("negative power")
-        result = QPolynomial.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coefficients)

@@ -113,6 +113,9 @@ class FpExtPolynomial(Polynomial):
         return c if c.degree < self.phi_bar.degree else c % self.phi_bar
 
     def _inverse(self, c: FpPolynomial) -> FpPolynomial:
+        if c.degree == 0:
+            # a nonzero constant is a unit of F_p, whatever phi_bar is
+            return FpPolynomial(self.p, (pow(c.coefficients[0], -1, self.p),))
         g, s, _ = poly_ext_gcd(c, self.phi_bar)
         if g.degree != 0:
             raise ValueError("coefficient not invertible; phi_bar must be irreducible")

@@ -5,10 +5,12 @@ multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality is proved through the multiplier ring of the
 p-radical.  No table of all n^2 products b_i * b_j is formed.  Each
 product a check needs is taken on the integer numerators and peeled once
-against the triangular basis.  Closure is Round 2's order test: n shifts
-by c*alpha and the products of a few Z[c*alpha]-module generators.  The
-discriminant is the power-basis Gram determinant times the squared
-transition determinant.
+against a triangular basis.  Closure is Round 2's order test: n shifts
+by c*alpha and the products of a few Z[c*alpha]-module generators.
+p-maximality is local, so its proof at p runs on a Z_(p)-basis derived
+from the given one and c alone, whose numerators are reduced mod
+c^t * p^v.  The discriminant is the power-basis Gram determinant times the
+squared transition determinant.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
 integer polynomial and d > 0, in lowest terms.  The checks run on the
@@ -26,9 +28,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .exactmath import (
@@ -87,6 +91,38 @@ def _supports(basis: IntegralBasis) -> list[tuple[int, list[tuple[int, int]]]]:
         (e.denominator, [(t, c) for t, c in enumerate(e.int_numerator) if c])
         for e in basis.elements
     ]
+
+
+def _local_supports(
+    basis: IntegralBasis, p: int, c: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """_supports of a Z_(p)-basis of the order, derived from its basis.
+
+    Element k becomes N_k'(alpha)/p^v, v = v_p(d_k): each coefficient t
+    below the leading one is reduced mod c^t * p^v, the leading one kept.
+    That scales b_k by the unit d_k/p^v of Z_(p) and takes away integer
+    multiples of beta^t, beta = c*alpha, t < k, which lie in the order, so
+    the change of basis is lower-triangular with a unit diagonal mod p.
+    """
+    n = basis.field.n
+    # the moduli c^t * p^v, t < n, for each p^v met, one multiplication a step
+    moduli: dict[int, list[int]] = {}
+    local = []
+    for e in basis.elements:
+        d, q = e.denominator, 1
+        while d % p == 0:
+            d //= p
+            q *= p
+        if q not in moduli:
+            moduli[q] = list(accumulate(repeat(c, n - 1), operator.mul, initial=q))
+        modulus = moduli[q]
+        numerator = e.int_numerator
+        support = [
+            (t, r) for t, x in enumerate(numerator[:-1]) if x and (r := x % modulus[t])
+        ]
+        support.append((len(numerator) - 1, numerator[-1]))
+        local.append((q, support))
+    return local
 
 
 def _product(field: PureField, a, b) -> list[int]:
@@ -290,6 +326,16 @@ def _product_mod_p(x, rows, p: int) -> list[tuple[int, int]]:
     return [(k, r) for k, c in out.items() if (r := c % p)]
 
 
+def _residues(coords: dict[int, int], scale: int, modulus: int) -> dict[int, int]:
+    """The coordinates coords/scale as residues c * scale^-1 mod modulus,
+    a power of p; an element of the order has local coordinates in Z_(p),
+    so its scale is prime to p."""
+    if math.gcd(scale, modulus) != 1:
+        raise ArithmeticError("internal error: product left the order at p")
+    inverse = pow(scale, -1, modulus)
+    return {k: c * inverse % modulus for k, c in coords.items()}
+
+
 def _numerator(coefficients: Sequence[int], supports) -> tuple[list[int], int]:
     """(N, L): sum_k coefficients[k] * b_k = N(alpha)/L, L the lcm of the
     basis denominators and N dense."""
@@ -353,27 +399,34 @@ def p_maximality_enum(
     on the nominal coset count p^n.
 
     Everything is built on integers, each product formed in the power
-    basis on the integer numerators when it is needed and peeled once
-    against the triangular basis.  The radical is the kernel of a
-    Frobenius power, whose images b_k^p = N_k^p / d_k^p are n such
-    products.  Since I_p is an ideal, y multiplies all of it into p*I_p
-    once it does so for a set of O-module generators, p*1 and the radical
-    vectors.  The condition p*1 imposes is y in I_p, whose rows are those
-    of the Frobenius-power system, so the echelon that yields the radical
-    is also the multiplier system's first n conditions.  Each radical
-    vector's products are peeled twice: against the basis, for their
-    O-coordinates, and then against the Hermite basis of I_p, taken from
-    the radical vectors and the p*e_j at the echelon's pivot columns,
-    which is triangular too; a product that needs a denominator there has
-    left I_p, which an ideal cannot allow.  Their conditions are fed one
-    by one to exactmath.fp_reduce, and the proof stops at full rank.  Both
-    systems go to it as packed rows, one int per row with a lane per
-    basis element, written straight from the sparse entries: the
-    radical's columns from the Frobenius-power rows, and each radical
-    vector's n conditions from its n peeled products.  Both kernels, the
+    basis on integer numerators when it is needed and peeled once against
+    a triangular basis: the local basis b_k' = N_k'(alpha)/p^v of
+    _local_supports, which spans O (x) Z_(p).  There the coordinates of an
+    element of O have denominators prime to p; coordinates with one are
+    read mod p, or mod p^2 where they are to be peeled against I_p, which
+    contains pO.  The
+    radical is the kernel of a Frobenius power, whose images
+    b_k'^p = N_k'^p / p^(vp) are n such products.  Since I_p is an ideal,
+    y multiplies all of it into p*I_p once it does so for a set of
+    O-module generators, p*1 and the radical vectors.  The condition p*1
+    imposes is y in I_p, whose rows are those of the Frobenius-power
+    system, so the echelon that yields the radical is also the multiplier
+    system's first n conditions.  Each radical vector's products are
+    peeled twice: against the local basis, for their coordinates, and
+    then against the Hermite basis of I_p, taken from the radical vectors
+    and the p*e_j at the echelon's pivot columns, which is triangular
+    too; a product that needs a denominator there has left I_p, which an
+    ideal cannot allow.  Their conditions are fed one by one to
+    exactmath.fp_reduce, and the proof stops at full rank.  Both systems
+    go to it as packed rows, one int per row with a lane per basis
+    element, written straight from the sparse entries: the radical's
+    columns from the Frobenius-power rows, and each radical vector's n
+    conditions from its n peeled products.  Both kernels, the
     radical and a counterexample, are read off the one reduced echelon
-    form that fp_reduce keeps.  A Proved carries the radical's dimension
-    and the number of radical vectors multiplied.
+    form that fp_reduce keeps.  The counterexample is taken back to the
+    given basis, and its bytes do not depend on the local one.  A Proved
+    carries the radical's dimension and the number of radical vectors
+    multiplied.
     """
     field = basis.field
     n = field.n
@@ -385,18 +438,23 @@ def p_maximality_enum(
 
     # the multiplier argument needs a genuine order, so that every
     # multiplier found below is integral
-    defect = _order_defect(basis, _structure_constants(basis))
+    certificate = _structure_constants(basis)
+    defect = _order_defect(basis, certificate)
     if defect is not None:
         return Skipped(defect)
-    supports = _supports(basis)
+    # the proof runs in coordinates of a Z_(p)-basis of O (x) Z_(p), where
+    # an element of O has coordinates in Z_(p)
+    local = _local_supports(basis, p, certificate.multiplier)
 
     # the p-radical of O/pO is the kernel of a Frobenius power: x nilpotent
     # iff x^(p^e) = 0 once p^e >= n, and x -> x^p is F_p-linear, so it is
-    # fixed by the images b_k^p, each an integer vector since O is closed
+    # fixed by the images b_k^p
     frobenius = []
-    for d, support in supports:
-        image = _peel(supports, _power(field, support, p), d ** p)[0]
-        frobenius.append([(t, r) for t, c in image.items() if (r := c % p)])
+    for q, support in local:
+        coords, scale = _peel(local, _power(field, support, p), q ** p)
+        if scale != 1:
+            coords = _residues(coords, scale, p)
+        frobenius.append([(t, r) for t, c in coords.items() if (r := c % p)])
     e = 1
     while p ** e < n:
         e += 1
@@ -417,7 +475,7 @@ def p_maximality_enum(
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral
         return Proved(0, 0)
 
-    # I_p = pO + radical lifts, as a full-rank sublattice in basis
+    # I_p = pO + radical lifts, as a full-rank sublattice in local
     # coordinates.  Each radical vector is 1 at its free column and 0 at
     # the others, so p*e_j at a free column j is p times a radical vector
     # less multiples of the p*e_j at pivot columns: those p*e_j and the
@@ -440,12 +498,16 @@ def p_maximality_enum(
     # reduced echelon form of at most n rows, and the proof ends once the
     # multipliers are down to p*O
     for generators, g in enumerate(radical, 1):
-        # g * b_k = M(alpha) * N_k(alpha) / (L * d_k), with g = M(alpha)/L
-        numerator, common = _numerator(g, supports)
+        # g * b_k' = M(alpha) * N_k'(alpha) / (L * p^v), with g = M(alpha)/L
+        numerator, common = _numerator(g, local)
         numerator = [(t, c) for t, c in enumerate(numerator) if c]
         rows = []
-        for d, support in supports:
-            coords = _peel(supports, _product(field, numerator, support), common * d)[0]
+        for q, support in local:
+            coords, scale = _peel(local, _product(field, numerator, support), common * q)
+            if scale != 1:
+                # p^2*O lies in p*I_p, since I_p contains p*O, so
+                # coordinates mod p^2 fix the I_p-coordinates mod p
+                coords = _residues(coords, scale, p * p)
             rem = [0] * n
             for k, c in coords.items():
                 rem[k] = c
@@ -461,10 +523,23 @@ def p_maximality_enum(
                 return Proved(len(radical), generators)
 
     # the echelon rows span the whole system's row space, whose reduced
-    # echelon form, and with it the kernel basis, is unique
-    kernel = fp_kernel(echelon, lanes)
+    # echelon form, and with it the kernel basis, is unique.  kernel[0] is
+    # 1 at the first free column f and 0 above it; the change of basis is
+    # triangular with a unit diagonal mod p, so in the given basis the
+    # multipliers hold one vector 0 above f, which scaled to 1 at f is
+    # kernel[0] of the given-basis system
+    supports = _supports(basis)
+    numerator, common = _numerator(fp_kernel(echelon, lanes)[0], local)
+    # y = sum u_k b_k' lies in O, so its given-basis coordinates are integers
+    coords = _peel(supports, numerator, common)[0]
+    u = [0] * n
+    for k, c in coords.items():
+        u[k] = c % p
+    f = max(k for k, c in enumerate(u) if c)
+    inverse = pow(u[f], -1, p)
+    u = [c * inverse % p for c in u]
     # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
-    numerator, common = _numerator(kernel[0], supports)
+    numerator, common = _numerator(u, supports)
     g = math.gcd(p * common, *numerator)
     candidate = BasisElement([c // g for c in numerator], p * common // g)
     if not is_algebraic_integer(field, candidate):

@@ -85,10 +85,6 @@ class PureField:
             raise UnknownSquareFreeError(m, check.bound)
         return cls(n, m, tuple(factorize(n)))
 
-    @property
-    def minimal_polynomial(self) -> QPolynomial:
-        return QPolynomial((-self.m,) + (0,) * (self.n - 1) + (1,))
-
     def __str__(self) -> str:
         return f"Q({self.m}^(1/{self.n}))"
 

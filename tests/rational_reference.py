@@ -53,6 +53,24 @@ def charpoly(rows) -> list[Fraction]:
     return [Fraction(coeffs[i], scale ** (n - i)) for i in range(n + 1)]
 
 
+def qpoly_power(q: QPolynomial, e: int) -> QPolynomial:
+    """q**e for e >= 0, by repeated squaring."""
+    if e < 0:
+        raise ValueError("negative power")
+    result = QPolynomial([1])
+    while e:
+        if e & 1:
+            result = result * q
+        q = q * q
+        e >>= 1
+    return result
+
+
+def minimal_polynomial(field: PureField) -> QPolynomial:
+    """X^n - m, the minimal polynomial of alpha."""
+    return QPolynomial((-field.m,) + (0,) * (field.n - 1) + (1,))
+
+
 def element_from_qpoly(q: QPolynomial) -> BasisElement:
     """q(alpha) as N(alpha)/d in lowest terms, q a nonzero rational polynomial."""
     den = math.lcm(*(c.denominator for c in q.coefficients))
@@ -104,7 +122,7 @@ class FieldElement:
     @classmethod
     def from_qpoly(cls, field: PureField, q) -> "FieldElement":
         """q(alpha), reducing q modulo X^n - m first."""
-        rem = q % field.minimal_polynomial
+        rem = q % minimal_polynomial(field)
         return cls(field, tuple(rem.coefficient(i) for i in range(field.n)))
 
     @classmethod

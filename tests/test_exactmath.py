@@ -35,7 +35,7 @@ from purefields.newton import FpExtPolynomial
 from fp_reference import fp_kernel as reference_fp_kernel
 from fp_reference import fp_reduce as reference_fp_reduce
 from rational_reference import charpoly as reference_charpoly
-from rational_reference import fp_from_qpoly, vp_rational
+from rational_reference import fp_from_qpoly, qpoly_power, vp_rational
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_qpoly_arithmetic():
     assert f - f == QPolynomial()
     assert f * g == QPolynomial([0, 1, 2, 3])
     assert 2 * f == QPolynomial([2, 4, 6])
-    assert (g ** 3) == QPolynomial([0, 0, 0, 1])
+    assert g * g * g == QPolynomial([0, 0, 0, 1])
     # f(2) = 17 is the remainder of f on division by X - 2
     assert f % QPolynomial([-2, 1]) == QPolynomial([17])
 
@@ -551,21 +551,21 @@ def test_charpoly_matches_reference_at_every_degree(n):
 def test_charpoly_closed_forms(n):
     X = QPolynomial([0, 1])
     zero = [[0] * n for _ in range(n)]
-    assert charpoly(RatMatrix(zero)) == X ** n
+    assert charpoly(RatMatrix(zero)) == qpoly_power(X, n)
     scalar = [[Fraction(-7, 3) * (i == j) for j in range(n)] for i in range(n)]
-    assert charpoly(RatMatrix(scalar)) == QPolynomial([Fraction(7, 3), 1]) ** n
+    assert charpoly(RatMatrix(scalar)) == qpoly_power(QPolynomial([Fraction(7, 3), 1]), n)
     jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
-    assert charpoly(RatMatrix(jordan)) == X ** n
+    assert charpoly(RatMatrix(jordan)) == qpoly_power(X, n)
     # the companion matrix of X^n - m: ones below the diagonal, m in the corner
     companion = [[int(j == i - 1) for j in range(n)] for i in range(n)]
     companion[0][n - 1] += 10 ** 20 + 39
-    assert charpoly(RatMatrix(companion)) == X ** n - QPolynomial([10 ** 20 + 39])
+    assert charpoly(RatMatrix(companion)) == qpoly_power(X, n) - QPolynomial([10 ** 20 + 39])
     # u v^T has the one nonzero eigenvalue v.u
     u = [Fraction(i - 3, i + 1) for i in range(n)]
     v = [Fraction(2 * i + 1, 5) for i in range(n)]
     rank_one = [[a * b for b in v] for a in u]
     trace = sum(a * b for a, b in zip(u, v))
-    assert charpoly(RatMatrix(rank_one)) == X ** n - trace * X ** (n - 1)
+    assert charpoly(RatMatrix(rank_one)) == qpoly_power(X, n) - trace * qpoly_power(X, n - 1)
 
 
 def test_charpoly_matches_sympy():

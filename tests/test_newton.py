@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from purefields.exactmath import FpPolynomial, QPolynomial, poly_gcd, vp_int
+from purefields.exactmath import FpPolynomial, QPolynomial, poly_ext_gcd, poly_gcd, vp_int
 from purefields.newton import (
     _square_free_over_q,
     FpExtPolynomial,
@@ -23,7 +23,7 @@ from purefields.newton import (
     principal_polygon,
     radical_mod_p,
 )
-from rational_reference import fp_from_qpoly, vp_rational
+from rational_reference import fp_from_qpoly, qpoly_power, vp_rational
 
 X = QPolynomial([0, 1])
 
@@ -45,7 +45,7 @@ def test_development_phi_equals_x():
 def test_development_identity_case():
     phi = poly(3, 1)
     dev = phi_development(phi, phi, 5)
-    assert dev.coefficients == (QPolynomial(), QPolynomial.one())
+    assert dev.coefficients == (QPolynomial(), poly(1))
     assert dev.valuations == (None, 0)
 
 
@@ -87,7 +87,7 @@ def test_development_reconstructs(fc, pc, p):
     phi = QPolynomial(pc + [1])
     dev = phi_development(f, phi, p)
     acc = QPolynomial()
-    power = QPolynomial.one()
+    power = poly(1)
     for a in dev.coefficients:
         acc = acc + a * power
         power = power * phi
@@ -140,8 +140,8 @@ def test_development_of_pure_polynomials_closed_form(p, k):
 
 def test_development_valuation_examples():
     # a digit's valuation is the least vp of its nonzero coefficients
-    assert phi_development(poly(27, 3, 9), X ** 3, 3).valuations == (1,)
-    assert phi_development(poly(1, 1), X ** 2, 2).valuations == (0,)
+    assert phi_development(poly(27, 3, 9), qpoly_power(X, 3), 3).valuations == (1,)
+    assert phi_development(poly(1, 1), qpoly_power(X, 2), 2).valuations == (0,)
     assert phi_development(QPolynomial(), X, 2).valuations == (None,)
 
 
@@ -292,6 +292,44 @@ def test_is_regular_examples():
         assert index_lower_bound(f, p)[1] is True
 
 
+@st.composite
+def residue_fields(draw):
+    # F_p[x]/(phi_bar), phi_bar monic irreducible of degree 1 to 3: one
+    # without a root in F_p, for degree at most 3
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    degree = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    phi_bar = FpPolynomial(p, lower + [1])
+    assume(degree == 1 or all(phi_bar % FpPolynomial(p, [-a, 1]) for a in range(p)))
+    return p, phi_bar
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_fields(), st.data())
+def test_residue_field_inverse_matches_ext_gcd(field, data):
+    p, phi_bar = field
+    lower = data.draw(st.lists(st.integers(0, p - 1), max_size=phi_bar.degree))
+    c = FpPolynomial(p, lower)
+    ext = FpExtPolynomial(p, phi_bar, [])
+    if c.is_zero():
+        with pytest.raises(ValueError):
+            ext._inverse(c)
+        return
+    g, s, _ = poly_ext_gcd(c, phi_bar)
+    assert g == FpPolynomial(p, [1])
+    assert ext._inverse(c) == s % phi_bar
+    assert c * ext._inverse(c) % phi_bar == FpPolynomial(p, [1])
+
+
+def test_residue_field_inverse_rejects_a_shared_factor():
+    # modulo a reducible phi_bar a coefficient sharing a factor is no unit,
+    # while a nonzero constant still is
+    ext = FpExtPolynomial(3, FpPolynomial(3, [0, 1, 1]), [])  # x (x + 1)
+    with pytest.raises(ValueError, match="not invertible"):
+        ext._inverse(FpPolynomial(3, [0, 1]))
+    assert ext._inverse(FpPolynomial(3, [2])) == FpPolynomial(3, [2])
+
+
 # ---------------------------------------------------------------------------
 # factorization mod p
 # ---------------------------------------------------------------------------
@@ -387,9 +425,9 @@ monic_integer_polys = st.lists(st.integers(-6, 6), min_size=0, max_size=4).map(
 
 @settings(max_examples=200, deadline=None)
 @given(monic_integer_polys, monic_integer_polys, st.booleans())
-@example(X ** 2 - poly(2), X + poly(1), True)   # (X^2 - 2)^2 (X + 1)
-@example(X ** 6 - poly(12), poly(1), False)     # X^N - m: one step
-@example(poly(1), poly(1), False)               # a constant
+@example(qpoly_power(X, 2) - poly(2), X + poly(1), True)  # (X^2 - 2)^2 (X + 1)
+@example(qpoly_power(X, 6) - poly(12), poly(1), False)    # X^N - m: one step
+@example(poly(1), poly(1), False)                          # a constant
 def test_square_free_over_q_matches_rational_gcd(g, h, square):
     # f = g * h^2 has a repeated factor whenever h is not constant
     f = g * h * h if square else g * h

@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from purefields import exactmath, oracle
@@ -22,6 +22,7 @@ from purefields.exactmath import (
     fp_kernel,
     fp_reduce,
     hnf_rows,
+    vp_int,
 )
 from purefields.oracle import (
     CertificationReport,
@@ -48,9 +49,10 @@ from purefields.purebasis import (
     prime_power_basis,
 )
 from fp_reference import fp_kernel as reference_fp_kernel
+import given_basis_reference
 from fp_reference import fp_reduce as reference_fp_reduce
 from rational_reference import FieldElement, coordinates_in_basis, mul, trace
-from rational_reference import element_as_qpoly, element_from_qpoly
+from rational_reference import element_as_qpoly, element_from_qpoly, minimal_polynomial
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
 from table_reference import gram_discriminant, structure_constants
@@ -152,7 +154,7 @@ def test_trace_examples():
 def test_multiplication_by_alpha_has_minimal_charpoly():
     for n, m in [(2, 7), (3, 10), (6, 5), (9, 55), (24, 5)]:
         f = PureField.create(n, m)
-        assert charpoly(_multiplication_matrix(f, (0, 1))) == f.minimal_polynomial
+        assert charpoly(_multiplication_matrix(f, (0, 1))) == minimal_polynomial(f)
 
 
 def test_multiplication_matrix_charpoly_matches_reference_at_degree_24():
@@ -689,12 +691,12 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     return CounterexampleFound(element_from_qpoly(y / p))
 
 
-def _order_with_q_maximal_part(field: PureField, q: int) -> IntegralBasis:
-    """Z[alpha] + q*O_K, an order between Z[alpha] and O_K."""
+def _order_with_q_maximal_part(field: PureField, q: int, c: int = 1) -> IntegralBasis:
+    """Z[c*alpha] + q*O_K, an order between Z[c*alpha] and O_K."""
     n = field.n
     maximal = build_basis(field).elements
     common = math.lcm(*(e.denominator for e in maximal))
-    rows = [[common * int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[common * c ** i * int(i == j) for j in range(n)] for i in range(n)]
     for e in maximal:
         num = e.numerator.integer_coefficients()
         scale = q * (common // e.denominator)
@@ -1131,18 +1133,165 @@ def test_closure_certificate_matches_table_twin(basis):
     assert certificate.multiplier == _alpha_multiplier(basis)
 
 
+def _scrambled(basis: IntegralBasis, rng: random.Random) -> IntegralBasis:
+    # b_k + sum_(j<k) a_j b_j: another triangular basis of the same lattice
+    rows = [[Fraction(c, e.denominator) for c in e.int_numerator] for e in basis.elements]
+    elements = []
+    for k, row in enumerate(rows):
+        row = row[:]
+        for j in range(k):
+            a = rng.choice((0, 0, 1, -1, 2, 5))
+            for t, c in enumerate(rows[j]):
+                row[t] += a * c
+        elements.append(element_from_qpoly(QPolynomial(row)))
+    return IntegralBasis(basis.field, tuple(elements))
+
+
+def _local_orders_and_primes():
+    # the orders of the local-basis checks: built bases (at m = 10 also
+    # one with other lower terms), Z[c*alpha] with p | c or not, and
+    # Z[alpha] + q*O_K, with every p | n
+    for n in range(2, 31):
+        for m in (10, -7, 26):
+            field = PureField.create(n, m)
+            primes = [p for p, _ in field.factorization]
+            orders = [build_basis(field)]
+            if m == 10:
+                orders.append(_scrambled(orders[0], random.Random(n)))
+            orders += [
+                IntegralBasis(
+                    field, tuple(BasisElement([0] * j + [c ** j], 1) for j in range(n))
+                )
+                for c in (1, 2, 3, 6)
+            ]
+            orders += [_order_with_q_maximal_part(field, q) for q in primes]
+            for basis in orders:
+                for p in primes:
+                    yield basis, p
+
+
+def test_local_basis_matches_given_basis_twin():
+    # verdict, radical dimension and counterexample bytes are those of the
+    # route that forms every product on the given numerators
+    outcomes, local_differs = set(), False
+    for basis, p in _local_orders_and_primes():
+        n = basis.field.n
+        fast = p_maximality_enum(basis, p, enum_budget=p ** n)
+        slow = given_basis_reference.p_maximality_enum(basis, p, enum_budget=p ** n)
+        assert type(fast) is type(slow), (basis, p)
+        if isinstance(fast, Proved):
+            assert fast.radical_dimension == slow.radical_dimension, (basis, p)
+        else:
+            assert fast.element.int_numerator == slow.element.int_numerator, (basis, p)
+            assert fast.element.denominator == slow.element.denominator, (basis, p)
+        outcomes.add(type(fast))
+        multiplier = oracle._structure_constants(basis).multiplier
+        local = oracle._local_supports(basis, p, multiplier)
+        local_differs = local_differs or local != oracle._supports(basis)
+    assert outcomes == {Proved, CounterexampleFound} and local_differs
+
+
+@st.composite
+def local_orders(draw):
+    # Z[c*alpha] + q*O_K, whose basis has denominators at the primes of n
+    n = draw(st.integers(2, 12))
+    m = draw(st.sampled_from((-7, -2, 2, 3, 10, 26)))
+    q = draw(st.sampled_from((1, 2, 3, 4, 6, 9)))
+    c = draw(st.sampled_from((1, 2, 3, 6)))
+    return _order_with_q_maximal_part(PureField.create(n, m), q, c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(triangular_lattices(), local_orders()), st.sampled_from((2, 3, 5)))
+# Z[3*alpha] + 3*O_K at (3, 10) has b_2 = alpha + alpha^2, whose alpha
+# term stays at p = 3: alpha is not in the order, 3*alpha is
+@example(_order_with_q_maximal_part(PureField.create(3, 10), 3, 3), 3)
+def test_local_basis_is_a_unit_triangular_change_of_basis(basis, p):
+    # b_k' = (d_k/p^v) * b_k less integer multiples of beta^t, t < k: in
+    # the given basis it is 0 above k and d_k/p^v, prime to p, at k, and on
+    # an order its coordinates are p-integral, so it lies in O_(p)
+    field = basis.field
+    certificate = oracle._structure_constants(basis)
+    order = oracle._order_defect(basis, certificate) is None
+    local = oracle._local_supports(basis, p, certificate.multiplier)
+    for k, ((q, support), given) in enumerate(zip(local, basis.elements)):
+        coefficients = [0] * (k + 1)
+        for t, c in support:
+            coefficients[t] = c
+        local_element = FieldElement.from_qpoly(field, QPolynomial(coefficients) / q)
+        coords = coordinates_in_basis(local_element, basis)
+        assert not any(coords[k + 1:]), (basis, p, k)
+        assert q == p ** vp_int(p, given.denominator)
+        assert coords[k] == given.denominator // q and coords[k] % p, (basis, p, k)
+        if order:
+            assert all(c.denominator % p for c in coords), (basis, p, k)
+
+
+@pytest.mark.parametrize(
+    "make_basis, p",
+    [
+        (lambda: power_basis(9, 55), 3),
+        (lambda: power_basis(12, 17), 2),
+        (lambda: power_basis(12, 17), 3),
+        (lambda: build_basis(PureField.create(12, 10)), 2),
+        (lambda: build_basis(PureField.create(18, 649)), 3),
+        (lambda: _order_with_q_maximal_part(PureField.create(12, 10), 2), 3),
+    ],
+)
+def test_local_basis_up_to_units_at_p(monkeypatch, make_basis, p):
+    # every odd local element times a unit at p that is not 1 mod p^2 is a
+    # Z_(p)-basis of O (x) Z_(p) too, whose span is not closed: the scales
+    # prime to p are inverted, and the verdict and counterexample hold
+    basis = make_basis()
+    expected = p_maximality_enum(basis, p, enum_budget=p ** basis.field.n)
+    local_supports = oracle._local_supports
+    unit = 3 if p == 2 else 2
+
+    def scaled(basis, p, c):
+        return [
+            (q, [(t, unit * x) for t, x in support] if k % 2 else support)
+            for k, (q, support) in enumerate(local_supports(basis, p, c))
+        ]
+
+    monkeypatch.setattr(oracle, "_local_supports", scaled)
+    result = p_maximality_enum(basis, p, enum_budget=p ** basis.field.n)
+    assert result == expected
+    if isinstance(result, Proved):
+        assert result.radical_dimension == expected.radical_dimension
+
+
+def test_scale_divisible_by_p_is_an_internal_error(monkeypatch):
+    # a local basis with 3*alpha in place of alpha gives some element of O
+    # a coordinate with 3 in its denominator
+    with pytest.raises(ArithmeticError, match="internal error"):
+        oracle._residues({0: 1}, 3, 9)
+    local_supports = oracle._local_supports
+
+    def tripled(basis, p, c):
+        local = local_supports(basis, p, c)
+        q, support = local[1]
+        local[1] = q, [(t, p * x) for t, x in support]
+        return local
+
+    monkeypatch.setattr(oracle, "_local_supports", tripled)
+    with pytest.raises(ArithmeticError, match="internal error: product left the order"):
+        p_maximality_enum(power_basis(9, 55), 3)
+
+
 def test_certify_forms_products_on_demand(monkeypatch):
     # the table formed n(n+1)/2 products; closure forms one peel of alpha,
     # n shifts and the products of at most five generators (0 and each
     # degree where the denominators jump), and each prime's proof n
     # Frobenius images and n products per radical vector consumed (one on
-    # these fields)
+    # these fields), each peeled against the local basis at p
     peels, ideal_peels = [], []
     peel = oracle._peel
+    against = None
 
     def counting(supports, rem, scale):
-        # a peel against the basis, or one against the Hermite rows of I_p
-        (peels if supports == oracle._supports(basis) else ideal_peels).append(scale)
+        # a peel against the basis (the local one inside a proof at p), or
+        # one against the Hermite rows of I_p
+        (peels if supports == against else ideal_peels).append(scale)
         return peel(supports, rem, scale)
 
     monkeypatch.setattr(oracle, "_peel", counting)
@@ -1150,6 +1299,7 @@ def test_certify_forms_products_on_demand(monkeypatch):
         basis = build_basis(PureField.create(n, m))
         oracle._structure_constants.cache_clear()
         peels.clear()
+        against = oracle._supports(basis)
         certificate = oracle._structure_constants(basis)
         size = len(certificate.generators)
         assert certificate.closed and certificate.multiplier == 1 and size <= 5
@@ -1157,6 +1307,7 @@ def test_certify_forms_products_on_demand(monkeypatch):
         for p, _ in basis.field.factorization:
             peels.clear()
             ideal_peels.clear()
+            against = oracle._local_supports(basis, p, certificate.multiplier)
             result = p_maximality_enum(basis, p, enum_budget=p ** n)
             assert result == Proved()
             assert len(peels) in (n, 2 * n), (n, m, p, len(peels))

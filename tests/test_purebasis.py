@@ -29,7 +29,7 @@ from purefields.purebasis import (
     s_value,
     spans_equal,
 )
-from rational_reference import element_as_qpoly, element_from_qpoly
+from rational_reference import element_as_qpoly, element_from_qpoly, minimal_polynomial
 
 
 def poly(*coeffs):
@@ -65,7 +65,7 @@ def test_field_create_validates():
 
 def test_minimal_polynomial():
     f = PureField.create(9, 55)
-    assert f.minimal_polynomial == QPolynomial([-55] + [0] * 8 + [1])
+    assert minimal_polynomial(f) == QPolynomial([-55] + [0] * 8 + [1])
 
 
 # ---------------------------------------------------------------------------
