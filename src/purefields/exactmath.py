@@ -4,7 +4,11 @@ There is one polynomial implementation.  Polynomial holds every
 algorithm that does not depend on the coefficient field (arithmetic,
 division with remainder, derivative, monic, pow_mod, and poly_gcd and
 poly_ext_gcd, the one Euclid); QPolynomial, FpPolynomial and
-newton.FpExtPolynomial supply only Q, F_p and F_p[x]/(phi).
+newton.FpExtPolynomial supply only Q, F_p and F_p[x]/(phi).  The two
+routines the certifier runs at every p | n, the radical mod p (fp_radical,
+which newton's factorisation also starts from) and Dedekind's criterion,
+work on plain int lists instead, where a check costs tens of
+microseconds at the benchmark's degrees.
 
 Integer matrices are plain lists of rows, which Hermite normal form and
 determinants take as they are; a determinant expands single-entry rows
@@ -457,6 +461,121 @@ class FpPolynomial(Polynomial):
 
     def __repr__(self) -> str:
         return f"FpPolynomial({self.p}, {list(self.coefficients)!r})"
+
+
+# ---------------------------------------------------------------------------
+# the radical mod p and Dedekind's criterion, on int lists
+# ---------------------------------------------------------------------------
+#
+# A polynomial here is a list of ints, constant first, with no trailing
+# zeros; over F_p its entries lie in [0, p).  The loops skip zero terms, so
+# on X^n - m a division or a product costs n times the divisor's terms.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_monic(a: list[int], p: int) -> list[int]:
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    # b nonzero; rem is reduced only where a quotient digit is read
+    terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
+    inverse = pow(b[-1], -1, p)
+    d = len(b) - 1
+    rem = list(a)
+    quo = [0] * max(len(a) - d, 0)
+    for i in range(len(a) - 1, d - 1, -1):
+        q = rem[i] * inverse % p
+        if q:
+            quo[i - d] = q
+            for j, c in terms:
+                rem[i - d + j] -= q * c
+    return quo, _trim([c % p for c in rem[:d]])
+
+
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    # monic; [] when both are zero
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p) if a else a
+
+
+def _int_product(a: list[int], b: list[int]) -> list[int]:
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, c in terms:
+                out[i + j] += x * c
+    return out
+
+
+def fp_radical(coefficients: Sequence[int], p: int) -> list[int]:
+    """Monic product of the distinct irreducible factors of f over F_p, f
+    given by its integer coefficients, constant first, not all divisible
+    by p.
+
+    Write f = prod a_i^i and g = gcd(f, f').  Then w = f/g is the product
+    of the a_i with p not dividing i, and stripping w's factors from g
+    leaves a p-th power h(X^p) = h(X)^p, whose radical is h's, so the loop
+    goes on with h.  A zero derivative means f is such a power already,
+    and g = 1 that f is square-free.
+    """
+    f = _trim([c % p for c in coefficients])
+    if not f:
+        raise ValueError("the radical of the zero polynomial is undefined")
+    f = _fp_monic(f, p)
+    radical = [1]
+    while len(f) > 1:
+        # f' = 0 iff every nonzero term sits at a multiple of p
+        if sum(map(bool, f)) != sum(map(bool, f[::p])):
+            g = _fp_gcd(f, _trim([i * c % p for i, c in enumerate(f)][1:]), p)
+            if len(g) == 1:
+                # f is square-free
+                return [c % p for c in _int_product(radical, f)]
+            w = _fp_divmod(f, g, p)[0]
+            radical = [c % p for c in _int_product(radical, w)]
+            # c, square-free, holds the factors of w still in g: divide
+            # while it divides, then drop those that have run out
+            c = _fp_gcd(g, w, p)
+            while len(c) > 1:
+                quotient, remainder = _fp_divmod(g, c, p)
+                if remainder:
+                    c = _fp_gcd(g, c, p)
+                else:
+                    g = quotient
+            f = g
+        # over F_p, h(X^p) = h(X)^p
+        f = f[::p]
+    return radical
+
+
+def dedekind_p_maximal(coefficients: Sequence[int], p: int) -> bool:
+    """Whether Z_(p)[alpha] is p-maximal, alpha a root of the monic integer
+    polynomial f given by its coefficients, constant first: Dedekind's
+    criterion (Cohen, A Course in Computational Algebraic Number Theory,
+    Theorem 6.1.4).
+
+    With g the radical of f mod p and h = (f mod p)/g, both lifted to
+    [0, p), F = (g*h - f)/p has integer coefficients, and the order is
+    p-maximal exactly when F, g and h have no common factor mod p.
+    """
+    f = list(coefficients)
+    if not f or f[-1] != 1:
+        raise ValueError("Dedekind's criterion expects a monic polynomial")
+    g = fp_radical(f, p)
+    h = _fp_divmod(_trim([c % p for c in f]), g, p)[0]
+    lifted = _int_product(g, h)
+    # g*h = f mod p, so each difference is divisible by p
+    F = _trim([(x - y) // p % p for x, y in zip(lifted, f)])
+    common = _fp_gcd(F, g, p)
+    return len(common) == 1 or len(_fp_gcd(h, common, p)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .exactmath import (
     FpPolynomial,
     Polynomial,
     QPolynomial,
+    fp_radical,
     poly_ext_gcd,
     poly_gcd,
     vp_int,
@@ -286,32 +287,6 @@ def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
 # factorization over F_p (distinct irreducible factors only)
 # ---------------------------------------------------------------------------
 
-def _pth_root(f: FpPolynomial) -> FpPolynomial:
-    # over F_p a polynomial with zero derivative is g(X^p) = g(X)**p
-    return FpPolynomial(f.p, [f.coefficient(i) for i in range(0, len(f.coefficients), f.p)])
-
-
-def radical_mod_p(f: FpPolynomial) -> FpPolynomial:
-    """Monic product of the distinct irreducible factors of f over F_p."""
-    f = f.monic()
-    if f.degree <= 0:
-        return FpPolynomial(f.p, (1,))
-    deriv = f.derivative()
-    if deriv.is_zero():
-        return radical_mod_p(_pth_root(f))
-    g = poly_gcd(f, deriv)
-    w = (f // g).monic()
-    y = g
-    while True:
-        c = poly_gcd(y, w)
-        if c.degree == 0:
-            break
-        y = y // c
-    if y.degree <= 0:
-        return w
-    return (w * radical_mod_p(_pth_root(y))).monic()
-
-
 def _distinct_degree(f: FpPolynomial) -> list[tuple[int, FpPolynomial]]:
     # f monic squarefree; returns (d, product of all irreducible factors of degree d)
     p = f.p
@@ -370,7 +345,7 @@ def distinct_irreducible_factors(f: FpPolynomial) -> list[FpPolynomial]:
     (degree, coefficient tuple) so the result is deterministic."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rad = radical_mod_p(f)
+    rad = FpPolynomial(f.p, fp_radical(f.coefficients, f.p))
     rng = random.Random(0)
     factors: list[FpPolynomial] = []
     for d, prod in _distinct_degree(rad):

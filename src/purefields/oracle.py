@@ -2,15 +2,18 @@
 
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
-pairing, and p-maximality is proved through the multiplier ring of the
-p-radical.  No table of all n^2 products b_i * b_j is formed.  Each
-product a check needs is taken on the integer numerators and peeled once
-against a triangular basis.  Closure is Round 2's order test: n shifts
-by c*alpha and the products of a few Z[c*alpha]-module generators.
-p-maximality is local, so its proof at p runs on a Z_(p)-basis derived
-from the given one and c alone, whose numerators are reduced mod
-c^t * p^v.  The discriminant is the power-basis Gram determinant times the
-squared transition determinant.
+pairing, and p-maximality at p | n is proved by Dedekind's criterion on
+X^n - m mod p where it applies, and otherwise through the multiplier ring
+of the p-radical (Round 2).  At a prime q not dividing n, X^n - m is
+Eisenstein or separable mod q, so an order is q-maximal exactly when q
+does not divide c, the least c > 0 with c*alpha in it.  No table of all
+n^2 products b_i * b_j is formed.  Each product a check needs is taken on
+the integer numerators and peeled once against a triangular basis.
+Closure is Round 2's order test: n shifts by c*alpha and the products of
+a few Z[c*alpha]-module generators.  p-maximality is local, so Round 2 at
+p runs on a Z_(p)-basis derived from the given one and c alone, whose
+numerators are reduced mod c^t * p^v.  The discriminant is the
+power-basis Gram determinant times the squared transition determinant.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
 integer polynomial and d > 0, in lowest terms.  The checks run on the
@@ -38,8 +41,10 @@ from typing import NamedTuple
 from .exactmath import (
     RatMatrix,
     charpoly,
+    dedekind_p_maximal,
     det_int,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
+    factorize,
     fp_kernel,
     fp_lanes,
     fp_reduce,
@@ -291,14 +296,19 @@ def basis_discriminant(basis: IntegralBasis) -> int:
 class Proved:
     """No element of (1/p)*O outside O is an algebraic integer.
 
-    The evidence takes no part in comparisons or reports:
-    radical_dimension is the F_p-dimension of the p-radical of O/pO, and
-    generators the number of radical vectors whose products were fed
-    before the multiplier system reached full rank n.
+    The evidence takes no part in comparisons or reports.  route names the
+    theorem: "dedekind" when Dedekind's criterion showed Z_(p)[alpha],
+    which O contains locally, to be p-maximal, and "round 2" when the
+    multiplier ring of the p-radical did.  On Round 2, radical_dimension
+    is the F_p-dimension of the p-radical of O/pO, and generators the
+    number of radical vectors whose products were fed before the
+    multiplier system reached full rank n; on the Dedekind route no
+    radical is formed, and both stay 0.
     """
 
     radical_dimension: int = dataclasses.field(default=0, compare=False)
     generators: int = dataclasses.field(default=0, compare=False)
+    route: str = dataclasses.field(default="round 2", compare=False)
 
 
 @dataclass(frozen=True)
@@ -391,12 +401,45 @@ def p_maximality_enum(
 
     The question is whether any (sum c_i b_i)/p with c_i in [0, p), not all
     divisible by p, is an algebraic integer: Proved means none is.  Rather
-    than walking all p^n cosets, the proof runs the radical-multiplier
-    test: with I_p the p-radical ideal, the candidate order is p-maximal
-    exactly when {y : y*I_p in p*I_p} collapses to p*O, and any survivor y
-    yields the explicit counterexample y/p.  The two formulations answer
-    the same question with the same witnesses, so the budget guard is kept
-    on the nominal coset count p^n.
+    than walking all p^n cosets, the proof first tries Dedekind's
+    criterion and otherwise runs Round 2 (_round_two).  The budget guard is
+    kept on the nominal coset count p^n.
+
+    When p does not divide c, the closure certificate's multiplier,
+    alpha = (c*alpha)/c lies in O (x) Z_(p), which therefore contains
+    Z_(p)[alpha]; if Dedekind's criterion, computed on X^n - m mod p, finds
+    Z_(p)[alpha] p-maximal, so is O, and Proved(route="dedekind") is
+    returned with no product formed.
+    """
+    field = basis.field
+    n = field.n
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    over_budget = budget_skip_reason(p, n, enum_budget)
+    if over_budget is not None:
+        return Skipped(over_budget)
+
+    # the multiplier argument needs a genuine order, so that every
+    # multiplier found below is integral
+    certificate = _structure_constants(basis)
+    defect = _order_defect(basis, certificate)
+    if defect is not None:
+        return Skipped(defect)
+    if certificate.multiplier % p and dedekind_p_maximal(
+        [-field.m] + [0] * (n - 1) + [1], p
+    ):
+        return Proved(route="dedekind")
+    return _round_two(basis, p, certificate)
+
+
+def _round_two(
+    basis: IntegralBasis, p: int, certificate: ClosureCertificate
+) -> MaximalityResult:
+    """Round 2 at p on an order: Proved or an explicit counterexample.
+
+    With I_p the p-radical ideal, the order is p-maximal exactly when
+    {y : y*I_p in p*I_p} collapses to p*O, and any survivor y yields the
+    explicit counterexample y/p, an element of one of the p^n cosets.
 
     Everything is built on integers, each product formed in the power
     basis on integer numerators when it is needed and peeled once against
@@ -430,18 +473,6 @@ def p_maximality_enum(
     """
     field = basis.field
     n = field.n
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    over_budget = budget_skip_reason(p, n, enum_budget)
-    if over_budget is not None:
-        return Skipped(over_budget)
-
-    # the multiplier argument needs a genuine order, so that every
-    # multiplier found below is integral
-    certificate = _structure_constants(basis)
-    defect = _order_defect(basis, certificate)
-    if defect is not None:
-        return Skipped(defect)
     # the proof runs in coordinates of a Z_(p)-basis of O (x) Z_(p), where
     # an element of O has coordinates in Z_(p)
     local = _local_supports(basis, p, certificate.multiplier)
@@ -594,13 +625,16 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
 
     Integrality of each element, closure under multiplication, agreement
     of the trace-pairing discriminant with the index ledger, and
-    p-maximality for every prime dividing the degree.  A lattice that is
-    closed and contains 1 is an order, so each of its elements is integral;
-    only a lattice that is not an order has its elements tested one by
-    one, with the characteristic polynomial as the last resort.
+    p-maximality for every prime dividing the degree; on an order, each
+    prime q of the multiplier c that does not divide the degree adds a
+    counterexample at q.  A lattice that is closed and contains 1 is an
+    order, so each of its elements is integral; only a lattice that is not
+    an order has its elements tested one by one, with the characteristic
+    polynomial as the last resort.
     """
     field = basis.field
-    defect = _order_defect(basis, _structure_constants(basis))
+    certificate = _structure_constants(basis)
+    defect = _order_defect(basis, certificate)
     ring_closed = defect != _NOT_CLOSED
     if defect is None:
         integrality = (True,) * field.n
@@ -612,6 +646,16 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
         p: p_maximality_enum(basis, p, enum_budget=enum_budget)
         for p, _ in field.factorization
     }
+    if defect is None:
+        # at q not dividing n, Z_(q)[alpha] is q-maximal: X^n - m is
+        # Eisenstein at q | m and separable mod q otherwise.  So O is
+        # q-maximal iff alpha lies in O (x) Z_(q), that is iff q does not
+        # divide c; (c/q)*alpha is integral and lies in (1/q)*O, and not in
+        # O, c being least
+        c = certificate.multiplier
+        for q, _ in factorize(c) if c > 1 else ():
+            if field.n % q:
+                maximality[q] = CounterexampleFound(BasisElement([0, c // q], 1))
     return CertificationReport(integrality, ring_closed, disc_match, maximality)
 
 

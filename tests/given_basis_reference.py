@@ -1,10 +1,10 @@
 """p-maximality in coordinates of the given basis, for tests only.
 
-The library proves p-maximality on a Z_(p)-basis derived from the given
-one, whose numerators are reduced mod c^t * p^v.  This is the route it
-replaced, kept to cross-check it: every Frobenius image and multiplier
-product is formed on the given numerators N_k(alpha)/d_k and peeled
-against the given basis, where an element of the order has integer
+The library's Round 2 (oracle._round_two) runs on a Z_(p)-basis derived
+from the given one, whose numerators are reduced mod c^t * p^v.  This is
+the route it replaced, kept to cross-check it: every Frobenius image and
+multiplier product is formed on the given numerators N_k(alpha)/d_k and
+peeled against the given basis, where an element of the order has integer
 coordinates.  Verdicts, radical dimensions and counterexamples must agree.
 """
 
@@ -36,8 +36,8 @@ from purefields.purebasis import BasisElement, IntegralBasis
 def p_maximality_enum(
     basis: IntegralBasis, p: int, *, enum_budget: int = 2 ** 24
 ) -> MaximalityResult:
-    """oracle.p_maximality_enum with every product peeled against the
-    given basis: the radical from the Frobenius images b_k^p, the Hermite
+    """oracle.p_maximality_enum without Dedekind's criterion, Round 2
+    always, with every product peeled against the given basis: the radical from the Frobenius images b_k^p, the Hermite
     basis of I_p from it, and the multiplier conditions of each radical
     vector fed to one reduced echelon form until it reaches rank n."""
     field = basis.field

@@ -17,12 +17,14 @@ from purefields.exactmath import (
     SquareFree,
     Unknown,
     charpoly,
+    dedekind_p_maximal,
     det_int,
     det_rational,
     ext_gcd,
     factorize,
     fp_kernel,
     fp_lanes,
+    fp_radical,
     fp_reduce,
     hnf_rows,
     is_prime,
@@ -787,3 +789,83 @@ def test_packed_columns_are_the_transposed_rows(p):
 def test_lane_layout_is_built_once_per_size_and_prime():
     assert fp_lanes(24, 3) is fp_lanes(24, 3)
     assert fp_lanes(24, 3) is not fp_lanes(24, 2)
+
+
+# ---------------------------------------------------------------------------
+# the radical mod p and Dedekind's criterion
+# ---------------------------------------------------------------------------
+
+# monic integer polynomials of degree 1..12, constant first; a power of a
+# random factor now and then, so that repeated factors mod p are common
+monic_polynomials = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=12).map(lambda c: c + [1]),
+    st.tuples(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+        st.integers(1, 4),
+    ).map(lambda base: _int_power(base[0] + [1], base[1])),
+)
+
+
+def _int_power(f: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        product = [0] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                product[i + j] += x * y
+        out = product
+    return out
+
+
+def _sympy_fp(sympy, coefficients, p):
+    x = sympy.Symbol("x")
+    return sympy.Poly(list(reversed(coefficients)), x, modulus=p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_polynomials, st.sampled_from((2, 3, 5, 7)))
+def test_radical_is_the_product_of_sympys_factors(f, p):
+    sympy = pytest.importorskip("sympy")
+    product = _sympy_fp(sympy, [1], p)
+    for factor, _ in _sympy_fp(sympy, f, p).factor_list()[1]:
+        product *= factor.monic()
+    expected = [int(c) % p for c in reversed(product.all_coeffs())]
+    assert fp_radical(f, p) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(monic_polynomials, st.sampled_from((2, 3, 5, 7)))
+def test_dedekind_criterion_matches_sympy(f, p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.numberfields.basis import _apply_Dedekind_criterion
+
+    x = sympy.Symbol("x")
+    _, degree = _apply_Dedekind_criterion(sympy.Poly(list(reversed(f)), x), p)
+    # a common factor of degree 0 means Z_(p)[x]/(f) is p-maximal
+    assert dedekind_p_maximal(f, p) == (degree == 0)
+
+
+# 13 square-free radicands: p | m for each p <= 7, and m^p = m mod p^2 at
+# p = 2 (-19, -7, 5, 17), 3 (-26, -19, 10, 17, 26), 5 (-7, 7, -26, 26),
+# 7 (-19, -30, 30), 11 (3) and 13 (-19)
+CLOSED_RULE_RADICANDS = (-30, -26, -19, -7, -2, 2, 3, 5, 7, 10, 17, 26, 30)
+
+
+def test_dedekind_criterion_matches_the_closed_rule_for_binomials():
+    # for X^n - m with p | n, Z_(p)[alpha] is p-maximal iff p^2 does not
+    # divide m^p - m; the criterion never uses that rule
+    triples = 0
+    for n in range(2, 65):
+        for m in CLOSED_RULE_RADICANDS:
+            f = [-m] + [0] * (n - 1) + [1]
+            for p, _ in factorize(n):
+                assert dedekind_p_maximal(f, p) == bool((m ** p - m) % (p * p)), (n, m, p)
+                triples += 1
+    assert triples == 1326
+
+
+def test_dedekind_criterion_rejects_a_polynomial_that_is_not_monic():
+    with pytest.raises(ValueError, match="monic"):
+        dedekind_p_maximal([1, 2], 3)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        fp_radical([3, 6], 3)

@@ -743,9 +743,10 @@ def test_proof_feeds_at_most_two_n_conditions(monkeypatch):
     monkeypatch.setattr(oracle, "fp_reduce", counting_reduce)
     for n, m in LARGE_FIELD_SEED_ONE:
         basis = build_basis(PureField.create(n, m))
+        certificate = oracle._structure_constants(basis)
         for p, _ in basis.field.factorization:
             fed.clear()
-            assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
+            assert oracle._round_two(basis, p, certificate) == Proved()
             assert len(fed) <= 2 * n, (n, m, p, len(fed))
 
 
@@ -806,9 +807,10 @@ def test_pivot_rows_and_radical_span_every_p_e_j(monkeypatch, n, m):
     calls = _recording_hnf(monkeypatch)
     compared = 0
     for basis in orders:
+        certificate = oracle._structure_constants(basis)
         for p in primes:
             calls.clear()
-            p_maximality_enum(basis, p, enum_budget=p ** n)
+            oracle._round_two(basis, p, certificate)
             assert len(calls) <= 1
             for rows in calls:
                 p_rows = [r for r in rows if sorted(r) == [0] * (n - 1) + [p]]
@@ -827,9 +829,10 @@ def test_radical_ideal_gets_n_generator_rows(monkeypatch):
     lattices = 0
     for n, m in LARGE_FIELD_SEED_ONE:
         basis = build_basis(PureField.create(n, m))
+        certificate = oracle._structure_constants(basis)
         for p, _ in basis.field.factorization:
             calls.clear()
-            assert p_maximality_enum(basis, p, enum_budget=p ** n) == Proved()
+            assert oracle._round_two(basis, p, certificate) == Proved()
             assert [len(rows) for rows in calls] in ([], [n]), (n, m, p)
             lattices += len(calls)
     assert lattices
@@ -1033,7 +1036,9 @@ _WITHOUT_ONE = "the lattice does not contain 1; p-maximality is about orders"
 def _table_report(basis: IntegralBasis) -> CertificationReport:
     """certify's report with every check on the table twin: closure from its
     D, the discriminant from its trace Gram, p-maximality by the Hermite-row
-    scan on its rows, and integrality by the rational twin."""
+    scan on its rows, integrality by the rational twin, and on an order,
+    for each prime q of the rational multiplier of alpha with q not
+    dividing n, the counterexample (c/q)*alpha."""
     field = basis.field
     table = structure_constants(basis)
     closed = table[0] == 1
@@ -1053,6 +1058,11 @@ def _table_report(basis: IntegralBasis) -> CertificationReport:
         else _every_hermite_row_scan(basis, p)
         for p, _ in field.factorization
     }
+    if closed and has_one:
+        c = _alpha_multiplier(basis)
+        for q in range(2, c + 1):
+            if c % q == 0 and field.n % q and exactmath.is_prime(q):
+                maximality[q] = CounterexampleFound(BasisElement([0, c // q], 1))
     return CertificationReport(integrality, closed, disc_match, maximality)
 
 
@@ -1176,7 +1186,8 @@ def test_local_basis_matches_given_basis_twin():
     outcomes, local_differs = set(), False
     for basis, p in _local_orders_and_primes():
         n = basis.field.n
-        fast = p_maximality_enum(basis, p, enum_budget=p ** n)
+        certificate = oracle._structure_constants(basis)
+        fast = oracle._round_two(basis, p, certificate)
         slow = given_basis_reference.p_maximality_enum(basis, p, enum_budget=p ** n)
         assert type(fast) is type(slow), (basis, p)
         if isinstance(fast, Proved):
@@ -1185,8 +1196,7 @@ def test_local_basis_matches_given_basis_twin():
             assert fast.element.int_numerator == slow.element.int_numerator, (basis, p)
             assert fast.element.denominator == slow.element.denominator, (basis, p)
         outcomes.add(type(fast))
-        multiplier = oracle._structure_constants(basis).multiplier
-        local = oracle._local_supports(basis, p, multiplier)
+        local = oracle._local_supports(basis, p, certificate.multiplier)
         local_differs = local_differs or local != oracle._supports(basis)
     assert outcomes == {Proved, CounterexampleFound} and local_differs
 
@@ -1243,7 +1253,8 @@ def test_local_basis_up_to_units_at_p(monkeypatch, make_basis, p):
     # Z_(p)-basis of O (x) Z_(p) too, whose span is not closed: the scales
     # prime to p are inverted, and the verdict and counterexample hold
     basis = make_basis()
-    expected = p_maximality_enum(basis, p, enum_budget=p ** basis.field.n)
+    certificate = oracle._structure_constants(basis)
+    expected = oracle._round_two(basis, p, certificate)
     local_supports = oracle._local_supports
     unit = 3 if p == 2 else 2
 
@@ -1254,7 +1265,7 @@ def test_local_basis_up_to_units_at_p(monkeypatch, make_basis, p):
         ]
 
     monkeypatch.setattr(oracle, "_local_supports", scaled)
-    result = p_maximality_enum(basis, p, enum_budget=p ** basis.field.n)
+    result = oracle._round_two(basis, p, certificate)
     assert result == expected
     if isinstance(result, Proved):
         assert result.radical_dimension == expected.radical_dimension
@@ -1308,11 +1319,130 @@ def test_certify_forms_products_on_demand(monkeypatch):
             peels.clear()
             ideal_peels.clear()
             against = oracle._local_supports(basis, p, certificate.multiplier)
-            result = p_maximality_enum(basis, p, enum_budget=p ** n)
+            result = oracle._round_two(basis, p, certificate)
             assert result == Proved()
             assert len(peels) in (n, 2 * n), (n, m, p, len(peels))
             # each radical vector multiplied peels its n products in I_p
             assert len(ideal_peels) == n * result.generators, (n, m, p)
+
+
+# ---------------------------------------------------------------------------
+# Dedekind's criterion before Round 2
+# ---------------------------------------------------------------------------
+
+# DIFFERENTIAL_RADICANDS and three more; rotated over n = 2..64 they give
+# orders whose Hermite forms _order_with_q_maximal_part finishes quickly
+# (it does not finish in 30 s at (42, -19), q = 2)
+DEDEKIND_RADICANDS = (-30, -26, -19, -7, -2, 2, 3, 5, 7, 10, 17, 26, 30)
+
+
+def _multiplier_lattice(n: int, m: int, c: int) -> IntegralBasis:
+    # Z[c*alpha], an order with multiplier c
+    field = PureField.create(n, m)
+    return IntegralBasis(
+        field, tuple(BasisElement([0] * j + [c ** j], 1) for j in range(n))
+    )
+
+
+def _dedekind_orders_and_primes():
+    # built bases for n = 2..64, one radicand each, Z[c*alpha] for c in
+    # {1, 2, 3, 6}, and Z[alpha] + q*O_K, with every p | n
+    for n in range(2, 65):
+        m = DEDEKIND_RADICANDS[n % len(DEDEKIND_RADICANDS)]
+        field = PureField.create(n, m)
+        primes = [p for p, _ in field.factorization]
+        orders = [build_basis(field)]
+        orders += [_multiplier_lattice(n, m, c) for c in (1, 2, 3, 6)]
+        orders += [_order_with_q_maximal_part(field, q) for q in primes]
+        for basis in orders:
+            for p in primes:
+                yield basis, p
+
+
+def test_round_two_proves_wherever_dedekind_fires(monkeypatch):
+    # the criterion fires exactly when p does not divide c and p^2 does not
+    # divide m^p - m, and Round 2 then proves p-maximality too; elsewhere
+    # p_maximality_enum hands the order to Round 2 (here a stand-in)
+    round_two = oracle._round_two
+    monkeypatch.setattr(oracle, "_round_two", lambda basis, p, certificate: None)
+    fired = fell_back = 0
+    for basis, p in _dedekind_orders_and_primes():
+        n, m = basis.field.n, basis.field.m
+        certificate = oracle._structure_constants(basis)
+        result = p_maximality_enum(basis, p, enum_budget=p ** n)
+        tame = certificate.multiplier % p and (m ** p - m) % (p * p)
+        if result is None:
+            assert not tame, (n, m, p, basis)
+            fell_back += 1
+            continue
+        assert tame and result == Proved(), (n, m, p, basis)
+        assert result.route == "dedekind", (n, m, p)
+        assert (result.radical_dimension, result.generators) == (0, 0)
+        assert round_two(basis, p, certificate) == Proved(), (n, m, p, basis)
+        fired += 1
+    assert fired and fell_back
+
+
+def test_proved_names_its_route():
+    # (12, 10): 2 is tame (10^2 - 10 = 90), 3 wild (10^3 - 10 = 990 = 9 * 110)
+    basis = build_basis(PureField.create(12, 10))
+    report = certify(basis)
+    tame, wild = report.maximality[2], report.maximality[3]
+    assert tame.route == "dedekind" and (tame.radical_dimension, tame.generators) == (0, 0)
+    assert wild.route == "round 2" and wild.radical_dimension > 0
+    # Round 2 at the tame prime proves it as well, with its own evidence
+    again = oracle._round_two(basis, 2, oracle._structure_constants(basis))
+    assert again.route == "round 2" and again == tame
+    # the route is neither compared, nor hashed, nor reported
+    assert tame == Proved() == wild and hash(tame) == hash(Proved())
+    assert certification_json_dict(report)["maximality"] == {
+        "2": {"status": "proved"}, "3": {"status": "proved"}
+    }
+
+
+def test_p_dividing_c_is_left_to_round_two():
+    # Z[2*alpha] at (12, 5): 2 is tame for X^12 - 5 (5^2 - 5 = 20), but
+    # alpha is not in the order at 2, so the criterion says nothing there
+    basis = _multiplier_lattice(12, 5, 2)
+    result = p_maximality_enum(basis, 2)
+    assert isinstance(result, CounterexampleFound)
+    assert is_algebraic_integer(basis.field, result.element)
+
+
+def test_prime_of_c_outside_n_is_a_counterexample():
+    # Z[5*alpha] at (6, 7) is proved at 2 and 3, yet alpha is integral and
+    # outside it: 5 does not divide 6, and the report names the prime
+    report = certify(_multiplier_lattice(6, 7, 5))
+    assert report.failures == ("discriminant accounting", "p-maximality at 5")
+    assert report.maximality[5] == CounterexampleFound(BasisElement([0, 1], 1))
+    assert report.maximality[2] == report.maximality[3] == Proved()
+    assert certification_json_dict(report)["maximality"]["5"] == {
+        "status": "counterexample",
+        "element": {"num": [0, 1, 0, 0, 0, 0], "den": 1},
+    }
+
+
+@pytest.mark.parametrize("c", [2, 3, 6])
+def test_each_prime_of_c_outside_n_gets_its_counterexample(c):
+    basis = _multiplier_lattice(5, 7, c)
+    field = basis.field
+    report = certify(basis)
+    primes = [q for q in (2, 3) if c % q == 0]
+    # 7^5 - 7 = 16800 is divisible by 25, so 5 fails on its own account
+    assert sorted(report.maximality) == sorted(primes + [5])
+    assert isinstance(report.maximality[5], CounterexampleFound)
+    for q in primes:
+        element = report.maximality[q].element
+        assert element == BasisElement([0, c // q], 1)
+        # integral, in (1/q)*O and not in O
+        assert is_algebraic_integer(field, element)
+        found = FieldElement.from_basis_element(field, element)
+        coords = coordinates_in_basis(found, basis)
+        assert all((q * x).denominator == 1 for x in coords)
+        assert any(x.denominator != 1 for x in coords)
+    assert report.failures[-len(primes) - 1:] == tuple(
+        f"p-maximality at {q}" for q in sorted(primes + [5])
+    )
 
 
 @pytest.mark.parametrize("n", [512, 1024])
