@@ -12,7 +12,12 @@ the integer numerators and peeled once against a triangular basis.
 Closure is Round 2's order test: n shifts by c*alpha and the products of
 a few Z[c*alpha]-module generators.  p-maximality is local, so Round 2 at
 p runs on a Z_(p)-basis derived from the given one and c alone, whose
-numerators are reduced mod c^t * p^v.  The discriminant is the
+numerators are reduced mod c^t * p^v.  With n = p^k * u, p not dividing
+u or m, and that basis in tensor shape, it runs on the degree-p^k order
+O' = O (x) Z_(p) intersected with Q(alpha^u) instead: over Q(alpha^u),
+alpha is a root of X^u - alpha^u, whose discriminant
++-u^u * (alpha^u)^(u-1) is a unit at every prime above p, so
+O (x) Z_(p) = O'[alpha] is p-maximal iff O' is.  The discriminant is the
 power-basis Gram determinant times the squared transition determinant.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
@@ -302,8 +307,12 @@ class Proved:
     multiplier ring of the p-radical did.  On Round 2, radical_dimension
     is the F_p-dimension of the p-radical of O/pO, and generators the
     number of radical vectors whose products were fed before the
-    multiplier system reached full rank n; on the Dedekind route no
-    radical is formed, and both stay 0.
+    multiplier system reached full rank.  Where Round 2 ran on the
+    degree-p^k order O' of Q(alpha^u), u = n/p^k (see _round_two), O/pO
+    is etale over O'/pO', so radical_dimension is still that of O/pO, u
+    times that of O'/pO', and generators counts the radical vectors of
+    O''s system; route stays "round 2".  On the Dedekind route no radical
+    is formed, and both stay 0.
     """
 
     radical_dimension: int = dataclasses.field(default=0, compare=False)
@@ -432,10 +441,105 @@ def p_maximality_enum(
     return _round_two(basis, p, certificate)
 
 
+def _subfield(
+    field: PureField, local, p: int
+) -> tuple[PureField, list[tuple[int, list[tuple[int, int]]]], int]:
+    """(field', local', u): Round 2 at p may run on field' and local' in
+    place of field and local, n = u * n'.
+
+    Write n = p^k * u with p not dividing u.  The local basis has tensor
+    shape when, for every k = a*u + b with 0 <= b < u, element k is
+    alpha^b times element a*u, term for term over the same p^v, and
+    element a*u has terms only at multiples of u.  Then O (x) Z_(p) is the
+    direct sum of the alpha^b * O', b < u, O' spanned by the elements a*u.
+    O' is O (x) Z_(p) intersected with K' = Q(alpha^u), an order of
+    Q(m^(1/p^k)) with root alpha^u, and O (x) Z_(p) = O'[alpha].  Its local
+    basis is that of the elements a*u, exponent t read as t/u.  Where
+    n = p^k, where p | m, and where p | c (the reduction mod c^t * p^v
+    breaks the shift), field and local come back unchanged with u = 1.
+    """
+    n, m = field.n, field.m
+    k = dict(field.factorization)[p]
+    u = n // p ** k
+    if u == 1 or m % p == 0:
+        return field, local, 1
+    reduced = []
+    for a in range(0, n, u):
+        q, support = local[a]
+        if any(t % u for t, _ in support) or any(
+            local[a + b] != (q, [(t + b, c) for t, c in support]) for b in range(1, u)
+        ):
+            return field, local, 1
+        reduced.append((q, [(t // u, c) for t, c in support]))
+    return PureField(p ** k, m, ((p, k),)), reduced, u
+
+
 def _round_two(
     basis: IntegralBasis, p: int, certificate: ClosureCertificate
 ) -> MaximalityResult:
     """Round 2 at p on an order: Proved or an explicit counterexample.
+
+    The proof (_multiplier_kernel) runs on the local basis
+    b_k' = N_k'(alpha)/p^v of _local_supports, which spans O (x) Z_(p),
+    and where _subfield finds that basis in tensor shape, on the degree
+    p^k order O' = O (x) Z_(p) intersected with K' = Q(alpha^u),
+    u = n/p^k, instead.  There p divides neither u nor m, so over K'
+    alpha is a root of X^u - alpha^u, whose discriminant
+    +-u^u * (alpha^u)^(u-1) is a unit at every prime above p.  So O/pO is
+    etale over O'/pO': its radical is that of O'/pO' times O, u times as
+    large, and y = sum_b alpha^b * y_b multiplies I_p into p*I_p exactly
+    when every y_b multiplies I_p' into p*I_p'.  O is p-maximal iff O' is,
+    and the multipliers mod p are the direct sum of the alpha^b-shifts of
+    those of O', whose first reduced kernel vector, the one of least free
+    column, is O''s on the columns a*u.
+
+    A survivor y, the first kernel vector, is taken back to the given
+    basis and yields the counterexample y/p; its bytes depend on neither
+    local basis.
+    """
+    field = basis.field
+    n = field.n
+    # the proof runs in coordinates of a Z_(p)-basis of O (x) Z_(p), where
+    # an element of O has coordinates in Z_(p)
+    local = _local_supports(basis, p, certificate.multiplier)
+    subfield, subfield_local, stride = _subfield(field, local, p)
+    found = _multiplier_kernel(subfield, subfield_local, p)
+    if isinstance(found, Proved):
+        return Proved(stride * found.radical_dimension, found.generators)
+    # the first kernel vector of the full system: found on the columns a*u
+    kernel = [0] * n
+    kernel[::stride] = found
+
+    # the echelon rows span the whole system's row space, whose reduced
+    # echelon form, and with it the kernel basis, is unique.  kernel is
+    # 1 at the first free column f and 0 above it; the change of basis is
+    # triangular with a unit diagonal mod p, so in the given basis the
+    # multipliers hold one vector 0 above f, which scaled to 1 at f is
+    # kernel[0] of the given-basis system
+    supports = _supports(basis)
+    numerator, common = _numerator(kernel, local)
+    # y = sum u_k b_k' lies in O, so its given-basis coordinates are integers
+    coords = _peel(supports, numerator, common)[0]
+    u = [0] * n
+    for k, c in coords.items():
+        u[k] = c % p
+    f = max(k for k, c in enumerate(u) if c)
+    inverse = pow(u[f], -1, p)
+    u = [c * inverse % p for c in u]
+    # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
+    numerator, common = _numerator(u, supports)
+    g = math.gcd(p * common, *numerator)
+    candidate = BasisElement([c // g for c in numerator], p * common // g)
+    if not is_algebraic_integer(field, candidate):
+        raise ArithmeticError(
+            "internal error: multiplier element failed the integrality recheck"
+        )
+    return CounterexampleFound(candidate)
+
+
+def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, ...]:
+    """Round 2 at p on the order spanned by a local basis: Proved, or the
+    first vector of the multiplier kernel in that basis's coordinates.
 
     With I_p the p-radical ideal, the order is p-maximal exactly when
     {y : y*I_p in p*I_p} collapses to p*O, and any survivor y yields the
@@ -443,14 +547,12 @@ def _round_two(
 
     Everything is built on integers, each product formed in the power
     basis on integer numerators when it is needed and peeled once against
-    a triangular basis: the local basis b_k' = N_k'(alpha)/p^v of
-    _local_supports, which spans O (x) Z_(p).  There the coordinates of an
+    a triangular basis, the local one.  There the coordinates of an
     element of O have denominators prime to p; coordinates with one are
     read mod p, or mod p^2 where they are to be peeled against I_p, which
-    contains pO.  The
-    radical is the kernel of a Frobenius power, whose images
-    b_k'^p = N_k'^p / p^(vp) are n such products.  Since I_p is an ideal,
-    y multiplies all of it into p*I_p once it does so for a set of
+    contains pO.  The radical is the kernel of a Frobenius power, whose
+    images b_k'^p = N_k'^p / p^(vp) are n such products.  Since I_p is an
+    ideal, y multiplies all of it into p*I_p once it does so for a set of
     O-module generators, p*1 and the radical vectors.  The condition p*1
     imposes is y in I_p, whose rows are those of the Frobenius-power
     system, so the echelon that yields the radical is also the multiplier
@@ -464,18 +566,12 @@ def _round_two(
     go to it as packed rows, one int per row with a lane per basis
     element, written straight from the sparse entries: the radical's
     columns from the Frobenius-power rows, and each radical vector's n
-    conditions from its n peeled products.  Both kernels, the
-    radical and a counterexample, are read off the one reduced echelon
-    form that fp_reduce keeps.  The counterexample is taken back to the
-    given basis, and its bytes do not depend on the local one.  A Proved
-    carries the radical's dimension and the number of radical vectors
-    multiplied.
+    conditions from its n peeled products.  Both kernels, the radical and
+    the multipliers, are read off the one reduced echelon form that
+    fp_reduce keeps.  A Proved carries the radical's dimension and the
+    number of radical vectors multiplied.
     """
-    field = basis.field
     n = field.n
-    # the proof runs in coordinates of a Z_(p)-basis of O (x) Z_(p), where
-    # an element of O has coordinates in Z_(p)
-    local = _local_supports(basis, p, certificate.multiplier)
 
     # the p-radical of O/pO is the kernel of a Frobenius power: x nilpotent
     # iff x^(p^e) = 0 once p^e >= n, and x -> x^p is F_p-linear, so it is
@@ -553,31 +649,9 @@ def _round_two(
             if fp_reduce(echelon, condition, lanes) and len(echelon) == n:
                 return Proved(len(radical), generators)
 
-    # the echelon rows span the whole system's row space, whose reduced
-    # echelon form, and with it the kernel basis, is unique.  kernel[0] is
-    # 1 at the first free column f and 0 above it; the change of basis is
-    # triangular with a unit diagonal mod p, so in the given basis the
-    # multipliers hold one vector 0 above f, which scaled to 1 at f is
-    # kernel[0] of the given-basis system
-    supports = _supports(basis)
-    numerator, common = _numerator(fp_kernel(echelon, lanes)[0], local)
-    # y = sum u_k b_k' lies in O, so its given-basis coordinates are integers
-    coords = _peel(supports, numerator, common)[0]
-    u = [0] * n
-    for k, c in coords.items():
-        u[k] = c % p
-    f = max(k for k, c in enumerate(u) if c)
-    inverse = pow(u[f], -1, p)
-    u = [c * inverse % p for c in u]
-    # y / p with y = sum u_k N_k / d_k, taken over p * L, L the lcm of the d_k
-    numerator, common = _numerator(u, supports)
-    g = math.gcd(p * common, *numerator)
-    candidate = BasisElement([c // g for c in numerator], p * common // g)
-    if not is_algebraic_integer(field, candidate):
-        raise ArithmeticError(
-            "internal error: multiplier element failed the integrality recheck"
-        )
-    return CounterexampleFound(candidate)
+    # multipliers outside p*O survive; the first vector of the reduced
+    # echelon form's kernel is 1 at the first free column and 0 above it
+    return fp_kernel(echelon, lanes)[0]
 
 
 # --- certification ----------------------------------------------------------

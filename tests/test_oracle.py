@@ -10,18 +10,21 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from purefields import exactmath, oracle
 from purefields.exactmath import (
     QPolynomial,
     RatMatrix,
+    SquareFree,
     charpoly,
     det_rational,
+    factorize,
     fp_kernel,
     fp_reduce,
     hnf_rows,
+    square_free_check,
     vp_int,
 )
 from purefields.oracle import (
@@ -783,11 +786,13 @@ def test_certify_with_lanes_wider_than_a_byte(m):
 
 
 def _recording_hnf(monkeypatch) -> list[list[list[int]]]:
-    # the generator rows of every lattice p_maximality_enum builds
+    # the generator rows of every lattice p_maximality_enum builds; each
+    # has as many columns as the degree the proof ran at
     calls = []
 
     def recording(rows, ncols):
         calls.append([list(r) for r in rows])
+        assert all(len(r) == ncols for r in rows)
         return hnf_rows(rows, ncols)
 
     monkeypatch.setattr(oracle, "hnf_rows", recording)
@@ -799,41 +804,48 @@ def _recording_hnf(monkeypatch) -> list[list[list[int]]]:
 )
 def test_pivot_rows_and_radical_span_every_p_e_j(monkeypatch, n, m):
     # the p*e_j at pivot columns and the radical vectors have the same
-    # Hermite form as every p*e_j and the radical vectors
+    # Hermite form as every p*e_j and the radical vectors, at the degree
+    # the proof ran at: n, or p^k where it ran on the subfield Q(alpha^u)
     field = PureField.create(n, m)
-    primes = [p for p, _ in field.factorization]
+    primes = dict(field.factorization)
     orders = [build_basis(field), power_basis(n, m)]
     orders += [_order_with_q_maximal_part(field, q) for q in primes]
     calls = _recording_hnf(monkeypatch)
     compared = 0
     for basis in orders:
         certificate = oracle._structure_constants(basis)
-        for p in primes:
+        for p, k in primes.items():
             calls.clear()
             oracle._round_two(basis, p, certificate)
             assert len(calls) <= 1
             for rows in calls:
-                p_rows = [r for r in rows if sorted(r) == [0] * (n - 1) + [p]]
+                degree = len(rows)
+                assert degree in (n, p ** k), (n, m, p, degree)
+                p_rows = [r for r in rows if sorted(r) == [0] * (degree - 1) + [p]]
                 radical = [r for r in rows if r not in p_rows]
                 # each radical vector is 1 at its free column, reduced mod p
                 assert all(max(r) < p and 1 in r for r in radical), (n, m, p)
-                every = [[p * int(i == j) for j in range(n)] for i in range(n)]
-                assert hnf_rows(rows, n) == hnf_rows(every + radical, n), (n, m, p)
+                every = [[p * int(i == j) for j in range(degree)] for i in range(degree)]
+                assert hnf_rows(rows, degree) == hnf_rows(every + radical, degree), (
+                    n, m, p
+                )
                 compared += 1
     assert compared
 
 
 def test_radical_ideal_gets_n_generator_rows(monkeypatch):
-    # n - dim(radical) rows p*e_j and dim(radical) radical vectors
+    # d - dim(radical) rows p*e_j and dim(radical) radical vectors, d the
+    # degree the proof ran at: p^k on these built bases (n = p^k * u with
+    # u > 1 and p prime to m), whose local bases all have tensor shape
     calls = _recording_hnf(monkeypatch)
     lattices = 0
     for n, m in LARGE_FIELD_SEED_ONE:
         basis = build_basis(PureField.create(n, m))
         certificate = oracle._structure_constants(basis)
-        for p, _ in basis.field.factorization:
+        for p, k in basis.field.factorization:
             calls.clear()
             assert oracle._round_two(basis, p, certificate) == Proved()
-            assert [len(rows) for rows in calls] in ([], [n]), (n, m, p)
+            assert [len(rows) for rows in calls] in ([], [p ** k]), (n, m, p)
             lattices += len(calls)
     assert lattices
 
@@ -1292,9 +1304,10 @@ def test_scale_divisible_by_p_is_an_internal_error(monkeypatch):
 def test_certify_forms_products_on_demand(monkeypatch):
     # the table formed n(n+1)/2 products; closure forms one peel of alpha,
     # n shifts and the products of at most five generators (0 and each
-    # degree where the denominators jump), and each prime's proof n
-    # Frobenius images and n products per radical vector consumed (one on
-    # these fields), each peeled against the local basis at p
+    # degree where the denominators jump), and each prime's proof p^k
+    # Frobenius images and p^k products per radical vector consumed (one
+    # on these fields), each peeled against the local basis of the
+    # degree-p^k order in Q(alpha^u), u = n/p^k > 1
     peels, ideal_peels = [], []
     peel = oracle._peel
     against = None
@@ -1315,15 +1328,16 @@ def test_certify_forms_products_on_demand(monkeypatch):
         size = len(certificate.generators)
         assert certificate.closed and certificate.multiplier == 1 and size <= 5
         assert len(peels) <= 1 + n + size * (size + 1) // 2 < n * (n + 1) // 2
-        for p, _ in basis.field.factorization:
+        for p, k in basis.field.factorization:
             peels.clear()
             ideal_peels.clear()
-            against = oracle._local_supports(basis, p, certificate.multiplier)
+            local = oracle._local_supports(basis, p, certificate.multiplier)
+            against = oracle._subfield(basis.field, local, p)[1]
             result = oracle._round_two(basis, p, certificate)
             assert result == Proved()
-            assert len(peels) in (n, 2 * n), (n, m, p, len(peels))
-            # each radical vector multiplied peels its n products in I_p
-            assert len(ideal_peels) == n * result.generators, (n, m, p)
+            assert len(peels) in (p ** k, 2 * p ** k), (n, m, p, len(peels))
+            # each radical vector multiplied peels its p^k products in I_p
+            assert len(ideal_peels) == p ** k * result.generators, (n, m, p)
 
 
 # ---------------------------------------------------------------------------
@@ -1443,6 +1457,163 @@ def test_each_prime_of_c_outside_n_gets_its_counterexample(c):
     assert report.failures[-len(primes) - 1:] == tuple(
         f"p-maximality at {q}" for q in sorted(primes + [5])
     )
+
+
+# ---------------------------------------------------------------------------
+# Round 2 on the degree-p^k subfield Q(alpha^u), u = n/p^k
+# ---------------------------------------------------------------------------
+
+
+def _full_degree_round_two(basis: IntegralBasis, p: int) -> MaximalityResult:
+    # Round 2 with the kernel on the full local basis, at degree n
+    certificate = oracle._structure_constants(basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_subfield", lambda field, local, p: (field, local, 1))
+        return oracle._round_two(basis, p, certificate)
+
+
+def _wild_class_radicand(n: int, t: int) -> int:
+    # the square-free m = 1 + n0*s of least s >= t, n0 = prod p^(v_p(n)+1):
+    # p^2 | m^p - m at every p | n, so every prime of n goes to Round 2
+    n0 = math.prod(p ** (k + 1) for p, k in factorize(n))
+    s = t
+    while not isinstance(square_free_check(1 + n0 * s), SquareFree):
+        s += 1
+    return 1 + n0 * s
+
+
+@st.composite
+def composite_fields(draw):
+    # n in 2..64; three draws in four take m in the wild class 1 mod n0
+    n = draw(st.integers(2, 64))
+    if draw(st.integers(0, 3)):
+        m = _wild_class_radicand(n, draw(st.integers(1, 40)))
+    else:
+        m = draw(st.integers(-10 ** 4, 10 ** 4))
+        assume(m not in (0, 1, -1) and isinstance(square_free_check(m), SquareFree))
+    return PureField.create(n, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(composite_fields())
+@example(PureField.create(12, 17))
+@example(PureField.create(60, 1801))
+def test_subfield_round_two_matches_the_full_degree_kernel(field):
+    # the built basis (proved) and Z[alpha] (the counterexample path where
+    # p is wild): verdict, element bytes and radical dimension are those
+    # of the kernel run on the full local basis at degree n.  At n = p^k
+    # both are that one run (pinned below), so only p^k < n is compared
+    n, m = field.n, field.m
+    for basis in (build_basis(field), power_basis(n, m)):
+        certificate = oracle._structure_constants(basis)
+        for p in (p for p, k in field.factorization if p ** k < n):
+            fast = oracle._round_two(basis, p, certificate)
+            slow = _full_degree_round_two(basis, p)
+            assert type(fast) is type(slow), (n, m, p, basis)
+            if isinstance(fast, Proved):
+                assert fast.radical_dimension == slow.radical_dimension, (n, m, p)
+                assert fast.route == slow.route == "round 2"
+            else:
+                assert fast.element.int_numerator == slow.element.int_numerator
+                assert fast.element.denominator == slow.element.denominator
+
+
+def _recording_kernel(monkeypatch) -> list[int]:
+    # the degree each Round 2 kernel runs at
+    degrees = []
+    kernel = oracle._multiplier_kernel
+
+    def recording(field, local, p):
+        degrees.append(field.n)
+        return kernel(field, local, p)
+
+    monkeypatch.setattr(oracle, "_multiplier_kernel", recording)
+    return degrees
+
+
+def test_built_bases_take_the_subfield_at_every_round_two_prime(monkeypatch):
+    # wherever p_maximality_enum hands a built basis to Round 2 (a wild p,
+    # never p | m, which Dedekind's criterion proves) and u = n/p^k > 1,
+    # the kernel runs at degree p^k, not n
+    degrees = _recording_kernel(monkeypatch)
+    reduced = 0
+    for n in range(2, 65):
+        for m in (_wild_class_radicand(n, 1), DEDEKIND_RADICANDS[n % 13]):
+            field = PureField.create(n, m)
+            basis = build_basis(field)
+            for p, k in field.factorization:
+                degrees.clear()
+                result = p_maximality_enum(basis, p, enum_budget=p ** n)
+                assert result == Proved(), (n, m, p)
+                assert degrees in ([], [p ** k]), (n, m, p, degrees)
+                reduced += bool(degrees) and p ** k < n
+    assert reduced
+
+
+def _shifted_sums(field: PureField, u: int) -> IntegralBasis:
+    # element a*u + b is alpha^b * (b_(a*u) + b_(a*u - 1)) for a >= 1, b
+    # the built basis, where every b_(a*u + b) is alpha^b * b_(a*u) (the
+    # primes of u are tame, so their pieces are power bases): a unit
+    # triangular change of basis, since alpha^b * b_(a*u - 1) is
+    # alpha^(b - 1) * alpha^u * b_((a-1)*u), in the order
+    rows = [
+        [Fraction(c, e.denominator) for c in e.int_numerator]
+        for e in build_basis(field).elements
+    ]
+    elements = []
+    for j, row in enumerate(rows):
+        a, b = divmod(j, u)
+        if a:
+            low = rows[a * u - 1] + [0] * (len(rows[a * u]) - len(rows[a * u - 1]))
+            row = [0] * b + [x + y for x, y in zip(rows[a * u], low)]
+        elements.append(element_from_qpoly(QPolynomial(row)))
+    return IntegralBasis(field, tuple(elements))
+
+
+@pytest.mark.parametrize(
+    "make_basis, p",
+    [
+        # n = p^k
+        pytest.param(lambda: build_basis(PureField.create(27, 10)), 3, id="built-27-10"),
+        pytest.param(lambda: power_basis(16, 17), 2, id="power-16-17"),
+        # p | c: Z[p*alpha], spanned by the (p*alpha)^j
+        pytest.param(lambda: _multiplier_lattice(12, 5, 2), 2, id="c2-12-5"),
+        pytest.param(lambda: _multiplier_lattice(12, 17, 3), 3, id="c3-12-17"),
+        # p | m: the local basis of Z[alpha] has the shape, but alpha^u is
+        # no unit at p, and O/pO is not etale over O'/pO'
+        pytest.param(lambda: power_basis(12, 10), 2, id="power-12-10"),
+        pytest.param(lambda: power_basis(30, 10), 5, id="power-30-10"),
+        # no tensor shape: other lower terms survive the reduction mod p^v
+        pytest.param(
+            lambda: _scrambled(build_basis(PureField.create(12, 10)), random.Random(12)),
+            3,
+            id="scrambled-12-10",
+        ),
+        pytest.param(
+            lambda: _scrambled(build_basis(PureField.create(18, 649)), random.Random(18)),
+            3,
+            id="scrambled-18-649",
+        ),
+        # shift-invariant, but element a*u has terms off the multiples of u
+        pytest.param(lambda: _shifted_sums(PureField.create(12, 65), 3), 2, id="shifted-12-65"),
+    ],
+)
+def test_subfield_is_not_taken_without_the_shape(monkeypatch, make_basis, p):
+    basis = make_basis()
+    field, n = basis.field, basis.field.n
+    certificate = oracle._structure_constants(basis)
+    local = oracle._local_supports(basis, p, certificate.multiplier)
+    assert oracle._subfield(field, local, p) == (field, local, 1)
+    degrees = _recording_kernel(monkeypatch)
+    fast = oracle._round_two(basis, p, certificate)
+    assert degrees == [n]
+    # the verdict of the twin that forms every product on the given basis
+    slow = given_basis_reference.p_maximality_enum(basis, p, enum_budget=p ** n)
+    assert type(fast) is type(slow)
+    if isinstance(fast, Proved):
+        assert fast.radical_dimension == slow.radical_dimension
+    else:
+        assert fast.element == slow.element
 
 
 @pytest.mark.parametrize("n", [512, 1024])
