@@ -6,8 +6,10 @@ per residue class), verify (independent certification of a freshly built
 basis).  Results go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success/certified, 1 verification failure, 2 invalid input,
-3 resource bound hit (undecided square-freeness, skipped enumeration,
-unresolved atlas class).
+3 resource bound hit (undecided square-freeness, work over --enum-budget,
+unresolved atlas class).  The work of basis and verify is n^2, that of
+atlas n0 * n^2; each is checked once, before anything is built, and over
+the budget the command prints nothing on stdout and one reason on stderr.
 """
 
 from __future__ import annotations
@@ -27,20 +29,16 @@ from .newton import (
     polygon_json_dict,
     principal_polygon,
 )
-from .oracle import (
-    Proved,
-    Skipped,
-    budget_skips,
-    certification_json_dict,
-    certify,
-)
+from .oracle import Proved, Skipped, certification_json_dict, certify
 from .periodicity import UnknownRow, atlas, atlas_json_dict, atlas_pretty
 from .purebasis import (
+    ENUM_BUDGET_DEFAULT,
     CertificationSkipped,
     IndexReport,
     PureField,
     UnknownSquareFreeError,
     basis_json_dict,
+    budget_skip_reason,
     build_basis,
     index_report,
     integral_basis,
@@ -107,15 +105,6 @@ def _certification_pretty(field: PureField, report) -> str:
             lines.append(f"p = {p}: counterexample {result.element}")
     lines.append("certified" if report.certified else "NOT CERTIFIED")
     return "\n".join(lines) + "\n"
-
-
-def _print_skips(skipped: dict[int, str]) -> None:
-    for p, reason in sorted(skipped.items()):
-        print(
-            f"enumeration skipped, p = {p}: {reason} "
-            f"(raise --enum-budget to certify)",
-            file=sys.stderr,
-        )
 
 
 def _ledger_pretty(report: IndexReport) -> str:
@@ -211,11 +200,11 @@ def _cmd_atlas(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = PureField.create(args.n, args.m)
-    # with every prime over budget the report would hold no proof at all,
-    # and at huge n the build alone would not finish
-    over_budget = budget_skips(field, args.enum_budget)
-    if len(over_budget) == len(field.factorization):
-        raise CertificationSkipped(field, over_budget)
+    # over budget the report would hold no proof at all, and at huge n the
+    # build alone would not finish
+    over_budget = budget_skip_reason(field.n, args.enum_budget)
+    if over_budget is not None:
+        raise CertificationSkipped(over_budget)
     certification = certify(build_basis(field), enum_budget=args.enum_budget)
     _emit(
         args,
@@ -228,9 +217,6 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VERIFICATION_FAILED
-    if certification.skipped:
-        _print_skips(certification.skipped)
-        return EXIT_RESOURCE_BOUND
     return EXIT_OK
 
 
@@ -268,8 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     budget.add_argument(
         "--enum-budget",
         type=_non_negative_int,
-        default=2**24,
-        help="coset budget for the maximality enumeration (default 2^24)",
+        default=ENUM_BUDGET_DEFAULT,
+        help="bound on the certification work: n^2 for basis and verify, "
+        "n0 * n^2 for atlas (default 2^16, every n <= 256)",
     )
 
     parser = argparse.ArgumentParser(
@@ -351,7 +338,7 @@ def _run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_BOUND
     except CertificationSkipped as exc:
-        _print_skips(exc.skipped)
+        print(f"{exc} (raise --enum-budget to certify)", file=sys.stderr)
         return EXIT_RESOURCE_BOUND
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,7 @@ from .exactmath import (
     is_prime,
 )
 from .purebasis import BasisElement, IntegralBasis, PureField, index_report
+from .purebasis import ENUM_BUDGET_DEFAULT, budget_skip_reason
 
 
 def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> RatMatrix:
@@ -329,6 +330,9 @@ class CounterexampleFound:
 
 @dataclass(frozen=True)
 class Skipped:
+    """A p-maximality check that did not run: the lattice is not an order,
+    or certify's work measure exceeds its budget."""
+
     reason: str
 
 
@@ -382,37 +386,14 @@ def _power(field: PureField, support, e: int) -> list[int]:
     return power
 
 
-def budget_skip_reason(p: int, n: int, enum_budget: int) -> str | None:
-    """Why the p-maximality check of a degree-n order is skipped for budget,
-    or None when its nominal coset count p^n is within the budget."""
-    # p^n >= 2^n, so a degree past the budget's bit length is over budget
-    # without forming p^n, which at huge n alone takes seconds
-    if n >= enum_budget.bit_length() or p ** n > enum_budget:
-        # p^n itself may have too many digits to print
-        return f"p^n = {p}^{n} candidate cosets exceed the budget {enum_budget}"
-    return None
-
-
-def budget_skips(field: PureField, enum_budget: int) -> dict[int, str]:
-    """The budget skip reason of each p | n over budget; it depends on n
-    alone, so callers check it before building anything."""
-    return {
-        p: reason
-        for p, _ in field.factorization
-        if (reason := budget_skip_reason(p, field.n, enum_budget)) is not None
-    }
-
-
-def p_maximality_enum(
-    basis: IntegralBasis, p: int, *, enum_budget: int = 2 ** 24
-) -> MaximalityResult:
+def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     """Prove or refute p-maximality of the order spanned by the basis.
 
     The question is whether any (sum c_i b_i)/p with c_i in [0, p), not all
     divisible by p, is an algebraic integer: Proved means none is.  Rather
     than walking all p^n cosets, the proof first tries Dedekind's
-    criterion and otherwise runs Round 2 (_round_two).  The budget guard is
-    kept on the nominal coset count p^n.
+    criterion and otherwise runs Round 2 (_round_two), in time polynomial
+    in n.  It has no budget of its own: certify checks one on n^2.
 
     When p does not divide c, the closure certificate's multiplier,
     alpha = (c*alpha)/c lies in O (x) Z_(p), which therefore contains
@@ -424,9 +405,6 @@ def p_maximality_enum(
     n = field.n
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    over_budget = budget_skip_reason(p, n, enum_budget)
-    if over_budget is not None:
-        return Skipped(over_budget)
 
     # the multiplier argument needs a genuine order, so that every
     # multiplier found below is integral
@@ -667,13 +645,6 @@ class CertificationReport:
     maximality: dict[int, MaximalityResult]
 
     @property
-    def skipped(self) -> dict[int, str]:
-        """Reason for each prime whose p-maximality check was skipped."""
-        return {
-            p: r.reason for p, r in self.maximality.items() if isinstance(r, Skipped)
-        }
-
-    @property
     def failures(self) -> tuple[str, ...]:
         """The checks that failed, in the order they run."""
         failed = []
@@ -694,7 +665,9 @@ class CertificationReport:
         return not self.failures
 
 
-def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> CertificationReport:
+def certify(
+    basis: IntegralBasis, *, enum_budget: int = ENUM_BUDGET_DEFAULT
+) -> CertificationReport:
     """Run every check against a claimed integral basis.
 
     Integrality of each element, closure under multiplication, agreement
@@ -704,9 +677,12 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
     counterexample at q.  A lattice that is closed and contains 1 is an
     order, so each of its elements is integral; only a lattice that is not
     an order has its elements tested one by one, with the characteristic
-    polynomial as the last resort.
+    polynomial as the last resort.  When the work measure n^2 exceeds
+    enum_budget, no p-maximality proof runs: every p | n is Skipped with
+    the same reason.
     """
     field = basis.field
+    over_budget = budget_skip_reason(field.n, enum_budget)
     certificate = _structure_constants(basis)
     defect = _order_defect(basis, certificate)
     ring_closed = defect != _NOT_CLOSED
@@ -717,7 +693,7 @@ def certify(basis: IntegralBasis, *, enum_budget: int = 2 ** 24) -> Certificatio
     disc = _discriminant_exact(basis)
     disc_match = disc == index_report(field).field_discriminant
     maximality = {
-        p: p_maximality_enum(basis, p, enum_budget=enum_budget)
+        p: Skipped(over_budget) if over_budget else p_maximality_enum(basis, p)
         for p, _ in field.factorization
     }
     if defect is None:

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .exactmath import QPolynomial, SquareFree, factorize, square_free_check
 from .purebasis import BasisElement, PureField, integral_basis
+from .purebasis import ENUM_BUDGET_DEFAULT, CertificationSkipped, budget_skip_reason
 
 __all__ = [
     "ParametricRow",
@@ -111,21 +112,26 @@ def _certified_elements(n: int, m: int, enum_budget: int) -> tuple[BasisElement,
 
 
 def atlas(
-    n: int, *, scan_bound: int | None = None, enum_budget: int = 2**24
+    n: int, *, scan_bound: int | None = None, enum_budget: int = ENUM_BUDGET_DEFAULT
 ) -> PeriodAtlas:
     """Parametric basis table for degree n, one row per residue class mod n0.
 
     Each non-skipped class is certified at two independent witnesses; the two
     rows must agree as literal polynomial tuples, otherwise periodicity is
-    violated and a RuntimeError reports the offending class.  A witness
-    whose p-maximality check is skipped for budget raises
-    CertificationSkipped, and a negative scan_bound raises ValueError.
+    violated and a RuntimeError reports the offending class.  The atlas
+    certifies up to 2 * n0 degree-n fields, so its work measure n0 * n^2 is
+    checked against enum_budget before the witness scan: over it,
+    CertificationSkipped is raised.  A negative scan_bound raises
+    ValueError.
     """
     n0 = period_modulus(n)
     if scan_bound is None:
         scan_bound = 10 * n0
     elif scan_bound < 0:
         raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
+    over_budget = budget_skip_reason(n, enum_budget, n0)
+    if over_budget is not None:
+        raise CertificationSkipped(over_budget)
     primes = [p for p, _ in factorize(n)]
     rows: dict[int, AtlasRow] = {}
     for r in range(n0):
@@ -155,7 +161,7 @@ def atlas(
 
 
 def verify_periodicity(
-    n: int, r: int, m1: int, m2: int, *, enum_budget: int = 2**24
+    n: int, r: int, m1: int, m2: int, *, enum_budget: int = ENUM_BUDGET_DEFAULT
 ) -> bool:
     """Check that two square-free radicands in class r share one basis row.
 

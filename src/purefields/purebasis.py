@@ -46,14 +46,27 @@ class UnknownSquareFreeError(Exception):
 
 
 class CertificationSkipped(Exception):
-    """Certification of a basis stopped short: some p-maximality check was
-    skipped, so the basis is neither certified nor refuted."""
+    """Certification was not started: its work measure exceeds the budget,
+    so nothing is certified nor refuted."""
 
-    def __init__(self, field: "PureField", skipped: dict[int, str]):
-        reasons = "; ".join(f"p = {p}: {r}" for p, r in sorted(skipped.items()))
-        super().__init__(f"certification of {field} skipped at {reasons}")
-        self.field = field
-        self.skipped = skipped
+    def __init__(self, reason: str):
+        super().__init__(f"certification skipped: {reason}")
+        self.reason = reason
+
+
+# the default budget_skip_reason bound: n^2 <= 2^16 admits every n <= 256
+ENUM_BUDGET_DEFAULT = 2 ** 16
+
+
+def budget_skip_reason(n: int, enum_budget: int, n0: int = 1) -> str | None:
+    """Why certification is skipped for budget, or None when its work
+    measure is within it: n^2 for one degree-n field, n0 * n^2 for an atlas
+    of n0 residue classes.  It depends on the degree alone, so callers
+    check it before anything is built."""
+    if n0 * n * n <= enum_budget:
+        return None
+    measure = f"n^2 = {n}^2" if n0 == 1 else f"n0 * n^2 = {n0} * {n}^2"
+    return f"{measure} = {n0 * n * n} exceeds the budget {enum_budget}"
 
 
 @dataclass(frozen=True)
@@ -369,22 +382,21 @@ def build_basis(field: PureField) -> IntegralBasis:
 
 
 def integral_basis(
-    field: PureField, *, enum_budget: int = 2 ** 24
+    field: PureField, *, enum_budget: int = ENUM_BUDGET_DEFAULT
 ) -> tuple[IntegralBasis, IndexReport]:
     """Integral basis plus index ledger, certified before being returned.
 
     The basis from build_basis is post-certified (integrality, ring
     closure, discriminant accounting, p-maximality for every p | n); a
-    basis that fails certification is never emitted, and one whose
-    p-maximality check was skipped for budget raises CertificationSkipped.
-    The budget depends on n alone, so it is checked before anything is
-    built: at huge n the construction itself would not finish.
+    basis that fails certification is never emitted.  A field whose work
+    measure n^2 exceeds enum_budget raises CertificationSkipped before
+    anything is built: at huge n the construction itself would not finish.
     """
     from . import oracle
 
-    over_budget = oracle.budget_skips(field, enum_budget)
-    if over_budget:
-        raise CertificationSkipped(field, over_budget)
+    over_budget = budget_skip_reason(field.n, enum_budget)
+    if over_budget is not None:
+        raise CertificationSkipped(over_budget)
 
     basis = build_basis(field)
     report = index_report(field)
@@ -396,8 +408,6 @@ def integral_basis(
     if not basis.denominator_ledger_ok():
         raise RuntimeError(f"denominator ledger violated for {field}")
     _check_discriminant_accounting(basis, report)
-    if certification.skipped:
-        raise CertificationSkipped(field, certification.skipped)
     return basis, report
 
 

@@ -27,15 +27,12 @@ from purefields.oracle import (
     _product_mod_p,
     _structure_constants,
     _supports,
-    budget_skip_reason,
     is_algebraic_integer,
 )
 from purefields.purebasis import BasisElement, IntegralBasis
 
 
-def p_maximality_enum(
-    basis: IntegralBasis, p: int, *, enum_budget: int = 2 ** 24
-) -> MaximalityResult:
+def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     """oracle.p_maximality_enum without Dedekind's criterion, Round 2
     always, with every product peeled against the given basis: the radical from the Frobenius images b_k^p, the Hermite
     basis of I_p from it, and the multiplier conditions of each radical
@@ -44,9 +41,6 @@ def p_maximality_enum(
     n = field.n
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    over_budget = budget_skip_reason(p, n, enum_budget)
-    if over_budget is not None:
-        return Skipped(over_budget)
     defect = _order_defect(basis, _structure_constants(basis))
     if defect is not None:
         return Skipped(defect)

@@ -107,23 +107,48 @@ class TestBasis:
             assert "divisible by 10000019**2" in err
 
     def test_skipped_maximality_is_resource_bound(self, capsys):
-        code, out, err = invoke(
-            capsys, "basis", "--n", "9", "--m", "55", "--enum-budget", "19682"
-        )
+        # the budget bounds n^2 = 81: one under it, one reason line
+        argv = ("basis", "--n", "9", "--m", "55", "--enum-budget")
+        code, out, err = invoke(capsys, *argv, "80")
         assert code == 3
         assert out == ""
-        assert "p = 3" in err
-        assert "--enum-budget" in err
+        assert err == (
+            "certification skipped: n^2 = 9^2 = 81 exceeds the budget 80 "
+            "(raise --enum-budget to certify)\n"
+        )
+        code, out, err = invoke(capsys, *argv, "81")
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == 9
 
     def test_huge_degree_exits_at_once(self, capsys):
         # the budget is checked before the basis is built, so n = 10^6
         # ends with the resource exit code instead of hanging
         start = time.perf_counter()
         code, out, err = invoke(capsys, "basis", "--n", "1000000", "--m", "2")
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 1
         assert code == 3
         assert out == ""
-        assert "p = 2" in err and "p = 5" in err
+        assert err == (
+            "certification skipped: n^2 = 1000000^2 = 1000000000000 exceeds "
+            "the budget 65536 (raise --enum-budget to certify)\n"
+        )
+
+    @pytest.mark.parametrize("n", ["11", "64", "256"])
+    def test_default_budget_certifies_to_degree_256(self, capsys, n):
+        code, out, err = invoke(capsys, "basis", "--n", n, "--m", "3")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["elements"]) == int(n)
+
+    @pytest.mark.parametrize("subcommand", ["basis", "verify"])
+    def test_default_budget_refuses_degree_257(self, capsys, subcommand):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, subcommand, "--n", "257", "--m", "3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            "certification skipped: n^2 = 257^2 = 66049 exceeds the budget "
+            "65536 (raise --enum-budget to certify)\n"
+        )
 
     @pytest.mark.parametrize("name", ["basic_format", "bogus"])
     def test_log_name_that_is_no_level_falls_back(self, capsys, monkeypatch, name):
@@ -338,6 +363,26 @@ class TestAtlas:
         _, second, _ = invoke(capsys, "atlas", "--n", "4")
         assert first == second
 
+    def test_work_over_budget_exits_before_the_scan(self, capsys):
+        # n0 * n^2 bounds the atlas: n = 210 has 44,100 classes
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "atlas", "--n", "210")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (
+            "certification skipped: n0 * n^2 = 44100 * 210^2 = 1944810000 "
+            "exceeds the budget 65536 (raise --enum-budget to certify)\n"
+        )
+
+    def test_budget_edge_is_n0_times_n_squared(self, capsys):
+        # n = 4: n0 * n^2 = 8 * 16 = 128
+        code, out, err = invoke(capsys, "atlas", "--n", "4", "--enum-budget", "127")
+        assert (code, out) == (3, "")
+        assert "n0 * n^2 = 8 * 4^2 = 128 exceeds the budget 127" in err
+        code, out, err = invoke(capsys, "atlas", "--n", "4", "--enum-budget", "128")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n0"] == 8
+
     def test_small_scan_bound_is_resource_bound(self, capsys):
         code, out, err = invoke(
             capsys, "atlas", "--n", "2", "--scan-bound", "2"
@@ -386,26 +431,37 @@ class TestVerify:
         assert out.rstrip().endswith("certified")
 
     def test_budget_too_small_is_resource_bound(self, capsys):
-        # every p | n is over budget: nothing is built or printed, and
-        # stderr names each skipped prime exactly as basis does
-        argv = ("--n", "2", "--m", "5", "--enum-budget", "1")
+        # one under n^2 = 4: nothing is built or printed, and stderr gives
+        # the reason exactly as basis does
+        argv = ("--n", "2", "--m", "5", "--enum-budget", "3")
         code, out, err = invoke(capsys, "verify", *argv)
         assert code == 3
         assert out == ""
-        assert "--enum-budget" in err
+        assert err == (
+            "certification skipped: n^2 = 2^2 = 4 exceeds the budget 3 "
+            "(raise --enum-budget to certify)\n"
+        )
         assert (code, out, err) == invoke(capsys, "basis", *argv)
+        code, out, err = invoke(capsys, "verify", *argv[:-1], "4")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["certified"] is True
 
     def test_budget_between_primes_reports_each(self, capsys):
-        # 2^6 is within the budget and 3^6 is not: the report still prints
-        code, out, err = invoke(
-            capsys, "verify", "--n", "6", "--m", "5", "--enum-budget", "64"
+        # the budget bounds n^2 alone, so the primes of n = 6 are skipped
+        # together: under 36 no report prints, at 36 both are proved
+        argv = ("verify", "--n", "6", "--m", "5", "--enum-budget")
+        code, out, err = invoke(capsys, *argv, "35")
+        assert (code, out) == (3, "")
+        assert err == (
+            "certification skipped: n^2 = 6^2 = 36 exceeds the budget 35 "
+            "(raise --enum-budget to certify)\n"
         )
-        assert code == 3
-        assert "p = 3" in err and "p = 2" not in err
-        doc = json.loads(out)
-        assert doc["certified"] is True
-        assert doc["maximality"]["2"] == {"status": "proved"}
-        assert doc["maximality"]["3"]["status"] == "skipped"
+        code, out, err = invoke(capsys, *argv, "36")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["maximality"] == {
+            "2": {"status": "proved"},
+            "3": {"status": "proved"},
+        }
 
     def test_failed_checks_exit_one_and_are_named(self, capsys, monkeypatch):
         # the power order Z[alpha] of (12, 17) is an order, but neither
@@ -452,10 +508,13 @@ class TestVerify:
     def test_huge_degree_exits_at_once(self, capsys):
         start = time.perf_counter()
         code, out, err = invoke(capsys, "verify", "--n", "1000000", "--m", "2")
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 1
         assert code == 3
         assert out == ""
-        assert "p = 2" in err and "p = 5" in err
+        assert err == (
+            "certification skipped: n^2 = 1000000^2 = 1000000000000 exceeds "
+            "the budget 65536 (raise --enum-budget to certify)\n"
+        )
 
 
 class RenderedPretty(Exception):

@@ -7,7 +7,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -44,8 +43,10 @@ from purefields.oracle import (
 )
 from purefields.purebasis import (
     BasisElement,
+    CertificationSkipped,
     IntegralBasis,
     PureField,
+    budget_skip_reason,
     build_basis,
     index_report,
     integral_basis,
@@ -378,21 +379,36 @@ def test_maximality_degree_twelve():
     assert p_maximality_enum(basis, 3) == Proved()
 
 
-def test_maximality_budget_guard():
-    basis = prime_power_basis(3, 2, 55)
-    result = p_maximality_enum(basis, 3, enum_budget=3 ** 9 - 1)
-    assert isinstance(result, Skipped)
-    assert "budget" in result.reason
-    assert p_maximality_enum(basis, 3, enum_budget=3 ** 9) == Proved()
+def test_maximality_budget_guard(monkeypatch):
+    # certify's budget bounds n^2: just under it no proof runs, and every
+    # p | n is skipped with one reason; at n^2 itself each is proved
+    basis = build_basis(PureField.create(6, 5))
+    proofs = []
+
+    def counting(basis, p):
+        proofs.append(p)
+        return p_maximality_enum(basis, p)
+
+    monkeypatch.setattr(oracle, "p_maximality_enum", counting)
+    report = certify(basis, enum_budget=35)
+    assert proofs == []
+    reason = "n^2 = 6^2 = 36 exceeds the budget 35"
+    assert report.maximality == {2: Skipped(reason), 3: Skipped(reason)}
+    report = certify(basis, enum_budget=36)
+    assert sorted(proofs) == [2, 3]
+    assert report.certified and report.maximality == {2: Proved(), 3: Proved()}
 
 
 def test_budget_guard_with_unprintable_coset_count():
     # 2^15000 has more digits than int -> str may convert; the guard reads
-    # only basis.field.n, so a stand-in spares building a degree-15000 basis
-    stand_in = SimpleNamespace(field=SimpleNamespace(n=15000))
-    result = p_maximality_enum(stand_in, 2)
-    assert isinstance(result, Skipped)
-    assert "2^15000" in result.reason and "budget" in result.reason
+    # n^2 and never forms p^n, so the degree-15000 basis is never built
+    field = PureField.create(15000, 2)
+    with pytest.raises(CertificationSkipped) as info:
+        integral_basis(field, enum_budget=15000 ** 2 - 1)
+    assert info.value.reason == (
+        "n^2 = 15000^2 = 225000000 exceeds the budget 224999999"
+    )
+    assert budget_skip_reason(15000, 15000 ** 2) is None
 
 
 def test_maximality_rejects_composite_p():
@@ -584,7 +600,7 @@ def test_echelon_route_matches_stacked_system():
             field = PureField.create(n, m)
             for basis in (power_basis(n, m), build_basis(field)):
                 for p in primes:
-                    fast = p_maximality_enum(basis, p, enum_budget=p ** n)
+                    fast = p_maximality_enum(basis, p)
                     slow = _stacked_multiplier_scan(basis, p)
                     assert type(fast) is type(slow), (n, m, p)
                     if isinstance(fast, CounterexampleFound):
@@ -613,7 +629,7 @@ def test_multiplier_system_holds_at_most_n_rows(monkeypatch, n, m):
     for basis in (power_basis(n, m), build_basis(field)):
         for p, _ in field.factorization:
             fed.clear()
-            outcomes.add(type(p_maximality_enum(basis, p, enum_budget=p ** n)))
+            outcomes.add(type(p_maximality_enum(basis, p)))
     # both the proof and the counterexample path ran
     assert outcomes == {Proved, CounterexampleFound}
     assert read and max(len(e) for e in read) <= n
@@ -722,7 +738,7 @@ def test_generators_of_the_radical_ideal_match_every_hermite_row(n, m):
     outcomes = set()
     for basis in orders:
         for p in primes:
-            fast = p_maximality_enum(basis, p, enum_budget=p ** n)
+            fast = p_maximality_enum(basis, p)
             assert fast == _every_hermite_row_scan(basis, p), (n, m, p, basis)
             outcomes.add(type(fast))
     assert outcomes == {Proved, CounterexampleFound}
@@ -1200,7 +1216,7 @@ def test_local_basis_matches_given_basis_twin():
         n = basis.field.n
         certificate = oracle._structure_constants(basis)
         fast = oracle._round_two(basis, p, certificate)
-        slow = given_basis_reference.p_maximality_enum(basis, p, enum_budget=p ** n)
+        slow = given_basis_reference.p_maximality_enum(basis, p)
         assert type(fast) is type(slow), (basis, p)
         if isinstance(fast, Proved):
             assert fast.radical_dimension == slow.radical_dimension, (basis, p)
@@ -1383,7 +1399,7 @@ def test_round_two_proves_wherever_dedekind_fires(monkeypatch):
     for basis, p in _dedekind_orders_and_primes():
         n, m = basis.field.n, basis.field.m
         certificate = oracle._structure_constants(basis)
-        result = p_maximality_enum(basis, p, enum_budget=p ** n)
+        result = p_maximality_enum(basis, p)
         tame = certificate.multiplier % p and (m ** p - m) % (p * p)
         if result is None:
             assert not tame, (n, m, p, basis)
@@ -1543,7 +1559,7 @@ def test_built_bases_take_the_subfield_at_every_round_two_prime(monkeypatch):
             basis = build_basis(field)
             for p, k in field.factorization:
                 degrees.clear()
-                result = p_maximality_enum(basis, p, enum_budget=p ** n)
+                result = p_maximality_enum(basis, p)
                 assert result == Proved(), (n, m, p)
                 assert degrees in ([], [p ** k]), (n, m, p, degrees)
                 reduced += bool(degrees) and p ** k < n
@@ -1608,7 +1624,7 @@ def test_subfield_is_not_taken_without_the_shape(monkeypatch, make_basis, p):
     fast = oracle._round_two(basis, p, certificate)
     assert degrees == [n]
     # the verdict of the twin that forms every product on the given basis
-    slow = given_basis_reference.p_maximality_enum(basis, p, enum_budget=p ** n)
+    slow = given_basis_reference.p_maximality_enum(basis, p)
     assert type(fast) is type(slow)
     if isinstance(fast, Proved):
         assert fast.radical_dimension == slow.radical_dimension
@@ -1683,7 +1699,11 @@ def test_certify_forms_no_fraction_on_an_order(monkeypatch):
     reports = [certify(basis, enum_budget=3 ** 24) for basis in bases]
     monkeypatch.undo()
     assert len(made) == 0
-    assert all(report.certified and not report.skipped for report in reports)
+    assert all(
+        report.certified
+        and all(isinstance(r, Proved) for r in report.maximality.values())
+        for report in reports
+    )
 
 
 def test_certify_power_basis_with_index():

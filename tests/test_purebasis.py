@@ -267,30 +267,48 @@ def test_prime_power_basis_rejects_composite_p(p):
 
 
 def test_integral_basis_raises_on_skipped_maximality():
-    with pytest.raises(CertificationSkipped) as info:
-        integral_basis(PureField.create(9, 55), enum_budget=3 ** 9 - 1)
-    assert list(info.value.skipped) == [3]
-    assert "budget" in info.value.skipped[3]
-    assert "p = 3" in str(info.value)
-
-
-def test_integral_basis_checks_the_budget_before_building():
-    # at n = 10^6 the construction alone would never finish; the budget
-    # depends on n only, so it stops the call before anything is built
-    from purefields.oracle import p_maximality_enum
-
-    with pytest.raises(CertificationSkipped) as info:
-        integral_basis(PureField.create(10 ** 6, 2))
-    assert sorted(info.value.skipped) == [2, 5]
-    assert info.value.skipped[5] == (
-        "p^n = 5^1000000 candidate cosets exceed the budget 16777216"
-    )
-    # the same reason string as the oracle's own budget skip
+    # the budget bounds n^2: one under it, nothing is certified
     field = PureField.create(9, 55)
+    with pytest.raises(CertificationSkipped) as info:
+        integral_basis(field, enum_budget=80)
+    assert info.value.reason == "n^2 = 9^2 = 81 exceeds the budget 80"
+    assert str(info.value) == f"certification skipped: {info.value.reason}"
+    basis, _ = integral_basis(field, enum_budget=81)
+    assert spans_equal(basis, build_basis(field))
+
+
+def test_integral_basis_checks_the_budget_before_building(monkeypatch):
+    # at n = 10^6 the construction alone would never finish; the budget
+    # depends on n only, so it stops the call before anything is built.
+    # The default admits n = 256 and refuses n = 257
+    from purefields.oracle import Skipped, certify
+
+    assert integral_basis(PureField.create(256, 3))[0].field.n == 256
+    field = PureField.create(9, 55)
+    basis = build_basis(field)
+
+    def refuse(field):
+        raise AssertionError(f"built a basis for {field}")
+
+    monkeypatch.setattr(purebasis, "build_basis", refuse)
+    for n, reason in [
+        (257, "n^2 = 257^2 = 66049 exceeds the budget 65536"),
+        (10 ** 6, "n^2 = 1000000^2 = 1000000000000 exceeds the budget 65536"),
+    ]:
+        with pytest.raises(CertificationSkipped) as info:
+            integral_basis(PureField.create(n, 2))
+        assert info.value.reason == reason
+    # the same reason string as the one certify gives each skipped prime
     with pytest.raises(CertificationSkipped) as small:
-        integral_basis(field, enum_budget=3 ** 9 - 1)
-    skipped = p_maximality_enum(build_basis(field), 3, enum_budget=3 ** 9 - 1)
-    assert small.value.skipped == {3: skipped.reason}
+        integral_basis(field, enum_budget=80)
+    report = certify(basis, enum_budget=80)
+    assert report.maximality == {3: Skipped(small.value.reason)}
+
+
+def test_every_degree_to_64_certifies_at_the_default_budget():
+    for n in range(2, 65):
+        basis, report = integral_basis(PureField.create(n, 3))
+        assert len(basis.elements) == n, n
 
 
 # ---------------------------------------------------------------------------
