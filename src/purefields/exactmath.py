@@ -525,11 +525,14 @@ def fp_radical(coefficients: Sequence[int], p: int) -> list[int]:
     of the a_i with p not dividing i, and stripping w's factors from g
     leaves a p-th power h(X^p) = h(X)^p, whose radical is h's, so the loop
     goes on with h.  A zero derivative means f is such a power already,
-    and g = 1 that f is square-free.
+    and g = 1 that f is square-free.  A monomial c*X^k, as X^n - m is where
+    p | m, has radical X (1 at k = 0) and skips the loop.
     """
     f = _trim([c % p for c in coefficients])
     if not f:
         raise ValueError("the radical of the zero polynomial is undefined")
+    if not any(f[:-1]):
+        return [0, 1] if len(f) > 1 else [1]
     f = _fp_monic(f, p)
     radical = [1]
     while len(f) > 1:

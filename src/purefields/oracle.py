@@ -27,8 +27,10 @@ lattice that is closed under multiplication and contains 1 is an order,
 hence integral, so certifying an order forms no Fraction.  Only elements
 outside an order (those of a lattice that is not one, and a
 counterexample) are tested one by one: a trace test on the numerator, then
-the characteristic polynomial of the multiplication map.  The oracle
-certifies bases handed to it; it never builds one.
+the characteristic polynomial of the multiplication map on the smallest
+pure subfield Q(alpha^g) that holds the element, g the gcd of n and the
+exponents of its numerator.  The oracle certifies bases handed to it; it
+never builds one.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .exactmath import (
     fp_reduce,
     hnf_rows,
     is_prime,
+    vp_int,
 )
 from .purebasis import BasisElement, IntegralBasis, PureField, index_report
 from .purebasis import ENUM_BUDGET_DEFAULT, budget_skip_reason
@@ -72,15 +75,28 @@ def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> RatMat
     return RatMatrix([[m * x for x in c[n - j:]] + c[:n - j] for j in range(n)])
 
 
+def _pure_subfield(field: PureField, g: int) -> PureField:
+    """K' = Q(alpha^g) for g | n: degree n/g, generated by the root alpha^g
+    of X^(n/g) - m, its factorization read off the field's."""
+    factorization = tuple(
+        (p, k - v) for p, k in field.factorization if (v := vp_int(p, g)) < k
+    )
+    return PureField(field.n // g, field.m, factorization)
+
+
 def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     """Whether x = N(alpha)/d lies in the ring of integers, decided exactly.
 
     d == 1 is integral at once.  Otherwise the trace pairings
     Tr(x * alpha^i), n*N_0/d for i = 0 and n*m*N_(n-i)/d for i >= 1, must
-    be integers: a cheap necessary condition.  Last, the characteristic
-    polynomial of multiplication by N(alpha) is the minimal polynomial of
-    N(alpha) raised to a power, and x is integral exactly when
-    d^(n-k) divides its coefficient of X^k for every k.
+    be integers: a cheap necessary condition.  Last, with g the gcd of n
+    and every exponent t where N_t != 0, x lies in K' = Q(alpha^g), of
+    degree n' = n/g, where alpha^g is a root of X^n' - m and N(alpha) is
+    N'(alpha^g), N' = N_0 + N_g X + N_2g X^2 + ...  The characteristic
+    polynomial of multiplication by N(alpha) on K' is the minimal
+    polynomial of N(alpha), the same over K' as over K, raised to a
+    power, and x is integral exactly when d^(n'-k) divides its
+    coefficient of X^k for every k.
     """
     n, m = field.n, field.m
     if element.degree >= n:
@@ -91,8 +107,10 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     numerator = element.int_numerator
     if (n * numerator[0]) % d or any((n * m * c) % d for c in numerator[1:]):
         return False
-    coefficients = charpoly(_multiplication_matrix(field, numerator)).coefficients
-    return all(int(c) % d ** (n - k) == 0 for k, c in enumerate(coefficients))
+    g = math.gcd(n, *(t for t, c in enumerate(numerator) if c))
+    subfield = _pure_subfield(field, g)
+    coefficients = charpoly(_multiplication_matrix(subfield, numerator[::g])).coefficients
+    return all(int(c) % d ** (subfield.n - k) == 0 for k, c in enumerate(coefficients))
 
 
 def _supports(basis: IntegralBasis) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -449,7 +467,7 @@ def _subfield(
         ):
             return field, local, 1
         reduced.append((q, [(t // u, c) for t, c in support]))
-    return PureField(p ** k, m, ((p, k),)), reduced, u
+    return _pure_subfield(field, u), reduced, u
 
 
 def _round_two(

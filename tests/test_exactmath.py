@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from functools import partial
 
@@ -831,6 +832,42 @@ def test_radical_is_the_product_of_sympys_factors(f, p):
         product *= factor.monic()
     expected = [int(c) % p for c in reversed(product.all_coeffs())]
     assert fp_radical(f, p) == expected
+
+
+def _shift(f: list[int], p: int) -> list[int]:
+    # f(X + 1) mod p, f constant first
+    out = [0] * len(f)
+    for k, c in enumerate(f):
+        if c:
+            for i in range(k + 1):
+                out[i] += c * math.comb(k, i)
+    return [c % p for c in out]
+
+
+def test_radical_of_a_monomial_matches_the_general_route():
+    # c*X^k returns before the strip loop; c*(X + 1)^k has the same
+    # factorization shifted and goes the whole way, and the radical
+    # commutes with the shift
+    for p in (2, 3, 5, 7):
+        for k in range(201):
+            # every unit c mod p comes round as k runs
+            c = 1 + k % (p - 1)
+            monomial = [0] * k + [c]
+            radical = fp_radical(monomial, p)
+            assert radical == ([0, 1] if k else [1]), (p, k, c)
+            assert fp_radical(_shift(monomial, p), p) == _shift(radical, p), (p, k, c)
+
+
+def test_dedekind_criterion_on_a_monomial_residue_is_linear_time():
+    # X^3072 - 6 at 3 is X^3072 mod 3: the radical is X at once, where
+    # stripping one factor per division took tens of ms
+    f = [-6] + [0] * 3071 + [1]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert dedekind_p_maximal(f, 3)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01
 
 
 @settings(max_examples=150, deadline=None)
