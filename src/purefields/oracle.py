@@ -26,11 +26,13 @@ integer numerators, and a p-maximality counterexample is built as one.  A
 lattice that is closed under multiplication and contains 1 is an order,
 hence integral, so certifying an order forms no Fraction.  Only elements
 outside an order (those of a lattice that is not one, and a
-counterexample) are tested one by one: a trace test on the numerator, then
-the characteristic polynomial of the multiplication map on the smallest
-pure subfield Q(alpha^g) that holds the element, g the gcd of n and the
-exponents of its numerator.  The oracle certifies bases handed to it; it
-never builds one.
+counterexample) are tested one by one: a trace test on the numerator,
+which leaves d | n once no prime of m divides d (X^n - m is Eisenstein
+there, so such a d already rules x out), then one prime q of d at a time:
+the characteristic polynomial of the multiplication map by N mod q^a,
+stripped of its least power of alpha (a unit above q), on the smallest
+pure subfield Q(alpha^g) that holds it.  The oracle certifies bases
+handed to it; it never builds one.
 """
 
 from __future__ import annotations
@@ -89,14 +91,29 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
 
     d == 1 is integral at once.  Otherwise the trace pairings
     Tr(x * alpha^i), n*N_0/d for i = 0 and n*m*N_(n-i)/d for i >= 1, must
-    be integers: a cheap necessary condition.  Last, with g the gcd of n
-    and every exponent t where N_t != 0, x lies in K' = Q(alpha^g), of
-    degree n' = n/g, where alpha^g is a root of X^n' - m and N(alpha) is
-    N'(alpha^g), N' = N_0 + N_g X + N_2g X^2 + ...  The characteristic
-    polynomial of multiplication by N(alpha) on K' is the minimal
-    polynomial of N(alpha), the same over K' as over K, raised to a
-    power, and x is integral exactly when d^(n'-k) divides its
-    coefficient of X^k for every k.
+    be integers: a cheap necessary condition.  Then integrality is decided
+    one prime q of d at a time:
+
+    - At q | m, X^n - m is q-Eisenstein (m is square-free), so Z_(q)[alpha]
+      is q-maximal and x is q-integral only if q divides every N_t, which
+      lowest terms rules out: x is not integral.
+    - Otherwise gcd(d, m) = 1, so the trace test gives d | n*N_t for every
+      t, hence d | n (lowest terms), and the primes of d are read off the
+      field's factorization.  With q^a the exact power of q in d, x is
+      q-integral iff x_q = (N mod q^a)(alpha)/q^a is, and x_q, whose only
+      denominator is q^a, is integral iff it is q-integral.  alpha is a
+      unit above q (q does not divide m), so x_q may be divided by
+      alpha^s, s the least exponent of N mod q^a, leaving M(alpha)/q^a.
+      With g the gcd of n and every exponent of M, that lies in
+      K' = Q(alpha^g), of degree n' = n/g, where alpha^g is a root of
+      X^n' - m and M(alpha) is M'(alpha^g), M' = M_0 + M_g X + ...  The
+      characteristic polynomial of multiplication by M(alpha) on K' is
+      its minimal polynomial, the same over K' as over K, raised to a
+      power, and M(alpha)/q^a is integral exactly when q^(a*(n'-k))
+      divides its coefficient of X^k for every k.
+
+    x is integral iff every prime of d passes; the first that fails
+    decides.
     """
     n, m = field.n, field.m
     if element.degree >= n:
@@ -107,10 +124,22 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     numerator = element.int_numerator
     if (n * numerator[0]) % d or any((n * m * c) % d for c in numerator[1:]):
         return False
-    g = math.gcd(n, *(t for t, c in enumerate(numerator) if c))
-    subfield = _pure_subfield(field, g)
-    coefficients = charpoly(_multiplication_matrix(subfield, numerator[::g])).coefficients
-    return all(int(c) % d ** (subfield.n - k) == 0 for k, c in enumerate(coefficients))
+    if math.gcd(d, m) > 1:
+        return False
+    # d | n here, so each prime of d is a prime of n
+    for q, _ in field.factorization:
+        if d % q:
+            continue
+        modulus = q ** vp_int(q, d)
+        local = [c % modulus for c in numerator]
+        s = next(t for t, c in enumerate(local) if c)
+        local = local[s:]
+        g = math.gcd(n, *(t for t, c in enumerate(local) if c))
+        subfield = _pure_subfield(field, g)
+        coefficients = charpoly(_multiplication_matrix(subfield, local[::g])).coefficients
+        if any(int(c) % modulus ** (subfield.n - k) for k, c in enumerate(coefficients)):
+            return False
+    return True
 
 
 def _supports(basis: IntegralBasis) -> list[tuple[int, list[tuple[int, int]]]]:
