@@ -23,8 +23,8 @@ from collections.abc import Callable
 
 from .exactmath import QPolynomial, is_prime
 from .newton import (
-    index_lower_bound,
     phi_development,
+    phi_index,
     polygon_ascii,
     polygon_json_dict,
     principal_polygon,
@@ -155,17 +155,19 @@ def _cmd_polygon(args) -> int:
     if m == 0:
         raise ValueError("m must be nonzero")
     degree = p**k
-    f = QPolynomial.x_power(degree) - QPolynomial([m])
-    # mod p the polynomial is (X - m)^(p^k), so the development base is linear
-    phi = QPolynomial([-(m % p), 1])
-    dev = phi_development(f, phi, p)
-    polygon = principal_polygon(dev)
-    bound, exact = index_lower_bound(f, p)
+    # mod p the polynomial is (X - m)^(p^k): phi is its one irreducible
+    # factor, so this polygon alone gives the index bound
+    phi = [-(m % p), 1]
+    f = [-m] + [0] * (degree - 1) + [1]
+    polygon = principal_polygon(phi_development(f, phi, p))
+    bound = phi_index(polygon, 1)
+    exact = all(side.separable for side in polygon.sides)
+    phi_text = str(QPolynomial(phi))
     doc = {
         "p": p,
         "k": k,
         "m": m,
-        "phi": str(phi),
+        "phi": phi_text,
         "polygon": polygon_json_dict(polygon, 1),
         "index_bound": bound,
         "exact": exact,
@@ -174,7 +176,7 @@ def _cmd_polygon(args) -> int:
         args,
         doc,
         lambda: (
-            f"f = X^{degree} - ({m}), p = {p}, phi = {phi}\n"
+            f"f = X^{degree} - ({m}), p = {p}, phi = {phi_text}\n"
             f"{polygon_ascii(polygon)}\n"
             f"index bound: {bound} ({'exact' if exact else 'lower bound only'})\n"
         ),

@@ -1,14 +1,12 @@
 """Exact arithmetic kernel: p-adic valuations, polynomials, and matrices.
 
-There is one polynomial implementation.  Polynomial holds every
-algorithm that does not depend on the coefficient field (arithmetic,
-division with remainder, derivative, monic, pow_mod, and poly_gcd and
-poly_ext_gcd, the one Euclid); QPolynomial, FpPolynomial and
-newton.FpExtPolynomial supply only Q, F_p and F_p[x]/(phi).  The two
-routines the certifier runs at every p | n, the radical mod p (fp_radical,
-which newton's factorisation also starts from) and Dedekind's criterion,
-work on plain int lists instead, where a check costs tens of
-microseconds at the benchmark's degrees.
+QPolynomial, on the field-generic Polynomial base (arithmetic, division
+with remainder, derivative, monic, pow_mod), is the public value and
+display type of a polynomial over Q.  Arithmetic over F_p works on plain
+int lists, constant first, where a check costs tens of microseconds at
+the benchmark's degrees: the radical mod p (fp_radical) and Dedekind's
+criterion, which the certifier runs at every p | n, and the division and
+gcd that newton's factorisation and residual fields are built from.
 
 Integer matrices are plain lists of rows, which Hermite normal form and
 determinants take as they are; a determinant expands single-entry rows
@@ -312,35 +310,6 @@ class Polynomial:
         return result
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two polynomials over the same field."""
-    a._check(b)
-    if not a and not b:
-        raise ValueError("gcd of two zero polynomials undefined")
-    while b:
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_ext_gcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Extended Euclid: returns monic (g, s, t) with s*a + t*b = g."""
-    a._check(b)
-    one = a._like((a._one,))
-    zero = a._like(())
-    old_r, r = a, b
-    old_s, s = one, zero
-    old_t, t = zero, one
-    while r:
-        q, rem = divmod(old_r, r)
-        old_r, r = r, rem
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if not old_r:
-        raise ValueError("gcd of two zero polynomials undefined")
-    inv = a._inverse(old_r.coefficients[-1])
-    return old_r * inv, old_s * inv, old_t * inv
-
-
 # ---------------------------------------------------------------------------
 # polynomials over Q
 # ---------------------------------------------------------------------------
@@ -421,46 +390,6 @@ class QPolynomial(Polynomial):
 
     def __repr__(self) -> str:
         return f"QPolynomial({list(self.coefficients)!r})"
-
-
-# ---------------------------------------------------------------------------
-# polynomials over F_p
-# ---------------------------------------------------------------------------
-
-class FpPolynomial(Polynomial):
-    """Dense univariate polynomial over the prime field F_p, with every
-    coefficient reduced into [0, p)."""
-
-    __slots__ = ("p",)
-    _zero = 0
-    _one = 1
-
-    def __init__(self, p: int, coefficients: Iterable[int] = ()):
-        self.p = p
-        self.coefficients: tuple[int, ...] = self._trimmed([c % p for c in coefficients])
-
-    @property
-    def _field(self) -> int:
-        return self.p
-
-    def _like(self, coefficients) -> "FpPolynomial":
-        return FpPolynomial(self.p, coefficients)
-
-    def _reduce(self, c: int) -> int:
-        return c % self.p
-
-    def _inverse(self, c: int) -> int:
-        return pow(c, -1, self.p)
-
-    def lift(self) -> QPolynomial:
-        """Monic-compatible lift with coefficients in [0, p)."""
-        return QPolynomial(self.coefficients)
-
-    def __str__(self) -> str:
-        return f"{self.lift()} (mod {self.p})"
-
-    def __repr__(self) -> str:
-        return f"FpPolynomial({self.p}, {list(self.coefficients)!r})"
 
 
 # ---------------------------------------------------------------------------

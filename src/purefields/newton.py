@@ -5,11 +5,14 @@ valuation points, the residual polynomial of each side over F_p[x]/(phi)
 and whether it is separable, and the resulting lower bound for the p-index
 of a monic integer polynomial, which is exact exactly when every
 development is regular (every residual separable).
-Developments, polygon heights and residual digits are computed on plain
-integers: phi is monic, so its divisions need no inverse, and each digit
-is divided only by a power of p that divides it.
-Polynomials over Q, F_p and F_p[x]/(phi) share one implementation,
-exactmath.Polynomial; FpExtPolynomial only supplies the field F_p[x]/(phi).
+Every polynomial here is a tuple or list of ints, constant first, with no
+trailing zeros, as in exactmath's radical and Dedekind routines; an
+element of F_p[x]/(phi) is such a list of degree below deg(phi), and a
+residual polynomial is a tuple of them.  Developments, polygon heights and
+residual digits are computed on plain integers: phi is monic, so its
+divisions need no inverse, and each digit is divided only by a power of p
+that divides it.  QPolynomial appears only in index_lower_bound's input
+and in rendering.
 """
 
 from __future__ import annotations
@@ -17,17 +20,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .exactmath import (
-    FpPolynomial,
-    Polynomial,
     QPolynomial,
+    _fp_divmod,
+    _fp_gcd,
+    _int_product,
+    _trim,
     fp_radical,
-    poly_ext_gcd,
-    poly_gcd,
     vp_int,
 )
+
+Poly = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -41,120 +47,137 @@ class PhiDevelopment:
     valuations[i] is vp of a_i, or None when a_i = 0 (valuation +infinity).
     """
 
-    f: QPolynomial
-    phi: QPolynomial
+    f: Poly
+    phi: Poly
     p: int
-    coefficients: tuple[QPolynomial, ...]
+    coefficients: tuple[Poly, ...]
     valuations: tuple[Optional[int], ...]
 
 
-def phi_development(f: QPolynomial, phi: QPolynomial, p: int) -> PhiDevelopment:
-    """Expand f in base phi by repeated division with remainder.
+def phi_development(f: Sequence[int], phi: Sequence[int], p: int) -> PhiDevelopment:
+    """Expand f in base phi by repeated division with remainder, f and phi
+    given by their integer coefficients, constant first.
 
-    phi is monic, so each division is synthetic on the integer numerators:
-    the quotient digits are the leading remainder coefficients, left in
-    place, so after a pass rem[:deg phi] is the next a_i and rem[deg phi:]
-    the quotient.
+    phi is monic, so each division is synthetic: the quotient digits are
+    the leading remainder coefficients, left in place, so after a pass
+    rem[:deg phi] is the next a_i and rem[deg phi:] the quotient.  A
+    digit's valuation is that of the gcd of its coefficients.
     """
-    if not f.is_integral() or not phi.is_integral():
+    if not all(isinstance(c, int) for c in (*f, *phi)):
         raise ValueError("development expects integer coefficients")
-    if not phi.is_monic() or phi.degree < 1:
+    f, phi = tuple(_trim(list(f))), tuple(_trim(list(phi)))
+    if len(phi) < 2 or phi[-1] != 1:
         raise ValueError("phi must be monic of degree >= 1")
-    d = phi.degree
-    tail = [c.numerator for c in phi.coefficients[:d]]
-    rem = [c.numerator for c in f.coefficients]
-    digits: list[list[int]] = []
+    d = len(phi) - 1
+    terms = [(j - d, b) for j, b in enumerate(phi[:d]) if b]
+    # one division is the steps (i, k, b), rem[k] -= rem[i] * b, for i from
+    # the top of rem down to d; a later division, on a shorter rem, takes
+    # the same steps from its own top, which form a suffix of this list
+    steps = [(i, i + j, b) for i in range(len(f) - 1, d - 1, -1) for j, b in terms]
+    rem = list(f)
+    digits: list[Poly] = []
     while rem:
-        for i in range(len(rem) - 1, d - 1, -1):
-            q = rem[i]
-            if q:
-                for j, b in enumerate(tail, i - d):
-                    rem[j] -= q * b
-        digits.append(rem[:d])
+        for i, k, b in steps[(len(f) - len(rem)) * len(terms):]:
+            rem[k] -= rem[i] * b
+        digits.append(tuple(_trim(rem[:d])))
         # the quotient keeps the nonzero leading coefficient of rem
         rem = rem[d:]
     if not digits:
-        digits.append([])
-    vals = tuple(min((vp_int(p, c) for c in a if c), default=None) for a in digits)
-    return PhiDevelopment(f, phi, p, tuple(QPolynomial(a) for a in digits), vals)
+        digits.append(())
+    vals = tuple(vp_int(p, math.gcd(*a)) if a else None for a in digits)
+    return PhiDevelopment(f, phi, p, tuple(digits), vals)
+
+
+# ---------------------------------------------------------------------------
+# F_p[x] beyond exactmath's radical and Dedekind routines
+# ---------------------------------------------------------------------------
+
+def _fp_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _fp_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
+    return _fp_divmod(_int_product(a, b), modulus, p)[1]
+
+
+def _fp_pow_mod(a: list[int], e: int, modulus: list[int], p: int) -> list[int]:
+    """a**e mod modulus over F_p by repeated squaring."""
+    result, base = [1], _fp_divmod(a, modulus, p)[1]
+    while e:
+        if e & 1:
+            result = _fp_mul_mod(result, base, modulus, p)
+        base = _fp_mul_mod(base, base, modulus, p)
+        e >>= 1
+    return result
+
+
+def _fp_inverse(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
+    """Inverse of a modulo modulus over F_p, by extended Euclid; modulus
+    need not be irreducible, but a must be prime to it."""
+    if len(a) == 1:
+        # a nonzero constant is a unit of F_p, whatever the modulus is
+        return [pow(a[0], -1, p)]
+    # s1 * a = r1 modulo modulus throughout
+    r0, r1, s0, s1 = list(modulus), list(a), [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _fp_sub(s0, _int_product(q, s1), p)
+    if len(r0) != 1:
+        raise ValueError("coefficient not invertible; phi_bar must be irreducible")
+    inverse = pow(r0[0], -1, p)
+    return [c * inverse % p for c in s0]
 
 
 # ---------------------------------------------------------------------------
 # residual polynomials over F_p[x]/(phi)
 # ---------------------------------------------------------------------------
 
-class FpExtPolynomial(Polynomial):
-    """Polynomial in Y whose coefficients live in the field F_p[x]/(phi_bar)."""
+def _ext_rem(a: list, b: list, phi_bar: list[int], p: int) -> list:
+    """a mod b for polynomials in Y over F_p[x]/(phi_bar), b nonzero."""
+    inverse = _fp_inverse(b[-1], phi_bar, p)
+    d = len(b) - 1
+    rem = list(a)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if rem[i]:
+            q = _fp_mul_mod(rem[i], inverse, phi_bar, p)
+            for j, c in enumerate(b[:-1], i - d):
+                rem[j] = _fp_sub(rem[j], _fp_mul_mod(q, c, phi_bar, p), p)
+    return _trim(rem[:d])
 
-    __slots__ = ("p", "phi_bar")
 
-    def __init__(self, p: int, phi_bar: FpPolynomial, coefficients: Sequence[FpPolynomial]):
-        self.p = p
-        self.phi_bar = phi_bar
-        self.coefficients: tuple[FpPolynomial, ...] = self._trimmed(
-            [self._reduce(c) for c in coefficients]
-        )
+def _is_separable(residual: Sequence[Poly], phi_bar: list[int], p: int) -> bool:
+    """True iff the polynomial in Y has no repeated roots over the residue
+    field F_p[x]/(phi_bar): its gcd with its derivative is a constant.
 
-    @property
-    def _field(self) -> FpPolynomial:
-        return self.phi_bar
+    Euclid stops at the first remainder that is a nonzero constant.
+    """
+    a = list(residual)
+    b = _trim([_trim([i * c % p for c in ci]) for i, ci in enumerate(a)][1:])
+    while len(b) > 1:
+        a, b = b, _ext_rem(a, b, phi_bar, p)
+    return len(a) == 1 or len(b) == 1
 
-    @property
-    def _zero(self) -> FpPolynomial:
-        return FpPolynomial(self.p)
 
-    @property
-    def _one(self) -> FpPolynomial:
-        return FpPolynomial(self.p, (1,))
-
-    def _like(self, coefficients) -> "FpExtPolynomial":
-        return FpExtPolynomial(self.p, self.phi_bar, coefficients)
-
-    def _reduce(self, c: FpPolynomial) -> FpPolynomial:
-        return c if c.degree < self.phi_bar.degree else c % self.phi_bar
-
-    def _inverse(self, c: FpPolynomial) -> FpPolynomial:
-        if c.degree == 0:
-            # a nonzero constant is a unit of F_p, whatever phi_bar is
-            return FpPolynomial(self.p, (pow(c.coefficients[0], -1, self.p),))
-        g, s, _ = poly_ext_gcd(c, self.phi_bar)
-        if g.degree != 0:
-            raise ValueError("coefficient not invertible; phi_bar must be irreducible")
-        return s % self.phi_bar
-
-    def is_separable(self) -> bool:
-        """True iff the polynomial has no repeated roots over the residue field."""
-        deriv = self.derivative()
-        if deriv.is_zero():
-            return self.degree == 0
-        return poly_gcd(self, deriv).degree == 0
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficient(i)
-            if c.is_zero():
-                continue
-            if c.degree == 0:
-                cstr = "" if (c.coefficients[0] == 1 and i > 0) else str(c.coefficients[0])
-            else:
-                cstr = "(" + str(c.lift()).lower() + ")"
-            if i == 0:
-                term = cstr if cstr else "1"
-            elif i == 1:
-                term = f"{cstr}Y"
-            else:
-                term = f"{cstr}Y^{i}"
-            parts.append(term)
-        return "+".join(parts)
-
-    def __repr__(self) -> str:
-        return (
-            f"FpExtPolynomial(p={self.p!r}, phi_bar={self.phi_bar!r}, "
-            f"coefficients={self.coefficients!r})"
-        )
+def residual_str(residual: Sequence[Poly]) -> str:
+    """The residual as text in Y, a non-constant coefficient in x shown in
+    parentheses: Y^2+Y+1, (x+1)Y+x."""
+    parts = []
+    for i in range(len(residual) - 1, -1, -1):
+        c = residual[i]
+        if not c:
+            continue
+        if len(c) == 1:
+            cstr = "" if (c[0] == 1 and i > 0) else str(c[0])
+        else:
+            cstr = "(" + str(QPolynomial(c)).lower() + ")"
+        if i == 0:
+            term = cstr if cstr else "1"
+        elif i == 1:
+            term = f"{cstr}Y"
+        else:
+            term = f"{cstr}Y^{i}"
+        parts.append(term)
+    return "+".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +190,8 @@ class Side:
 
     The slope is -h/e in lowest terms, l is the length of the horizontal
     projection, and d = l/e is the degree of the attached residual, whose
-    separability is decided once, when the side is built.
+    separability is decided once, when the side is built.  residual[j] is
+    the coefficient of Y**j, an element of F_p[x]/(phi).
     """
 
     start: tuple[int, int]
@@ -176,7 +200,7 @@ class Side:
     e: int
     l: int
     d: int
-    residual: FpExtPolynomial
+    residual: tuple[Poly, ...]
     separable: bool
 
 
@@ -222,6 +246,7 @@ def principal_polygon(dev: PhiDevelopment) -> NewtonPolygon:
         (i, u) for i, u in enumerate(dev.valuations) if u is not None
     )
     hull = _lower_hull(points)
+    phi_bar = [c % dev.p for c in dev.phi]
     vertices: list[tuple[int, int]] = []
     sides: list[Side] = []
     for a, b in zip(hull, hull[1:]):
@@ -232,7 +257,7 @@ def principal_polygon(dev: PhiDevelopment) -> NewtonPolygon:
         g = math.gcd(dx, dy)
         h, e = dy // g, dx // g
         residual = _residual(dev, a, h, e, g)
-        side = Side(a, b, h, e, dx, g, residual, residual.is_separable())
+        side = Side(a, b, h, e, dx, g, residual, _is_separable(residual, phi_bar, dev.p))
         if not vertices:
             vertices.append(a)
         vertices.append(b)
@@ -240,29 +265,27 @@ def principal_polygon(dev: PhiDevelopment) -> NewtonPolygon:
     return NewtonPolygon(points, tuple(vertices), tuple(sides))
 
 
-def _residual(dev, start, h, e, d) -> FpExtPolynomial:
+def _residual(dev, start, h, e, d) -> tuple[Poly, ...]:
     """The residual polynomial of the side from start with slope -h/e and
     degree d, its coefficients read off the lattice points of the side.
 
     c_j is the reduction of a_i / p**u_i modulo (p, phi) when the point
     (i, u_i) with i = start + j*e lies on the side, and zero otherwise; the
-    endpoints always lie on the side, so the degree is exactly d.
+    endpoints always lie on the side, so the degree is exactly d.  A digit
+    has degree below deg(phi), so reducing it mod p reduces it mod (p, phi).
     """
     p = dev.p
-    phi_bar = FpPolynomial(p, [c.numerator for c in dev.phi.coefficients])
-    coeffs: list[FpPolynomial] = []
+    coeffs: list[Poly] = []
     for j in range(d + 1):
         i = start[0] + j * e
         u_line = start[1] - j * h
-        u_i = dev.valuations[i] if i < len(dev.valuations) else None
-        if u_i != u_line:
-            coeffs.append(FpPolynomial(p))
+        if dev.valuations[i] != u_line:
+            coeffs.append(())
             continue
         # u_i is the valuation of a_i, so the division is exact
         scale = p ** u_line
-        digit = dev.coefficients[i].coefficients
-        coeffs.append(FpPolynomial(p, [c.numerator // scale for c in digit]))
-    return FpExtPolynomial(p, phi_bar, tuple(coeffs))
+        coeffs.append(tuple(_trim([c // scale % p for c in dev.coefficients[i]])))
+    return tuple(coeffs)
 
 
 def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
@@ -287,70 +310,76 @@ def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
 # factorization over F_p (distinct irreducible factors only)
 # ---------------------------------------------------------------------------
 
-def _distinct_degree(f: FpPolynomial) -> list[tuple[int, FpPolynomial]]:
+def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
     # f monic squarefree; returns (d, product of all irreducible factors of degree d)
-    p = f.p
-    out: list[tuple[int, FpPolynomial]] = []
-    x = FpPolynomial(p, (0, 1))
+    out: list[tuple[int, list[int]]] = []
+    x = [0, 1]
     h = x
     rest = f
     d = 0
-    while rest.degree > 0:
+    while len(rest) > 1:
         d += 1
-        if 2 * d > rest.degree:
-            out.append((rest.degree, rest))
+        if 2 * d > len(rest) - 1:
+            out.append((len(rest) - 1, rest))
             break
-        h = h.pow_mod(p, rest)
-        g = poly_gcd(h - x, rest) if not (h - x).is_zero() else rest
-        if g.degree > 0:
+        h = _fp_pow_mod(h, p, rest, p)
+        g = _fp_gcd(_fp_sub(h, x, p), rest, p)
+        if len(g) > 1:
             out.append((d, g))
-            rest = (rest // g).monic()
-            h = h % rest
+            # rest and g are monic, so is the quotient
+            rest = _fp_divmod(rest, g, p)[0]
+            h = _fp_divmod(h, rest, p)[1]
     return out
 
 
-def _equal_degree(f: FpPolynomial, d: int, rng: random.Random) -> list[FpPolynomial]:
-    # f monic squarefree, all irreducible factors of degree d
-    p = f.p
-    if f.degree == d:
+def _equal_degree(
+    f: list[int], d: int, p: int, rng: Optional[random.Random]
+) -> list[list[int]]:
+    # f monic squarefree, all irreducible factors of degree d; rng is only
+    # drawn from when there is more than one
+    n = len(f) - 1
+    if n == d:
         return [f]
-    n = f.degree
     while True:
-        a = FpPolynomial(p, [rng.randrange(p) for _ in range(n)])
-        if a.degree < 1:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
             continue
-        g = poly_gcd(a, f)
-        if 0 < g.degree < n:
+        g = _fp_gcd(a, f, p)
+        if 0 < len(g) - 1 < n:
             split = g
         else:
             if p == 2:
                 t = a
                 acc = a
                 for _ in range(d - 1):
-                    t = t.pow_mod(2, f)
-                    acc = (acc + t) % f
+                    t = _fp_pow_mod(t, 2, f, p)
+                    # over F_2, acc + t = acc - t
+                    acc = _fp_sub(acc, t, p)
                 b = acc
             else:
-                b = a.pow_mod((p ** d - 1) // 2, f) - FpPolynomial(p, (1,))
-            if b.is_zero():
+                b = _fp_sub(_fp_pow_mod(a, (p ** d - 1) // 2, f, p), [1], p)
+            if not b:
                 continue
-            split = poly_gcd(b, f)
-            if not 0 < split.degree < n:
+            split = _fp_gcd(b, f, p)
+            if not 0 < len(split) - 1 < n:
                 continue
-        return _equal_degree(split, d, rng) + _equal_degree((f // split).monic(), d, rng)
+        rest = _fp_divmod(f, split, p)[0]
+        return _equal_degree(split, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
-def distinct_irreducible_factors(f: FpPolynomial) -> list[FpPolynomial]:
-    """Distinct monic irreducible factors of f over F_p, sorted by
-    (degree, coefficient tuple) so the result is deterministic."""
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    rad = FpPolynomial(f.p, fp_radical(f.coefficients, f.p))
-    rng = random.Random(0)
-    factors: list[FpPolynomial] = []
-    for d, prod in _distinct_degree(rad):
-        factors.extend(_equal_degree(prod, d, rng))
-    factors.sort(key=lambda g: (g.degree, g.coefficients))
+def distinct_irreducible_factors(coefficients: Sequence[int], p: int) -> list[list[int]]:
+    """Distinct monic irreducible factors over F_p of the integer
+    polynomial given by its coefficients, constant first, each with
+    coefficients in [0, p) and sorted by (degree, coefficients) so the
+    result is deterministic."""
+    products = _distinct_degree(fp_radical(coefficients, p), p)
+    # seeding costs as much as the rest of a one-factor split: seed only
+    # when some product has factors to split apart
+    rng = random.Random(0) if any(len(g) - 1 > d for d, g in products) else None
+    factors: list[list[int]] = []
+    for d, prod in products:
+        factors.extend(_equal_degree(prod, d, p, rng))
+    factors.sort(key=lambda g: (len(g), g))
     return factors
 
 
@@ -385,8 +414,8 @@ def _square_free_over_q(f: Sequence[int]) -> bool:
 def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     """Lower bound for the p-index of a monic integer polynomial.
 
-    Factors f mod p into distinct monic irreducibles, lifts each factor phi
-    to integer coefficients in [0, p), and sums the phi-indices of the
+    Factors f mod p into distinct monic irreducibles, takes each factor phi
+    with integer coefficients in [0, p), and sums the phi-indices of the
     principal polygons.  The second component is True when every
     development is regular, in which case the bound is the exact p-index.
     """
@@ -395,14 +424,11 @@ def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     ints = [c.numerator for c in f.coefficients]
     if not _square_free_over_q(ints):
         raise ValueError("polynomial must be square-free over Q")
-    fbar = FpPolynomial(p, ints)
     total = 0
     exact = True
-    for factor in distinct_irreducible_factors(fbar):
-        phi = factor.lift()
-        dev = phi_development(f, phi, p)
-        polygon = principal_polygon(dev)
-        total += phi_index(polygon, factor.degree)
+    for phi in distinct_irreducible_factors(ints, p):
+        polygon = principal_polygon(phi_development(ints, phi, p))
+        total += phi_index(polygon, len(phi) - 1)
         if not all(side.separable for side in polygon.sides):
             exact = False
     return total, exact
@@ -420,7 +446,7 @@ def polygon_json_dict(polygon: NewtonPolygon, degphi: int) -> dict:
         "sides": [
             {
                 "slope": f"-{s.h}/{s.e}",
-                "residual": str(s.residual),
+                "residual": residual_str(s.residual),
                 "separable": s.separable,
             }
             for s in polygon.sides
@@ -457,7 +483,7 @@ def polygon_ascii(polygon: NewtonPolygon) -> str:
     for s in polygon.sides:
         lines.append(
             f"side {s.start} -> {s.end}: slope -{s.h}/{s.e}, "
-            f"residual {s.residual}, "
+            f"residual {residual_str(s.residual)}, "
             f"{'separable' if s.separable else 'not separable'}"
         )
     if not polygon.sides:

@@ -18,7 +18,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from purefields.exactmath import FpPolynomial, QPolynomial, vp_int
+from poly_reference import FpPolynomial
+from purefields.exactmath import QPolynomial, vp_int
 from purefields.purebasis import BasisElement, IntegralBasis, PureField
 
 

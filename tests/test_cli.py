@@ -9,9 +9,10 @@ import time
 
 import pytest
 
-from purefields import cli
+from purefields import cli, newton
 from purefields.cli import run
 from purefields.exactmath import QPolynomial
+from purefields.newton import index_lower_bound
 from purefields.purebasis import BasisElement, IntegralBasis, PureField, index_report
 
 # product of three primes just above the trial-division bound: the cofactor
@@ -319,6 +320,31 @@ class TestPolygon:
         doc = json.loads(out)
         assert doc["index_bound"] == 0
         assert doc["phi"] == "X"
+
+    def test_one_development_gives_the_index_bound(self, capsys, monkeypatch):
+        # X^(p^k) - m = (X - m)^(p^k) mod p, so the one polygon the command
+        # draws carries the bound; index_lower_bound develops along another
+        # lift of the same factor and must agree with it
+        developments = []
+        develop = newton.phi_development
+
+        def counting(*args):
+            developments.append(args)
+            return develop(*args)
+
+        monkeypatch.setattr(cli, "phi_development", counting)
+        monkeypatch.setattr(newton, "phi_development", counting)
+        for p, k in [(2, 1), (2, 3), (3, 2), (5, 1), (7, 1)]:
+            for m in (-60, -7, 2, 3, 5, 6, 10, 17, 55, 98):
+                developments.clear()
+                code, out, _ = invoke(
+                    capsys, "polygon", "--p", str(p), "--k", str(k), "--m", str(m)
+                )
+                assert (code, len(developments)) == (0, 1), (p, k, m)
+                doc = json.loads(out)
+                f = QPolynomial.x_power(p**k) - QPolynomial([m])
+                bound = index_lower_bound(f, p)
+                assert (doc["index_bound"], doc["exact"]) == bound, (p, k, m)
 
     @pytest.mark.parametrize(
         "p, k, m",

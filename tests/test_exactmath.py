@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from purefields.exactmath import (
-    FpPolynomial,
     NotSquareFree,
     QPolynomial,
     RatMatrix,
@@ -29,14 +28,12 @@ from purefields.exactmath import (
     fp_reduce,
     hnf_rows,
     is_prime,
-    poly_ext_gcd,
-    poly_gcd,
     square_free_check,
     vp_int,
 )
-from purefields.newton import FpExtPolynomial
 from fp_reference import fp_kernel as reference_fp_kernel
 from fp_reference import fp_reduce as reference_fp_reduce
+from poly_reference import FpExtPolynomial, FpPolynomial, poly_ext_gcd, poly_gcd
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import fp_from_qpoly, qpoly_power, vp_rational
 

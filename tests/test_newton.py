@@ -8,19 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from purefields.exactmath import (
-    FpPolynomial,
-    QPolynomial,
-    fp_radical,
-    poly_ext_gcd,
-    poly_gcd,
-    vp_int,
-)
+from purefields.exactmath import QPolynomial, fp_radical, vp_int
 from purefields.newton import (
+    _fp_inverse,
     _square_free_over_q,
-    FpExtPolynomial,
-    NewtonPolygon,
-    Side,
     distinct_irreducible_factors,
     index_lower_bound,
     phi_development,
@@ -28,7 +19,10 @@ from purefields.newton import (
     polygon_ascii,
     polygon_json_dict,
     principal_polygon,
+    residual_str,
 )
+from poly_reference import FpExtPolynomial, FpPolynomial, poly_ext_gcd, poly_gcd
+from poly_reference import distinct_irreducible_factors as reference_factors
 from rational_reference import fp_from_qpoly, qpoly_power, vp_rational
 
 X = QPolynomial([0, 1])
@@ -43,43 +37,43 @@ def poly(*coeffs):
 # ---------------------------------------------------------------------------
 
 def test_development_phi_equals_x():
-    dev = phi_development(poly(-2, 0, 0, 0, 1), X, 2)
-    assert dev.coefficients == (poly(-2), poly(0), poly(0), poly(0), poly(1))
+    dev = phi_development([-2, 0, 0, 0, 1], [0, 1], 2)
+    assert dev.coefficients == ((-2,), (), (), (), (1,))
     assert dev.valuations == (1, None, None, None, 0)
 
 
 def test_development_identity_case():
-    phi = poly(3, 1)
+    phi = [3, 1]
     dev = phi_development(phi, phi, 5)
-    assert dev.coefficients == (QPolynomial(), poly(1))
+    assert dev.coefficients == ((), (1,))
     assert dev.valuations == (None, 0)
 
 
 def test_development_binomials():
     # X^9 - m in base X - m expands with binomial coefficients
     m = 28
-    f = QPolynomial([-m] + [0] * 8 + [1])
-    phi = poly(-m, 1)
+    f = [-m] + [0] * 8 + [1]
+    phi = [-m, 1]
     dev = phi_development(f, phi, 3)
-    assert dev.coefficients[0] == poly(m ** 9 - m)
+    assert dev.coefficients[0] == (m ** 9 - m,)
     for i in range(1, 10):
-        assert dev.coefficients[i] == poly(math.comb(9, i) * m ** (9 - i))
+        assert dev.coefficients[i] == (math.comb(9, i) * m ** (9 - i),)
 
 
 def test_development_requires_monic_phi():
     monic = "phi must be monic of degree >= 1"
     with pytest.raises(ValueError, match=monic):
-        phi_development(poly(1, 1), poly(1, 2), 3)
+        phi_development([1, 1], [1, 2], 3)
     with pytest.raises(ValueError, match=monic):
-        phi_development(poly(1, 1), poly(1), 3)
+        phi_development([1, 1], [1], 3)
 
 
 def test_development_requires_integer_coefficients():
     integral = "development expects integer coefficients"
     with pytest.raises(ValueError, match=integral):
-        phi_development(QPolynomial([Fraction(1, 2), 0, 1]), X, 2)
+        phi_development([Fraction(1, 2), 0, 1], [0, 1], 2)
     with pytest.raises(ValueError, match=integral):
-        phi_development(poly(1, 0, 1), QPolynomial([Fraction(1, 3), 1]), 3)
+        phi_development([1, 0, 1], [Fraction(1, 3), 1], 3)
 
 
 @given(
@@ -91,14 +85,14 @@ def test_development_requires_integer_coefficients():
 def test_development_reconstructs(fc, pc, p):
     f = QPolynomial(fc)
     phi = QPolynomial(pc + [1])
-    dev = phi_development(f, phi, p)
+    dev = phi_development(fc, pc + [1], p)
     acc = QPolynomial()
     power = poly(1)
     for a in dev.coefficients:
-        acc = acc + a * power
+        acc = acc + QPolynomial(a) * power
         power = power * phi
     assert acc == f
-    assert all(a.degree < phi.degree for a in dev.coefficients)
+    assert all(QPolynomial(a).degree < phi.degree for a in dev.coefficients)
 
 
 def _reference_development(f, phi, p):
@@ -126,9 +120,11 @@ def test_development_matches_rational_reference(fc, shift, pc, p):
     # makes digits of positive valuation common
     f = QPolynomial([c * p ** shift for c in fc])
     phi = QPolynomial(pc + [1])
-    dev = phi_development(f, phi, p)
-    assert (dev.coefficients, dev.valuations) == _reference_development(f, phi, p)
-    assert (dev.f, dev.phi, dev.p) == (f, phi, p)
+    dev = phi_development([c * p ** shift for c in fc], pc + [1], p)
+    coefficients, valuations = _reference_development(f, phi, p)
+    assert dev.coefficients == tuple(a.integer_coefficients() for a in coefficients)
+    assert dev.valuations == valuations
+    assert (dev.f, dev.phi, dev.p) == (f.integer_coefficients(), phi.integer_coefficients(), p)
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (2, 4), (5, 2), (3, 3), (2, 5)])
@@ -138,17 +134,17 @@ def test_development_of_pure_polynomials_closed_form(p, k):
     n = p ** k
     for m in (2, 3, 5, 6, 10, -7, -15, 17, -26, 105):
         c = -((-m) % p)
-        dev = phi_development(QPolynomial.x_power(n) - poly(m), poly(-c, 1), p)
+        dev = phi_development([-m] + [0] * (n - 1) + [1], [-c, 1], p)
         expected = [c ** n - m] + [math.comb(n, i) * c ** (n - i) for i in range(1, n + 1)]
-        assert dev.coefficients == tuple(poly(a) for a in expected), m
+        assert dev.coefficients == tuple((a,) if a else () for a in expected), m
         assert dev.valuations == tuple(vp_int(p, a) if a else None for a in expected), m
 
 
 def test_development_valuation_examples():
     # a digit's valuation is the least vp of its nonzero coefficients
-    assert phi_development(poly(27, 3, 9), qpoly_power(X, 3), 3).valuations == (1,)
-    assert phi_development(poly(1, 1), qpoly_power(X, 2), 2).valuations == (0,)
-    assert phi_development(QPolynomial(), X, 2).valuations == (None,)
+    assert phi_development([27, 3, 9], [0, 0, 0, 1], 3).valuations == (1,)
+    assert phi_development([1, 1], [0, 0, 1], 2).valuations == (0,)
+    assert phi_development([], [0, 1], 2).valuations == (None,)
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +152,7 @@ def test_development_valuation_examples():
 # ---------------------------------------------------------------------------
 
 def _dev_x9_minus_28():
-    f = QPolynomial([-28] + [0] * 8 + [1])
-    return phi_development(f, poly(-28, 1), 3)
+    return phi_development([-28] + [0] * 8 + [1], [-28, 1], 3)
 
 
 def test_polygon_x9_minus_28():
@@ -169,7 +164,7 @@ def test_polygon_x9_minus_28():
 
 
 def test_polygon_flat_is_empty():
-    dev = phi_development(poly(1, 0, 1), X, 5)
+    dev = phi_development([1, 0, 1], [0, 1], 5)
     polygon = principal_polygon(dev)
     assert polygon.sides == ()
     assert polygon.vertices == ()
@@ -178,7 +173,7 @@ def test_polygon_flat_is_empty():
 
 def test_polygon_eisenstein():
     # X^4 - 6 at p = 2 is Eisenstein: single side (0,1)-(4,0), index 0
-    dev = phi_development(poly(-6, 0, 0, 0, 1), X, 2)
+    dev = phi_development([-6, 0, 0, 0, 1], [0, 1], 2)
     polygon = principal_polygon(dev)
     assert polygon.vertices == ((0, 1), (4, 0))
     assert len(polygon.sides) == 1
@@ -205,8 +200,7 @@ def test_points_lie_on_or_above_polygon():
 def test_phi_index_counts_lattice_points(vals, last, degphi, p):
     # f = sum p^u_i X^i developed in base X has exactly these valuations
     vals = vals + [last]
-    f = QPolynomial([p ** u if u is not None else 0 for u in vals])
-    dev = phi_development(f, X, p)
+    dev = phi_development([p ** u if u is not None else 0 for u in vals], [0, 1], p)
     assert list(dev.valuations) == vals
     polygon = principal_polygon(dev)
     under = set()
@@ -223,36 +217,34 @@ def test_phi_index_counts_lattice_points(vals, last, degphi, p):
 
 def test_residual_merged_side_quartic():
     # X^4 - 5 at p = 2, phi = X - 1: one side (0,2)-(4,0) carrying Y^2+Y+1
-    dev = phi_development(poly(-5, 0, 0, 0, 1), poly(-1, 1), 2)
+    dev = phi_development([-5, 0, 0, 0, 1], [-1, 1], 2)
     polygon = principal_polygon(dev)
     assert polygon.vertices == ((0, 2), (4, 0))
     side = polygon.sides[0]
     assert (side.h, side.e, side.l, side.d) == (1, 2, 4, 2)
-    residual = side.residual
-    assert residual.degree == 2
-    assert [c.coefficients for c in residual.coefficients] == [(1,), (1,), (1,)]
-    assert residual.is_separable()
-    assert str(residual) == "Y^2+Y+1"
+    assert side.residual == ((1,), (1,), (1,))
+    assert side.separable
+    assert residual_str(side.residual) == "Y^2+Y+1"
 
 
 def test_residual_degree_one_sides():
     polygon = principal_polygon(_dev_x9_minus_28())
     for side in polygon.sides:
         assert side.d == 1
-        assert side.residual.degree == 1
-        assert side.residual.is_separable()
+        assert len(side.residual) == 2
+        assert side.separable
 
 
 def test_residual_off_side_coefficient_is_zero():
     # X^2 + 4X + 12 at p = 2: points (0,2),(1,2),(2,0); (1,2) lies above the
     # side, so the middle residual coefficient vanishes and Y^2+1 = (Y+1)^2
-    dev = phi_development(poly(12, 4, 1), X, 2)
+    dev = phi_development([12, 4, 1], [0, 1], 2)
     polygon = principal_polygon(dev)
     assert polygon.vertices == ((0, 2), (2, 0))
     side = polygon.sides[0]
     assert side.d == 2
-    assert side.residual.coefficient(1).is_zero()
-    assert not side.residual.is_separable()
+    assert side.residual[1] == ()
+    assert not _reference_residual(dev, side).is_separable()
     assert not side.separable
 
 
@@ -260,12 +252,12 @@ def _reference_residual(dev, side):
     # c_j = (a_i / p^u) mod (p, phi) at i = start + j*e when (i, u_i) lies
     # on the side, u = start height - j*h, and 0 when it lies above
     p = dev.p
-    phi_bar = FpPolynomial(p, [int(c) for c in dev.phi.coefficients])
+    phi_bar = FpPolynomial(p, dev.phi)
     coefficients = []
     for j in range(side.d + 1):
         i = side.start[0] + j * side.e
         u = side.start[1] - j * side.h
-        digit = dev.coefficients[i]
+        digit = QPolynomial(dev.coefficients[i])
         if digit.is_zero() or min(vp_rational(p, c) for c in digit.coefficients if c) != u:
             coefficients.append(FpPolynomial(p))
         else:
@@ -276,14 +268,16 @@ def _reference_residual(dev, side):
 def test_residual_recompute_matches_attached():
     devs = [
         _dev_x9_minus_28(),
-        phi_development(poly(-5, 0, 0, 0, 1), poly(-1, 1), 2),
-        phi_development(poly(12, 4, 1), X, 2),
+        phi_development([-5, 0, 0, 0, 1], [-1, 1], 2),
+        phi_development([12, 4, 1], [0, 1], 2),
     ]
     for dev in devs:
         polygon = principal_polygon(dev)
         assert polygon.sides
         for side in polygon.sides:
-            assert _reference_residual(dev, side) == side.residual
+            reference = _reference_residual(dev, side)
+            assert tuple(c.coefficients for c in reference.coefficients) == side.residual
+            assert reference.is_separable() == side.separable
 
 
 def test_is_regular_examples():
@@ -293,7 +287,8 @@ def test_is_regular_examples():
         (QPolynomial([-28] + [0] * 8 + [1]), poly(-28, 1), 3),
         (poly(-5, 0, 0, 0, 1), poly(-1, 1), 2),
     ]:
-        sides = principal_polygon(phi_development(f, phi, p)).sides
+        dev = phi_development(f.integer_coefficients(), phi.integer_coefficients(), p)
+        sides = principal_polygon(dev).sides
         assert sides and all(side.separable for side in sides)
         assert index_lower_bound(f, p)[1] is True
 
@@ -316,24 +311,25 @@ def test_residue_field_inverse_matches_ext_gcd(field, data):
     p, phi_bar = field
     lower = data.draw(st.lists(st.integers(0, p - 1), max_size=phi_bar.degree))
     c = FpPolynomial(p, lower)
-    ext = FpExtPolynomial(p, phi_bar, [])
+    modulus = list(phi_bar.coefficients)
     if c.is_zero():
         with pytest.raises(ValueError):
-            ext._inverse(c)
+            _fp_inverse(list(c.coefficients), modulus, p)
         return
     g, s, _ = poly_ext_gcd(c, phi_bar)
     assert g == FpPolynomial(p, [1])
-    assert ext._inverse(c) == s % phi_bar
-    assert c * ext._inverse(c) % phi_bar == FpPolynomial(p, [1])
+    inverse = FpPolynomial(p, _fp_inverse(list(c.coefficients), modulus, p))
+    assert inverse == s % phi_bar
+    assert c * inverse % phi_bar == FpPolynomial(p, [1])
 
 
 def test_residue_field_inverse_rejects_a_shared_factor():
     # modulo a reducible phi_bar a coefficient sharing a factor is no unit,
     # while a nonzero constant still is
-    ext = FpExtPolynomial(3, FpPolynomial(3, [0, 1, 1]), [])  # x (x + 1)
+    phi_bar = [0, 1, 1]  # x (x + 1) over F_3
     with pytest.raises(ValueError, match="not invertible"):
-        ext._inverse(FpPolynomial(3, [0, 1]))
-    assert ext._inverse(FpPolynomial(3, [2])) == FpPolynomial(3, [2])
+        _fp_inverse([0, 1], phi_bar, 3)
+    assert _fp_inverse([2], phi_bar, 3) == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -347,22 +343,19 @@ def test_radical_strips_multiplicity():
 
 
 def test_distinct_factors_linear_split():
-    f = FpPolynomial(5, [-1, 0, 0, 0, 1])  # X^4 - 1 over F_5
-    factors = distinct_irreducible_factors(f)
-    assert [g.coefficients for g in factors] == [(1, 1), (2, 1), (3, 1), (4, 1)]
+    factors = distinct_irreducible_factors([-1, 0, 0, 0, 1], 5)  # X^4 - 1 over F_5
+    assert factors == [[1, 1], [2, 1], [3, 1], [4, 1]]
 
 
 def test_distinct_factors_mixed_degrees():
-    f = FpPolynomial(2, [0, 0, 1, 1, 1])  # X^2 * (X^2+X+1)
-    factors = distinct_irreducible_factors(f)
-    assert factors == [FpPolynomial(2, [0, 1]), FpPolynomial(2, [1, 1, 1])]
+    factors = distinct_irreducible_factors([0, 0, 1, 1, 1], 2)  # X^2 * (X^2+X+1)
+    assert factors == [[0, 1], [1, 1, 1]]
 
 
 def test_distinct_factors_frobenius_power():
     # X^9 - 28 mod 3 collapses to (X - 1)^9
-    f = FpPolynomial(3, [-28] + [0] * 8 + [1])
-    factors = distinct_irreducible_factors(f)
-    assert factors == [FpPolynomial(3, [-1, 1])]
+    factors = distinct_irreducible_factors([-28] + [0] * 8 + [1], 3)
+    assert factors == [[2, 1]]  # X - 1
 
 
 def test_distinct_factors_deterministic():
@@ -371,14 +364,14 @@ def test_distinct_factors_deterministic():
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in range(rng.randint(2, 9))] + [1]
             f = FpPolynomial(p, coeffs)
-            once = distinct_irreducible_factors(f)
-            twice = distinct_irreducible_factors(f)
+            once = distinct_irreducible_factors(coeffs, p)
+            twice = distinct_irreducible_factors(coeffs, p)
             assert once == twice
             prod = FpPolynomial(p, (1,))
             for g in once:
-                assert g.coefficients[-1] == 1
-                assert (f % g).is_zero()
-                prod = prod * g
+                assert g[-1] == 1
+                assert (f % FpPolynomial(p, g)).is_zero()
+                prod = prod * FpPolynomial(p, g)
             assert list(prod.coefficients) == fp_radical(coeffs, p)
 
 
@@ -466,6 +459,129 @@ def test_index_bound_against_maximal_order():
                 assert bound == (vp_int(p, ind) if ind % p == 0 else 0), (n, m, p)
             else:
                 assert bound <= (vp_int(p, ind) if ind % p == 0 else 0), (n, m, p)
+
+
+def _reference_index_bound(f, p):
+    """The class- and Fraction-based route: factors from poly_reference,
+    developments by repeated division over Q, each polygon by gift wrapping
+    from the leftmost point, residuals as FpExtPolynomial, and lattice
+    points counted under Fraction heights.  Returns the bound, exactness
+    and, per factor, (lifted factor, points, vertices, side tuples)."""
+    total, exact, polygons = 0, True, []
+    for factor in reference_factors(fp_from_qpoly(p, f)):
+        coefficients, valuations = _reference_development(f, factor.lift(), p)
+        points = [(i, u) for i, u in enumerate(valuations) if u is not None]
+        vertices = [points[0]]
+        while True:
+            x0, y0 = vertices[-1]
+            right = [(Fraction(y - y0, x - x0), x, y) for x, y in points if x > x0]
+            if not right or min(right)[0] >= 0:
+                break
+            slope = min(right)[0]
+            vertices.append(max((x, y) for s, x, y in right if s == slope))
+        vertices = vertices if len(vertices) > 1 else []
+        sides, under = [], set()
+        for (xa, ya), (xb, yb) in zip(vertices, vertices[1:]):
+            slope = Fraction(ya - yb, xb - xa)
+            h, e = slope.numerator, slope.denominator
+            residual = []
+            for j in range((xb - xa) // e + 1):
+                digit, u = coefficients[xa + j * e], ya - j * h
+                if digit.is_zero() or valuations[xa + j * e] != u:
+                    residual.append(FpPolynomial(p))
+                else:
+                    residual.append(fp_from_qpoly(p, digit / p ** u))
+            ext = FpExtPolynomial(p, factor, residual)
+            sides.append((h, e, xb - xa, (xb - xa) // e, ext.is_separable(), str(ext)))
+            for x in range(max(1, xa), xb + 1):
+                line = ya - slope * (x - xa)
+                under.update((x, y) for y in range(1, ya + 1) if y <= line)
+        total += factor.degree * len(under)
+        exact = exact and all(side[4] for side in sides)
+        polygons.append((factor.coefficients, points, vertices, sides))
+    return total, exact, polygons
+
+
+@st.composite
+def index_bound_inputs(draw):
+    # monic square-free f of degree <= 12 at p in {2, 3, 5, 7}, weighted to
+    # binomials, powers of an irreducible phi of degree 1 to 3 perturbed by
+    # p^s (with a second factor, several phis), inseparable residuals,
+    # Eisenstein polynomials and a few arbitrary ones
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    kinds = ("binomial", "phi power", "phi power", "inseparable", "eisenstein", "any")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "binomial":
+        n = draw(st.integers(1, 12))
+        f = QPolynomial.x_power(n) - poly(draw(st.integers(-200, 200).filter(bool)))
+    elif kind in ("phi power", "inseparable"):
+        degree = draw(st.integers(1, 3 if kind == "phi power" else min(3, 12 // p)))
+        lower = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+        phi_bar = FpPolynomial(p, lower + [1])
+        assume(degree == 1 or all(phi_bar % FpPolynomial(p, [-a, 1]) for a in range(p)))
+        if kind == "phi power":
+            k = draw(st.integers(1, 12 // degree))
+            s = draw(st.integers(1, 4))
+            r = draw(st.lists(st.integers(-3, 3), max_size=degree * k))
+        else:
+            # phi^(p t) + p^(p u) (c + p g): one side, from (0, p u) to
+            # (p t, 0), whose residual Y^gcd + c is a p-th power
+            k = p * draw(st.integers(1, 12 // (p * degree)))
+            s = p * draw(st.integers(1, 2))
+            g = draw(st.lists(st.integers(-3, 3), max_size=degree * k - 1))
+            r = [draw(st.integers(1, p - 1))] + [p * c for c in g]
+        f = qpoly_power(phi_bar.lift(), k) + QPolynomial([c * p ** s for c in r])
+        if degree * k < 12 and draw(st.booleans()):
+            f = f * poly(draw(st.integers(-6, 6)), 1)
+    elif kind == "eisenstein":
+        n = draw(st.integers(1, 12))
+        unit = draw(st.integers(-20, 20).filter(lambda c: c % p))
+        middle = draw(st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1))
+        f = QPolynomial([p * unit] + [p * c for c in middle] + [1])
+    else:
+        f = QPolynomial(draw(st.lists(st.integers(-9, 9), max_size=12)) + [1])
+    assume(poly_gcd(f, f.derivative()).degree == 0)
+    return f, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_bound_inputs())
+@example((QPolynomial.x_power(12) - poly(3), 2))  # phi = X^2+X+1 among the factors
+@example((poly(12, 4, 1), 2))  # the inseparable residual Y^2+1
+def test_index_bound_matches_class_based_twin(case):
+    f, p = case
+    total, exact, polygons = _reference_index_bound(f, p)
+    assert index_lower_bound(f, p) == (total, exact)
+    ints = f.integer_coefficients()
+    factors = distinct_irreducible_factors(ints, p)
+    assert [tuple(phi) for phi in factors] == [polygon[0] for polygon in polygons]
+    for phi, (_, points, vertices, sides) in zip(factors, polygons):
+        polygon = principal_polygon(phi_development(ints, phi, p))
+        assert list(polygon.points) == points
+        assert list(polygon.vertices) == vertices
+        assert [
+            (s.h, s.e, s.l, s.d, s.separable, residual_str(s.residual))
+            for s in polygon.sides
+        ] == sides
+
+
+def test_index_bound_builds_no_polynomial_object(monkeypatch):
+    # after reading its QPolynomial input, the bound runs on int lists: the
+    # development digits, factors and residuals are never polynomial objects
+    built = []
+    for cls in (QPolynomial, FpPolynomial, FpExtPolynomial):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    # p-maximal, not p-maximal and Eisenstein at 2; X^24 - 3 has the factor
+    # X^2 + X + 1 mod 2
+    for n, m, p in [(32, 3, 2), (32, 5, 2), (32, 6, 2), (27, 10, 3), (24, 3, 2)]:
+        f = QPolynomial.x_power(n) - poly(m)
+        built.clear()
+        index_lower_bound(f, p)
+        assert built == [], (n, m, p)
 
 
 # ---------------------------------------------------------------------------
