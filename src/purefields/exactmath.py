@@ -57,19 +57,46 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+# strong tests to the 13 primes 2..41 decide primality for every n below
+# MILLER_RABIN_BOUND (Sorenson and Webster, Math. Comp. 86 (2017))
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic primality test for n below MILLER_RABIN_BOUND.
+
+    Trial division by the bases 2..41 decides every n below 43^2 and every
+    n with a factor among them; the rest take strong Miller-Rabin tests to
+    those bases.  An n at or above the bound with no such factor raises
+    ValueError.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"primality of {n} is not decided: the test is deterministic only "
+            f"below {MILLER_RABIN_BOUND}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

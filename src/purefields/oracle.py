@@ -3,22 +3,23 @@
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality at p | n is proved by Dedekind's criterion on
-X^n - m mod p where it applies, and otherwise through the multiplier ring
-of the p-radical (Round 2).  At a prime q not dividing n, X^n - m is
-Eisenstein or separable mod q, so an order is q-maximal exactly when q
-does not divide c, the least c > 0 with c*alpha in it.  No table of all
-n^2 products b_i * b_j is formed.  Each product a check needs is taken on
-the integer numerators and peeled once against a triangular basis.
-Closure is Round 2's order test: n shifts by c*alpha and the products of
-a few Z[c*alpha]-module generators.  p-maximality is local, so Round 2 at
-p runs on a Z_(p)-basis derived from the given one and c alone, whose
-numerators are reduced mod c^t * p^v.  With n = p^k * u, p not dividing
-u or m, and that basis in tensor shape, it runs on the degree-p^k order
-O' = O (x) Z_(p) intersected with Q(alpha^u) instead: over Q(alpha^u),
-alpha is a root of X^u - alpha^u, whose discriminant
-+-u^u * (alpha^u)^(u-1) is a unit at every prime above p, so
-O (x) Z_(p) = O'[alpha] is p-maximal iff O' is.  The discriminant is the
-power-basis Gram determinant times the squared transition determinant.
+X^(p^k) - m mod p, p^k the exact power of p in n, where it applies, and
+otherwise through the multiplier ring of the p-radical (Round 2).  At a
+prime q not dividing n, X^n - m is Eisenstein or separable mod q, so an
+order is q-maximal exactly when q does not divide c, the least c > 0 with
+c*alpha in it.  No table of all n^2 products b_i * b_j is formed.  Each
+product a check needs is taken on the integer numerators and peeled once
+against a triangular basis.  Closure is Round 2's order test: n shifts by
+c*alpha and the products of a few Z[c*alpha]-module generators.
+p-maximality is local, so Round 2 at p runs on a Z_(p)-basis derived
+from the given one and c alone, whose numerators are reduced mod
+c^t * p^v.  With n = p^k * u, p not dividing u or m, and that basis in
+tensor shape, it runs on the degree-p^k order O' = O (x) Z_(p)
+intersected with Q(alpha^u) instead: over Q(alpha^u), alpha is a root of
+X^u - alpha^u, whose discriminant +-u^u * (alpha^u)^(u-1) is a unit at
+every prime above p, so O (x) Z_(p) = O'[alpha] is p-maximal iff O' is.
+The discriminant is the power-basis Gram determinant, read off its
+permutation, times the squared transition determinant.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
 integer polynomial and d > 0, in lowest terms.  The checks run on the
@@ -51,7 +52,6 @@ from .exactmath import (
     RatMatrix,
     charpoly,
     dedekind_p_maximal,
-    det_int,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
     factorize,
     fp_kernel,
@@ -303,18 +303,17 @@ def _order_defect(basis: IntegralBasis, certificate: ClosureCertificate) -> str 
 
 def _power_basis_discriminant(field: PureField) -> int:
     # Gram determinant det[Tr(alpha^(i+j))]; alpha^k = m^(k div n) *
-    # alpha^(k mod n) and Tr(alpha^j) = n*[j == 0] for 0 <= j < n, so the
-    # matrix is integral; no closed discriminant formula enters here.
-    # Row i has its one nonzero entry at j = -i (mod n), Tr(1) = n for
-    # i = 0 and Tr(alpha^n) = n*m after, so det_int peels the whole matrix
-    # away
+    # alpha^(k mod n) and Tr(alpha^j) = n*[j == 0] for 0 <= j < n, so row i
+    # has its one nonzero entry at column sigma(i) = -i mod n: Tr(1) = n
+    # for i = 0 and Tr(alpha^n) = n*m after.  The determinant is sign(sigma)
+    # times their product.  sigma fixes 0 (and n/2 for even n) and swaps
+    # every other i with n - i, so it has (n + fixed)/2 cycles and sign
+    # (-1)^(n - cycles); no closed discriminant formula enters here
     n, m = field.n, field.m
-    gram = []
-    for i in range(n):
-        row = [0] * n
-        row[-i % n] = n * m if i else n
-        gram.append(row)
-    return det_int(gram)
+    fixed = 2 if n % 2 == 0 else 1
+    cycles = (n + fixed) // 2
+    sign = -1 if (n - cycles) % 2 else 1
+    return sign * n * (n * m) ** (n - 1)
 
 
 def _discriminant_exact(basis: IntegralBasis) -> int | Fraction:
@@ -360,12 +359,15 @@ class Proved:
     is etale over O'/pO', so radical_dimension is still that of O/pO, u
     times that of O'/pO', and generators counts the radical vectors of
     O''s system; route stays "round 2".  On the Dedekind route no radical
-    is formed, and both stay 0.
+    is formed, and both stay 0.  degree is the degree the proof ran at:
+    p^k, the exact power of p in n, on the Dedekind route (the criterion
+    runs on X^(p^k) - m) and where Round 2 ran on O', n otherwise.
     """
 
     radical_dimension: int = dataclasses.field(default=0, compare=False)
     generators: int = dataclasses.field(default=0, compare=False)
     route: str = dataclasses.field(default="round 2", compare=False)
+    degree: int = dataclasses.field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -419,18 +421,29 @@ def _numerator(coefficients: Sequence[int], supports) -> tuple[list[int], int]:
     return numerator, common
 
 
-def _power(field: PureField, support, e: int) -> list[int]:
-    # N(alpha)^e, dense: one shift for a monomial N, else e - 1 products
-    # with N; e >= 2
+def _power_mod(field: PureField, support, e: int, modulus: int) -> list[int]:
+    # a dense integer polynomial congruent to N(alpha)^e mod modulus: one
+    # shift for a monomial N, else square-and-multiply with each factor
+    # reduced mod modulus, so every integer stays below n*|m|*modulus^2;
+    # e >= 2
+    n = field.n
     if len(support) == 1:
         (t, c), = support
-        power = [0] * field.n
-        power[t * e % field.n] = c ** e * field.m ** (t * e // field.n)
+        power = [0] * n
+        power[t * e % n] = pow(c, e, modulus) * pow(field.m, t * e // n, modulus)
         return power
-    power = _product(field, support, support)
-    for _ in range(e - 2):
-        power = _product(field, [(t, c) for t, c in enumerate(power) if c], support)
+    power = None
+    for bit in bin(e)[3:]:
+        factor = support if power is None else _reduced(power, modulus)
+        power = _product(field, factor, factor)
+        if bit == "1":
+            power = _product(field, _reduced(power, modulus), support)
     return power
+
+
+def _reduced(dense: list[int], modulus: int) -> list[tuple[int, int]]:
+    # the nonzero (t, c mod modulus) pairs of a dense polynomial
+    return [(t, r) for t, c in enumerate(dense) if (r := c % modulus)]
 
 
 def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
@@ -444,12 +457,17 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
 
     When p does not divide c, the closure certificate's multiplier,
     alpha = (c*alpha)/c lies in O (x) Z_(p), which therefore contains
-    Z_(p)[alpha]; if Dedekind's criterion, computed on X^n - m mod p, finds
-    Z_(p)[alpha] p-maximal, so is O, and Proved(route="dedekind") is
-    returned with no product formed.
+    Z_(p)[alpha].  Write n = p^k * u with p not dividing u.  Z_(p)[alpha]
+    is free over Z_(p)[alpha^u] on 1, ..., alpha^(u-1), and
+    disc(X^u - alpha^u) = +-u^u * (alpha^u)^(u-1) is a unit above p when p
+    divides neither u nor m, so Z_(p)[alpha] is p-maximal iff
+    Z_(p)[alpha^u] = Z_(p)[X]/(X^(p^k) - m) is; where p | m both X^n - m
+    and X^(p^k) - m are Eisenstein.  So Dedekind's criterion runs on
+    X^(p^k) - m mod p (on X - m, at once, when p does not divide n), and
+    when it finds Z_(p)[alpha^u] p-maximal, so is O, and
+    Proved(route="dedekind") is returned with no product formed.
     """
     field = basis.field
-    n = field.n
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
@@ -459,10 +477,10 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     defect = _order_defect(basis, certificate)
     if defect is not None:
         return Skipped(defect)
-    if certificate.multiplier % p and dedekind_p_maximal(
-        [-field.m] + [0] * (n - 1) + [1], p
-    ):
-        return Proved(route="dedekind")
+    if certificate.multiplier % p:
+        degree = p ** vp_int(p, field.n)
+        if dedekind_p_maximal([-field.m] + [0] * (degree - 1) + [1], p):
+            return Proved(route="dedekind", degree=degree)
     return _round_two(basis, p, certificate)
 
 
@@ -530,7 +548,9 @@ def _round_two(
     subfield, subfield_local, stride = _subfield(field, local, p)
     found = _multiplier_kernel(subfield, subfield_local, p)
     if isinstance(found, Proved):
-        return Proved(stride * found.radical_dimension, found.generators)
+        return dataclasses.replace(
+            found, radical_dimension=stride * found.radical_dimension
+        )
     # the first kernel vector of the full system: found on the columns a*u
     kernel = [0] * n
     kernel[::stride] = found
@@ -562,6 +582,34 @@ def _round_two(
     return CounterexampleFound(candidate)
 
 
+def _frobenius_images(field: PureField, local, p: int) -> list[list[tuple[int, int]]]:
+    """The local coordinates mod p of each image b_k'^p = N_k'^p / q_k^p,
+    q_k = p^v, as their nonzero (j, c) pairs.
+
+    Each N_k'^p is formed by square-and-multiply mod
+    M_k = p^(1+w) * q_k^p, about 2*log2(p) products of bounded integers,
+    with w the sum of v_p(l_j) over the leads l_j of the local basis.
+    That is enough precision: N_k'^p = R + M_k * X with X an integer
+    polynomial, so b_k'^p = R/q_k^p + p^(1+w) * X(alpha).  Peeling an
+    integer polynomial from the top degree down divides its remainder by
+    l_j at each degree j, so X(alpha) has local coordinates with
+    denominators dividing the product of the l_j, in p^(-w) * Z_(p), and
+    p^(1+w) * X(alpha) has them in p * Z_(p): R/q_k^p has the coordinates
+    of b_k'^p mod p.  w is 0 unless some lead is divisible by p, as where
+    p | c and alpha is not in the order.
+    """
+    leads = math.prod(support[-1][1] for _, support in local)
+    precision = p ** (1 + vp_int(p, leads))
+    images = []
+    for q, support in local:
+        image = _power_mod(field, support, p, precision * q ** p)
+        coords, scale = _peel(local, image, q ** p)
+        if scale != 1:
+            coords = _residues(coords, scale, p)
+        images.append([(j, r) for j, c in coords.items() if (r := c % p)])
+    return images
+
+
 def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, ...]:
     """Round 2 at p on the order spanned by a local basis: Proved, or the
     first vector of the multiplier kernel in that basis's coordinates.
@@ -575,9 +623,9 @@ def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, .
     a triangular basis, the local one.  There the coordinates of an
     element of O have denominators prime to p; coordinates with one are
     read mod p, or mod p^2 where they are to be peeled against I_p, which
-    contains pO.  The radical is the kernel of a Frobenius power, whose
-    images b_k'^p = N_k'^p / p^(vp) are n such products.  Since I_p is an
-    ideal, y multiplies all of it into p*I_p once it does so for a set of
+    contains pO.  The radical is the kernel of a Frobenius power, fixed by
+    the images b_k'^p mod p (_frobenius_images).  Since I_p is an ideal,
+    y multiplies all of it into p*I_p once it does so for a set of
     O-module generators, p*1 and the radical vectors.  The condition p*1
     imposes is y in I_p, whose rows are those of the Frobenius-power
     system, so the echelon that yields the radical is also the multiplier
@@ -601,12 +649,7 @@ def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, .
     # the p-radical of O/pO is the kernel of a Frobenius power: x nilpotent
     # iff x^(p^e) = 0 once p^e >= n, and x -> x^p is F_p-linear, so it is
     # fixed by the images b_k^p
-    frobenius = []
-    for q, support in local:
-        coords, scale = _peel(local, _power(field, support, p), q ** p)
-        if scale != 1:
-            coords = _residues(coords, scale, p)
-        frobenius.append([(t, r) for t, c in coords.items() if (r := c % p)])
+    frobenius = _frobenius_images(field, local, p)
     e = 1
     while p ** e < n:
         e += 1
@@ -625,7 +668,7 @@ def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, .
     radical = fp_kernel(echelon, lanes)
     if not radical:
         # O/pO has no nilpotents, so no x/p with x outside pO can be integral
-        return Proved(0, 0)
+        return Proved(0, 0, degree=n)
 
     # I_p = pO + radical lifts, as a full-rank sublattice in local
     # coordinates.  Each radical vector is 1 at its free column and 0 at
@@ -672,7 +715,7 @@ def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, .
         # column t of the rows, packed
         for condition in lanes.columns(rows):
             if fp_reduce(echelon, condition, lanes) and len(echelon) == n:
-                return Proved(len(radical), generators)
+                return Proved(len(radical), generators, degree=n)
 
     # multipliers outside p*O survive; the first vector of the reduced
     # echelon form's kernel is 1 at the first free column and 0 above it

@@ -22,14 +22,27 @@ from purefields.oracle import (
     _numerator,
     _order_defect,
     _peel,
-    _power,
     _product,
     _product_mod_p,
     _structure_constants,
     _supports,
     is_algebraic_integer,
 )
-from purefields.purebasis import BasisElement, IntegralBasis
+from purefields.purebasis import BasisElement, IntegralBasis, PureField
+
+
+def _power(field: PureField, support, e: int) -> list[int]:
+    # N(alpha)^e exactly, dense: one shift for a monomial N, else e - 1
+    # products with N; e >= 2
+    if len(support) == 1:
+        (t, c), = support
+        power = [0] * field.n
+        power[t * e % field.n] = c ** e * field.m ** (t * e // field.n)
+        return power
+    power = _product(field, support, support)
+    for _ in range(e - 2):
+        power = _product(field, [(t, c) for t, c in enumerate(power) if c], support)
+    return power
 
 
 def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:

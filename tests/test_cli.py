@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import math
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import pytest
 
 from purefields import cli, newton
 from purefields.cli import run
-from purefields.exactmath import QPolynomial
+from purefields.exactmath import MILLER_RABIN_BOUND, QPolynomial
 from purefields.newton import index_lower_bound
 from purefields.purebasis import BasisElement, IntegralBasis, PureField, index_report
 
@@ -365,6 +366,19 @@ class TestPolygon:
         assert err
         if int(p) < 2:
             assert err == f"error: p must be prime, got {p}\n"
+
+    def test_undecided_primality_is_one_error_line(self, capsys):
+        # past the bound of the deterministic primality test, with no small
+        # factor to decide it, polygon stops at once with one error line
+        p = MILLER_RABIN_BOUND
+        while math.gcd(p, math.prod(range(2, 42))) > 1:
+            p += 1
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "polygon", "--p", str(p), "--k", "1", "--m", "3")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(MILLER_RABIN_BOUND) in err
 
 
 class TestAtlas:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from purefields import exactmath
 from purefields.exactmath import (
     NotSquareFree,
     QPolynomial,
@@ -100,6 +101,37 @@ def test_ext_gcd():
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_a_sieve():
+    # past 43^2 the strong tests decide, up to 30,000
+    limit = 30_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, limit, i))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the prime bases 2..7 and 2..31
+    assert 3215031751 == 151 * 751 * 28351
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 31 + 1)
+
+
+def test_is_prime_raises_at_the_deterministic_bound():
+    # odd and prime to every base, so trial division cannot decide it
+    n = exactmath.MILLER_RABIN_BOUND
+    while any(n % b == 0 for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
+        n += 1
+    with pytest.raises(ValueError, match=str(exactmath.MILLER_RABIN_BOUND)):
+        is_prime(n)
+    # a factor among the bases still decides it
+    assert not is_prime(2 * n)
+    assert not is_prime(exactmath.MILLER_RABIN_BOUND * 3)
 
 
 def test_factorize():

@@ -2040,3 +2040,197 @@ def test_field_discriminants_match_round_two_grid():
             basis, _ = integral_basis(PureField.create(n, m), enum_budget=n ** n)
             _, disc = round_two(sympy.Poly(x ** n - m, x, domain=sympy.QQ))
             assert basis_discriminant(basis) == disc, (n, m)
+
+
+# ---------------------------------------------------------------------------
+# each fact at its own size: Dedekind at degree p^k, Frobenius images by
+# square-and-multiply
+# ---------------------------------------------------------------------------
+
+
+def test_dedekind_runs_once_on_the_prime_power_polynomial(monkeypatch):
+    # one call per prime, on X^(p^k) - m with p^k the exact power of p in
+    # n, and on X - m at a prime outside n
+    calls = []
+    criterion = oracle.dedekind_p_maximal
+
+    def recording(coefficients, p):
+        calls.append((tuple(coefficients), p))
+        return criterion(coefficients, p)
+
+    monkeypatch.setattr(oracle, "dedekind_p_maximal", recording)
+    basis = build_basis(PureField.create(24, 10))
+    for p, k in basis.field.factorization:
+        calls.clear()
+        p_maximality_enum(basis, p)
+        assert calls == [((-10,) + (0,) * (p ** k - 1) + (1,), p)]
+    calls.clear()
+    assert p_maximality_enum(basis, 5).degree == 1
+    assert calls == [((-10, 1), 5)]
+
+
+def test_large_prime_outside_n_is_proved_at_once():
+    # trial division did not return on 2^61 - 1 in 20 s; the strong tests
+    # and Dedekind's criterion on X - 5 take well under a second
+    basis = build_basis(PureField.create(6, 5))
+    start = time.perf_counter()
+    result = p_maximality_enum(basis, 2 ** 61 - 1)
+    assert time.perf_counter() - start < 1
+    assert result == Proved() and result.route == "dedekind" and result.degree == 1
+
+
+def test_proved_records_the_degree_its_proof_ran_at():
+    # (24, 10): 2 is tame (10^2 - 10 = 90), so Dedekind's criterion runs on
+    # X^8 - 10; 3 is wild (10^3 - 10 = 990 = 9 * 110), so Round 2 runs on
+    # the degree-3 order of Q(alpha^8)
+    report = certify(build_basis(PureField.create(24, 10)))
+    tame, wild = report.maximality[2], report.maximality[3]
+    assert (tame.route, tame.degree) == ("dedekind", 8)
+    assert (wild.route, wild.degree) == ("round 2", 3)
+    # at n = p^k both routes run at n: 3 is tame and 17 wild at 2
+    for m, route in ((3, "dedekind"), (17, "round 2")):
+        result = certify(build_basis(PureField.create(16, m))).maximality[2]
+        assert (result.route, result.degree) == (route, 16), m
+    # without the tensor shape Round 2 runs at n
+    scrambled = _scrambled(build_basis(PureField.create(12, 10)), random.Random(12))
+    result = p_maximality_enum(scrambled, 3)
+    assert (result.route, result.degree) == ("round 2", 12)
+    # the degree is evidence: neither compared nor reported
+    assert tame == wild == Proved() and hash(tame) == hash(Proved())
+    assert certification_json_dict(report)["maximality"] == {
+        "2": {"status": "proved"}, "3": {"status": "proved"}
+    }
+
+
+def _scaled_span(basis: IntegralBasis, c: int) -> IntegralBasis:
+    # span{c^i * b_i}: at a prime of c its leads are divisible by p, and
+    # alpha is not in it
+    elements = []
+    for i, e in enumerate(basis.elements):
+        numerator = [x * c ** i for x in e.int_numerator]
+        g = math.gcd(e.denominator, *numerator)
+        elements.append(BasisElement([x // g for x in numerator], e.denominator // g))
+    return IntegralBasis(basis.field, tuple(elements))
+
+
+def test_frobenius_images_match_exact_powers():
+    # the images mod p^(1+w) * q^p have the local coordinates mod p of the
+    # exact powers.  At a prime of c the leads carry w: in Z[2*alpha] at
+    # (4, -30), (2*alpha)^2 = 4*alpha^2 is b_2, yet mod 2 * 1^2 it is 0
+    compared = with_w = 0
+    for n in range(2, 13):
+        for m in (-30, -7, 10, 17):
+            field = PureField.create(n, m)
+            for c in (1, 2, 3, 4, 6, 9):
+                for basis in (build_basis(field), power_basis(n, m)):
+                    basis = _scaled_span(basis, c)
+                    certificate = oracle._structure_constants(basis)
+                    if oracle._order_defect(basis, certificate) is not None:
+                        continue
+                    for p, _ in field.factorization:
+                        local = oracle._local_supports(basis, p, certificate.multiplier)
+                        exact = []
+                        for q, support in local:
+                            power = given_basis_reference._power(field, support, p)
+                            coords, scale = oracle._peel(local, power, q ** p)
+                            coords = oracle._residues(coords, scale, p)
+                            exact.append(sorted((j, r) for j, x in coords.items() if (r := x % p)))
+                        images = oracle._frobenius_images(field, local, p)
+                        assert [sorted(row) for row in images] == exact, (n, m, c, p)
+                        compared += 1
+                        with_w += any(s[-1][1] % p == 0 for _, s in local)
+    assert compared and with_w
+
+
+@st.composite
+def scaled_spans(draw):
+    n = draw(st.integers(2, 27))
+    m = draw(st.sampled_from(DEDEKIND_RADICANDS))
+    c = draw(st.sampled_from((2, 3, 5, 6, 7)))
+    return _scaled_span(build_basis(PureField.create(n, m)), c)
+
+
+@st.composite
+def wild_prime_power_orders(draw):
+    # the built basis and Z[alpha] at n = p^k, p <= 23, m in the wild class
+    n = draw(st.sampled_from((4, 8, 16, 9, 27, 25, 7, 11, 13, 17, 19, 23)))
+    m = _wild_class_radicand(n, draw(st.integers(1, 20)))
+    if draw(st.booleans()):
+        return build_basis(PureField.create(n, m))
+    return power_basis(n, m)
+
+
+def _assert_same_outcome(fast: MaximalityResult, slow: MaximalityResult, context) -> None:
+    assert type(fast) is type(slow), context
+    if isinstance(fast, Proved):
+        if fast.route == "round 2":
+            assert fast.radical_dimension == slow.radical_dimension, context
+    else:
+        assert fast.element.int_numerator == slow.element.int_numerator, context
+        assert fast.element.denominator == slow.element.denominator, context
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(local_orders(), scaled_spans(), wild_prime_power_orders()),
+    st.integers(0, 5),
+)
+# span{6^i * b_i} at (12, 10): every lead past b_0 is divisible by 2 and 3
+@example(_scaled_span(build_basis(PureField.create(12, 10)), 6), 0)
+@example(_scaled_span(build_basis(PureField.create(12, 10)), 6), 1)
+@example(_order_with_q_maximal_part(PureField.create(9, 10), 3, 3), 0)
+def test_round_two_matches_the_exact_power_twin(basis, index):
+    # Frobenius images formed mod p^(1+w) * q^p, w = v_p of the product of
+    # the local leads, give the verdict, radical dimension and
+    # counterexample bytes of the twin that forms every power exactly
+    primes = [p for p, _ in basis.field.factorization]
+    p = primes[index % len(primes)]
+    certificate = oracle._structure_constants(basis)
+    assume(oracle._order_defect(basis, certificate) is None)
+    fast = oracle._round_two(basis, p, certificate)
+    slow = given_basis_reference.p_maximality_enum(basis, p)
+    _assert_same_outcome(fast, slow, (basis, p))
+
+
+@st.composite
+def composite_degree_orders(draw):
+    # the built basis or Z[alpha] at composite n <= 48, m in the wild class
+    # half the time
+    n = draw(st.integers(4, 48).filter(lambda n: not exactmath.is_prime(n)))
+    if draw(st.booleans()):
+        m = _wild_class_radicand(n, draw(st.integers(1, 10)))
+    else:
+        m = draw(st.sampled_from(DEDEKIND_RADICANDS))
+    if draw(st.booleans()):
+        return build_basis(PureField.create(n, m))
+    return power_basis(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(composite_degree_orders())
+def test_p_maximality_matches_the_round_two_twin(basis):
+    # Dedekind's criterion on X^(p^k) - m proves exactly where Round 2 on
+    # the given basis does
+    for p, _ in basis.field.factorization:
+        fast = p_maximality_enum(basis, p)
+        slow = given_basis_reference.p_maximality_enum(basis, p)
+        _assert_same_outcome(fast, slow, (basis, p))
+
+
+def test_frobenius_images_take_logarithmically_many_products(monkeypatch):
+    # at (23, m), m in the wild class, Round 2 runs at p = 23: each image of
+    # a non-monomial element takes at most 2 * log2(p) products (the exact
+    # powers took p - 1 = 22), and each radical vector multiplied p^k more
+    basis = build_basis(PureField.create(23, _wild_class_radicand(23, 1)))
+    certificate = oracle._structure_constants(basis)
+    local = oracle._local_supports(basis, 23, certificate.multiplier)
+    images = sum(len(support) > 1 for _, support in local)
+    calls = []
+    product = oracle._product
+    monkeypatch.setattr(
+        oracle, "_product", lambda field, a, b: calls.append(1) or product(field, a, b)
+    )
+    result = oracle._round_two(basis, 23, certificate)
+    assert result == Proved() and result.generators and images
+    frobenius = len(calls) - 23 * result.generators
+    assert 0 < frobenius <= 2 * (23).bit_length() * images
