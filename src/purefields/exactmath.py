@@ -4,9 +4,8 @@ QPolynomial, on the field-generic Polynomial base (arithmetic, division
 with remainder, derivative, monic, pow_mod), is the public value and
 display type of a polynomial over Q.  Arithmetic over F_p works on plain
 int lists, constant first, where a check costs tens of microseconds at
-the benchmark's degrees: the radical mod p (fp_radical) and Dedekind's
-criterion, which the certifier runs at every p | n, and the division and
-gcd that newton's factorisation and residual fields are built from.
+the benchmark's degrees: the radical mod p (fp_radical), and the division
+and gcd that newton's factorisation and residual fields are built from.
 
 Integer matrices are plain lists of rows, which Hermite normal form and
 determinants take as they are; a determinant expands single-entry rows
@@ -101,12 +100,19 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 2 as [(p, e), ...] with p ascending."""
+    """Prime factorization of n >= 2 as [(p, e), ...] with p ascending.
+
+    Trial division stops once the cofactor is a prime below
+    MILLER_RABIN_BOUND (tested at the start and after each prime is
+    stripped), so a large prime factor costs a few strong tests; a
+    cofactor with two large primes still trial-divides.
+    """
     if n < 2:
         raise ValueError("factorize expects n >= 2")
     out: list[tuple[int, int]] = []
+    prime = n < MILLER_RABIN_BOUND and is_prime(n)
     for p in _trial_divisors():
-        if p * p > n:
+        if prime or p * p > n:
             break
         if n % p:
             continue
@@ -115,6 +121,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
             n //= p
             e += 1
         out.append((p, e))
+        prime = n < MILLER_RABIN_BOUND and is_prime(n)
     if n > 1:
         out.append((n, 1))
     return out
@@ -513,28 +520,6 @@ def fp_radical(coefficients: Sequence[int], p: int) -> list[int]:
         # over F_p, h(X^p) = h(X)^p
         f = f[::p]
     return radical
-
-
-def dedekind_p_maximal(coefficients: Sequence[int], p: int) -> bool:
-    """Whether Z_(p)[alpha] is p-maximal, alpha a root of the monic integer
-    polynomial f given by its coefficients, constant first: Dedekind's
-    criterion (Cohen, A Course in Computational Algebraic Number Theory,
-    Theorem 6.1.4).
-
-    With g the radical of f mod p and h = (f mod p)/g, both lifted to
-    [0, p), F = (g*h - f)/p has integer coefficients, and the order is
-    p-maximal exactly when F, g and h have no common factor mod p.
-    """
-    f = list(coefficients)
-    if not f or f[-1] != 1:
-        raise ValueError("Dedekind's criterion expects a monic polynomial")
-    g = fp_radical(f, p)
-    h = _fp_divmod(_trim([c % p for c in f]), g, p)[0]
-    lifted = _int_product(g, h)
-    # g*h = f mod p, so each difference is divisible by p
-    F = _trim([(x - y) // p % p for x, y in zip(lifted, f)])
-    common = _fp_gcd(F, g, p)
-    return len(common) == 1 or len(_fp_gcd(h, common, p)) == 1
 
 
 # ---------------------------------------------------------------------------

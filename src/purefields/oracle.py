@@ -3,8 +3,9 @@
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality at p | n is proved by Dedekind's criterion on
-X^(p^k) - m mod p, p^k the exact power of p in n, where it applies, and
-otherwise through the multiplier ring of the p-radical (Round 2).  At a
+X^(p^k) - m, p^k the exact power of p in n, where it applies, and
+otherwise through the multiplier ring of the p-radical (Round 2).  On
+X^(p^k) - m the criterion is one congruence mod p^2, a modular power.  At a
 prime q not dividing n, X^n - m is Eisenstein or separable mod q, so an
 order is q-maximal exactly when q does not divide c, the least c > 0 with
 c*alpha in it.  No table of all n^2 products b_i * b_j is formed.  Each
@@ -51,7 +52,6 @@ from typing import NamedTuple
 from .exactmath import (
     RatMatrix,
     charpoly,
-    dedekind_p_maximal,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
     factorize,
     fp_kernel,
@@ -446,6 +446,11 @@ def _reduced(dense: list[int], modulus: int) -> list[tuple[int, int]]:
     return [(t, r) for t, c in enumerate(dense) if (r := c % modulus)]
 
 
+def _dedekind_binomial(m: int, p: int, degree: int) -> bool:
+    # Dedekind's criterion on X^degree - m, degree = p^k (p_maximality_enum)
+    return degree == 1 or (pow(m % p, degree, p * p) - m) % (p * p) != 0
+
+
 def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     """Prove or refute p-maximality of the order spanned by the basis.
 
@@ -462,10 +467,19 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     disc(X^u - alpha^u) = +-u^u * (alpha^u)^(u-1) is a unit above p when p
     divides neither u nor m, so Z_(p)[alpha] is p-maximal iff
     Z_(p)[alpha^u] = Z_(p)[X]/(X^(p^k) - m) is; where p | m both X^n - m
-    and X^(p^k) - m are Eisenstein.  So Dedekind's criterion runs on
-    X^(p^k) - m mod p (on X - m, at once, when p does not divide n), and
-    when it finds Z_(p)[alpha^u] p-maximal, so is O, and
-    Proved(route="dedekind") is returned with no product formed.
+    and X^(p^k) - m are Eisenstein.  So Dedekind's criterion (Cohen, A
+    Course in Computational Algebraic Number Theory, Theorem 6.1.4) runs
+    on f = X^(p^k) - m, and when it finds Z_(p)[alpha^u] p-maximal, so is
+    O, and Proved(route="dedekind") is returned with no product formed.
+
+    On f the criterion is one congruence (_dedekind_binomial).  With
+    r = m mod p, r^(p^k) = r in F_p, so f mod p = (X - r)^(p^k).  At
+    p^k = 1, f is linear, hence square-free mod p.  Otherwise g = X - r is
+    the radical and h = (X - r)^(p^k - 1), and the criterion asks that
+    F = (g*h - f)/p share no factor with g and h mod p.  Both are powers
+    of X - r, so that holds iff F(r) = (m - r^(p^k))/p is prime to p, iff
+    p^2 does not divide r^(p^k) - m.  Where p | m (the Eisenstein case),
+    r = 0 and F(0) = m/p is prime to p for square-free m.
     """
     field = basis.field
     if not is_prime(p):
@@ -479,7 +493,7 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
         return Skipped(defect)
     if certificate.multiplier % p:
         degree = p ** vp_int(p, field.n)
-        if dedekind_p_maximal([-field.m] + [0] * (degree - 1) + [1], p):
+        if _dedekind_binomial(field.m, p, degree):
             return Proved(route="dedekind", degree=degree)
     return _round_two(basis, p, certificate)
 

@@ -6,6 +6,9 @@ FpExtPolynomial supply F_p and F_p[x]/(phi_bar) to exactmath.Polynomial's
 field-generic algorithms, poly_gcd and poly_ext_gcd are Euclid on any of
 them (QPolynomial included), and distinct_irreducible_factors is the
 distinct-degree and equal-degree factorization on FpPolynomial.
+dedekind_p_maximal is Dedekind's criterion on any monic integer
+polynomial, which the certifier's one congruence on X^(p^k) - m is
+checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from purefields.exactmath import Polynomial, QPolynomial, fp_radical
+from purefields.exactmath import (
+    Polynomial,
+    QPolynomial,
+    _fp_divmod,
+    _fp_gcd,
+    _int_product,
+    _trim,
+    fp_radical,
+)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -220,3 +231,25 @@ def distinct_irreducible_factors(f: FpPolynomial) -> list[FpPolynomial]:
         factors.extend(_equal_degree(prod, d, rng))
     factors.sort(key=lambda g: (g.degree, g.coefficients))
     return factors
+
+
+def dedekind_p_maximal(coefficients: Sequence[int], p: int) -> bool:
+    """Whether Z_(p)[alpha] is p-maximal, alpha a root of the monic integer
+    polynomial f given by its coefficients, constant first: Dedekind's
+    criterion (Cohen, A Course in Computational Algebraic Number Theory,
+    Theorem 6.1.4).
+
+    With g the radical of f mod p and h = (f mod p)/g, both lifted to
+    [0, p), F = (g*h - f)/p has integer coefficients, and the order is
+    p-maximal exactly when F, g and h have no common factor mod p.
+    """
+    f = list(coefficients)
+    if not f or f[-1] != 1:
+        raise ValueError("Dedekind's criterion expects a monic polynomial")
+    g = fp_radical(f, p)
+    h = _fp_divmod(_trim([c % p for c in f]), g, p)[0]
+    lifted = _int_product(g, h)
+    # g*h = f mod p, so each difference is divisible by p
+    F = _trim([(x - y) // p % p for x, y in zip(lifted, f)])
+    common = _fp_gcd(F, g, p)
+    return len(common) == 1 or len(_fp_gcd(h, common, p)) == 1

@@ -18,7 +18,6 @@ from purefields.exactmath import (
     SquareFree,
     Unknown,
     charpoly,
-    dedekind_p_maximal,
     det_int,
     det_rational,
     ext_gcd,
@@ -34,7 +33,13 @@ from purefields.exactmath import (
 )
 from fp_reference import fp_kernel as reference_fp_kernel
 from fp_reference import fp_reduce as reference_fp_reduce
-from poly_reference import FpExtPolynomial, FpPolynomial, poly_ext_gcd, poly_gcd
+from poly_reference import (
+    FpExtPolynomial,
+    FpPolynomial,
+    dedekind_p_maximal,
+    poly_ext_gcd,
+    poly_gcd,
+)
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import fp_from_qpoly, qpoly_power, vp_rational
 
@@ -140,6 +145,21 @@ def test_factorize():
     assert factorize(97) == [(97, 1)]
     with pytest.raises(ValueError):
         factorize(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10 ** 6),
+    st.sampled_from((1, 1_000_003, 2 ** 61 - 1, 100_000_000_000_031)),
+    st.sampled_from((1, 10_007)),
+)
+def test_factorize_matches_sympy(small, large, second):
+    # a prime cofactor stops trial division at once; two large primes
+    # still trial-divide up to the smaller
+    sympy = pytest.importorskip("sympy")
+    n = small * large * second
+    assume(n >= 2)
+    assert factorize(n) == sorted(sympy.factorint(n).items())
 
 
 # ---------------------------------------------------------------------------

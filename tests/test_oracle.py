@@ -60,6 +60,7 @@ from rational_reference import FieldElement, coordinates_in_basis, mul, trace
 from rational_reference import element_as_qpoly, element_from_qpoly, minimal_polynomial
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
+from poly_reference import dedekind_p_maximal
 from table_reference import gram_discriminant, structure_constants
 
 
@@ -2048,25 +2049,62 @@ def test_field_discriminants_match_round_two_grid():
 # ---------------------------------------------------------------------------
 
 
-def test_dedekind_runs_once_on_the_prime_power_polynomial(monkeypatch):
-    # one call per prime, on X^(p^k) - m with p^k the exact power of p in
-    # n, and on X - m at a prime outside n
-    calls = []
-    criterion = oracle.dedekind_p_maximal
+def test_dedekind_route_is_the_generic_criterion_on_the_prime_power_polynomial():
+    # the route fires, at degree p^k, exactly when p does not divide c and
+    # the generic criterion holds on X^(p^k) - m: for every p | n and one
+    # prime outside n (p^k = 1 there, so X - m)
+    fired = 0
+    for n in range(2, 49):
+        outside = next(q for q in (2, 3, 5, 7, 11, 13) if n % q)
+        primes = [p for p, _ in factorize(n)] + [outside]
+        for m in DEDEKIND_RADICANDS:
+            for basis in (build_basis(PureField.create(n, m)), power_basis(n, m)):
+                c = oracle._structure_constants(basis).multiplier
+                for p in primes:
+                    degree = p ** vp_int(p, n)
+                    f = [-m] + [0] * (degree - 1) + [1]
+                    expected = c % p != 0 and dedekind_p_maximal(f, p)
+                    result = p_maximality_enum(basis, p)
+                    dedekind = isinstance(result, Proved) and result.route == "dedekind"
+                    assert dedekind == expected, (n, m, p)
+                    if dedekind:
+                        assert result.degree == degree, (n, m, p)
+                        fired += 1
+    assert fired
 
-    def recording(coefficients, p):
-        calls.append((tuple(coefficients), p))
-        return criterion(coefficients, p)
 
-    monkeypatch.setattr(oracle, "dedekind_p_maximal", recording)
-    basis = build_basis(PureField.create(24, 10))
-    for p, k in basis.field.factorization:
-        calls.clear()
-        p_maximality_enum(basis, p)
-        assert calls == [((-10,) + (0,) * (p ** k - 1) + (1,), p)]
-    calls.clear()
-    assert p_maximality_enum(basis, 5).degree == 1
-    assert calls == [((-10, 1), 5)]
+@st.composite
+def prime_power_binomials(draw):
+    # (m, p, p^k): p <= 97 prime, p^k <= 512, m of either sign, p | m
+    # about half the time
+    p = draw(st.sampled_from([p for p in range(2, 98) if all(p % q for q in range(2, p))]))
+    degree = draw(st.sampled_from([p ** k for k in range(10) if p ** k <= 512]))
+    m = draw(st.integers(-10 ** 6, 10 ** 6))
+    return (m * p if draw(st.booleans()) else m), p, degree
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_power_binomials())
+def test_dedekind_congruence_matches_the_generic_criterion(binomial):
+    # one modular power decides what the criterion decides on X^(p^k) - m
+    # through the radical mod p
+    m, p, degree = binomial
+    f = [-m] + [0] * (degree - 1) + [1]
+    assert oracle._dedekind_binomial(m, p, degree) == dedekind_p_maximal(f, p)
+
+
+def test_certify_names_a_large_prime_of_c_at_once():
+    # a prime cofactor of c is settled by strong tests, not by trial
+    # division up to its square root
+    q = 100_000_000_000_031
+    basis = _multiplier_lattice(2, 3, q)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        report = certify(basis)
+        best = min(best, time.perf_counter() - start)
+    assert report.maximality[q] == CounterexampleFound(BasisElement([0, 1], 1))
+    assert best < 0.1
 
 
 def test_large_prime_outside_n_is_proved_at_once():
