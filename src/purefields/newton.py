@@ -9,10 +9,13 @@ Every polynomial here is a tuple or list of ints, constant first, with no
 trailing zeros, as in exactmath's radical and Dedekind routines; an
 element of F_p[x]/(phi) is such a list of degree below deg(phi), and a
 residual polynomial is a tuple of them.  Developments, polygon heights and
-residual digits are computed on plain integers: phi is monic, so its
-divisions need no inverse, and each digit is divided only by a power of p
-that divides it.  QPolynomial appears only in index_lower_bound's input
-and in rendering.
+residual digits are computed on plain integers, and each digit is divided
+only by a power of p that divides it.  Along a linear phi = X - r, which
+is every phi for X^(p^k) - m (its reduction is (X - m)^(p^k)), the
+development is the Taylor shift f(X + r), one pass over each of f's
+nonzero terms; along phi of degree 2 or more it is repeated synthetic
+division, phi being monic.  QPolynomial appears only in
+index_lower_bound's input and in rendering.
 """
 
 from __future__ import annotations
@@ -55,19 +58,60 @@ class PhiDevelopment:
 
 
 def phi_development(f: Sequence[int], phi: Sequence[int], p: int) -> PhiDevelopment:
-    """Expand f in base phi by repeated division with remainder, f and phi
-    given by their integer coefficients, constant first.
+    """Expand f in base phi, f and phi given by their integer coefficients,
+    constant first.
 
-    phi is monic, so each division is synthetic: the quotient digits are
-    the leading remainder coefficients, left in place, so after a pass
-    rem[:deg phi] is the next a_i and rem[deg phi:] the quotient.  A
-    digit's valuation is that of the gcd of its coefficients.
+    For linear phi = X - r the digits are the Taylor coefficients of f at
+    r: f(X) = sum_j a_j * (X - r)**j with
+    a_j = sum_t c_t * C(t, j) * r**(t - j) over f's nonzero terms
+    c_t * X**t, which takes O(deg f * terms) big-int steps where division
+    would take about deg(f)**2 / 2 (f = X^N - m has two terms).  For
+    deg phi >= 2 they come from repeated division with remainder, the only
+    general algorithm.  A digit's valuation is that of the gcd of its
+    coefficients.
     """
     if not all(isinstance(c, int) for c in (*f, *phi)):
         raise ValueError("development expects integer coefficients")
     f, phi = tuple(_trim(list(f))), tuple(_trim(list(phi)))
     if len(phi) < 2 or phi[-1] != 1:
         raise ValueError("phi must be monic of degree >= 1")
+    if len(phi) == 2:
+        digits = [(a,) if a else () for a in _taylor_shift(f, -phi[0])]
+    else:
+        digits = _divided_digits(f, phi)
+    if not digits:
+        digits.append(())
+    vals = tuple(vp_int(p, math.gcd(*a)) if a else None for a in digits)
+    return PhiDevelopment(f, phi, p, tuple(digits), vals)
+
+
+def _taylor_shift(f: Poly, r: int) -> list[int]:
+    """The coefficients of f(X + r), constant first.
+
+    Each nonzero term c_t * X**t adds v_j = c_t * C(t, j) * r**(t - j) to
+    digit j, walked from v_t = c_t down by v_(j-1) = v_j * j / (t - j + 1) * r,
+    the ratio C(t, j - 1) / C(t, j) times r.  The division is exact:
+    C(t, j) * j = C(t, j - 1) * (t - j + 1).
+    """
+    shifted = [0] * len(f)
+    for t, c in enumerate(f):
+        if not c:
+            continue
+        shifted[t] += c
+        v = c
+        for j in range(t, 0, -1):
+            v = v * j // (t - j + 1) * r
+            shifted[j - 1] += v
+    return shifted
+
+
+def _divided_digits(f: Poly, phi: Poly) -> list[Poly]:
+    """The base-phi digits of f by repeated division, phi monic.
+
+    Each division is synthetic: the quotient digits are the leading
+    remainder coefficients, left in place, so after a pass rem[:deg phi]
+    is the next digit and rem[deg phi:] the quotient.
+    """
     d = len(phi) - 1
     terms = [(j - d, b) for j, b in enumerate(phi[:d]) if b]
     # one division is the steps (i, k, b), rem[k] -= rem[i] * b, for i from
@@ -82,10 +126,7 @@ def phi_development(f: Sequence[int], phi: Sequence[int], p: int) -> PhiDevelopm
         digits.append(tuple(_trim(rem[:d])))
         # the quotient keeps the nonzero leading coefficient of rem
         rem = rem[d:]
-    if not digits:
-        digits.append(())
-    vals = tuple(vp_int(p, math.gcd(*a)) if a else None for a in digits)
-    return PhiDevelopment(f, phi, p, tuple(digits), vals)
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +336,15 @@ def phi_index(polygon: NewtonPolygon, degphi: int) -> int:
     if not polygon.sides:
         return 0
     count = 0
-    x_start = polygon.vertices[0][0]
-    x_end = polygon.vertices[-1][0]
-    for x in range(max(1, x_start), x_end + 1):
-        for side in polygon.sides:
-            if side.start[0] <= x <= side.end[0]:
-                height = (side.start[1] * side.e - side.h * (x - side.start[0])) // side.e
-                count += max(0, height)
-                break
+    # sides meet end to start, so x from lo to each side's end is that
+    # side's own range, a shared vertex counted once
+    lo = max(1, polygon.vertices[0][0])
+    for side in polygon.sides:
+        (x0, y0), x1 = side.start, side.end[0]
+        count += sum(
+            max(0, (y0 * side.e - side.h * (x - x0)) // side.e) for x in range(lo, x1 + 1)
+        )
+        lo = x1 + 1
     return degphi * count
 
 
@@ -396,12 +438,14 @@ def _square_free_over_q(f: Sequence[int]) -> bool:
     """
     a, b = list(f), [i * c for i, c in enumerate(f)][1:]
     while len(b) > 1:
+        # b's nonzero terms below its top: for X^N - m there are none
+        b_terms = [(j, c) for j, c in enumerate(b[:-1]) if c]
         while len(a) >= len(b):
             # a <- b_top * a - a_top * X^(deg a - deg b) * b drops deg a
             top, shift = a.pop(), len(a) - len(b) + 1
             a = [b[-1] * c for c in a]
-            for j, c in enumerate(b[:-1], shift):
-                a[j] -= top * c
+            for j, c in b_terms:
+                a[j + shift] -= top * c
             while a and not a[-1]:
                 a.pop()
         if not a:

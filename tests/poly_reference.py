@@ -8,11 +8,14 @@ them (QPolynomial included), and distinct_irreducible_factors is the
 distinct-degree and equal-degree factorization on FpPolynomial.
 dedekind_p_maximal is Dedekind's criterion on any monic integer
 polynomial, which the certifier's one congruence on X^(p^k) - m is
-checked against.
+checked against.  phi_development_by_division is the phi-adic development
+by repeated synthetic division for phi of any degree, which the library's
+Taylor shift along a linear phi is checked against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -24,7 +27,9 @@ from purefields.exactmath import (
     _int_product,
     _trim,
     fp_radical,
+    vp_int,
 )
+from purefields.newton import PhiDevelopment
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -253,3 +258,30 @@ def dedekind_p_maximal(coefficients: Sequence[int], p: int) -> bool:
     F = _trim([(x - y) // p % p for x, y in zip(lifted, f)])
     common = _fp_gcd(F, g, p)
     return len(common) == 1 or len(_fp_gcd(h, common, p)) == 1
+
+
+def phi_development_by_division(f: Sequence[int], phi: Sequence[int], p: int) -> PhiDevelopment:
+    """newton.phi_development by repeated division with remainder for every
+    phi, monic: each division is synthetic, the quotient digits being the
+    leading remainder coefficients, left in place, so after a pass
+    rem[:deg phi] is the next digit and rem[deg phi:] the quotient."""
+    f, phi = tuple(_trim(list(f))), tuple(_trim(list(phi)))
+    if len(phi) < 2 or phi[-1] != 1:
+        raise ValueError("phi must be monic of degree >= 1")
+    d = len(phi) - 1
+    terms = [(j - d, b) for j, b in enumerate(phi[:d]) if b]
+    # one division is the steps (i, k, b), rem[k] -= rem[i] * b, for i from
+    # the top of rem down to d; a later division, on a shorter rem, takes
+    # the same steps from its own top, which form a suffix of this list
+    steps = [(i, i + j, b) for i in range(len(f) - 1, d - 1, -1) for j, b in terms]
+    rem = list(f)
+    digits: list[tuple[int, ...]] = []
+    while rem:
+        for i, k, b in steps[(len(f) - len(rem)) * len(terms):]:
+            rem[k] -= rem[i] * b
+        digits.append(tuple(_trim(rem[:d])))
+        rem = rem[d:]
+    if not digits:
+        digits.append(())
+    vals = tuple(vp_int(p, math.gcd(*a)) if a else None for a in digits)
+    return PhiDevelopment(f, phi, p, tuple(digits), vals)

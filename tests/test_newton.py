@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from purefields.newton import (
 )
 from poly_reference import FpExtPolynomial, FpPolynomial, poly_ext_gcd, poly_gcd
 from poly_reference import distinct_irreducible_factors as reference_factors
+from poly_reference import phi_development_by_division
 from rational_reference import fp_from_qpoly, qpoly_power, vp_rational
 
 X = QPolynomial([0, 1])
@@ -125,6 +127,65 @@ def test_development_matches_rational_reference(fc, shift, pc, p):
     assert dev.coefficients == tuple(a.integer_coefficients() for a in coefficients)
     assert dev.valuations == valuations
     assert (dev.f, dev.phi, dev.p) == (f.integer_coefficients(), phi.integer_coefficients(), p)
+
+
+_DIGIT = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+
+
+@st.composite
+def _developments(draw):
+    # weighted to linear phi, the Taylor shift; one in five has degree 2
+    # or 3, where the library divides as the twin does
+    p = draw(st.sampled_from([2, 3, 5, 7, 97]))
+    shape = draw(st.sampled_from(["binomial", "sparse", "dense"]))
+    if shape == "binomial":
+        n, m = draw(st.integers(min_value=1, max_value=256)), draw(_DIGIT)
+        f = [-m] + [0] * (n - 1) + [1]
+    elif shape == "sparse":
+        degree = draw(st.integers(min_value=1, max_value=200))
+        lower = draw(st.sets(st.integers(min_value=0, max_value=degree - 1), min_size=1, max_size=3))
+        f = [0] * (degree + 1)
+        for t in (*lower, degree):
+            f[t] = draw(_DIGIT.filter(bool))
+    else:
+        f = draw(st.lists(_DIGIT, max_size=41))
+    r = draw(st.one_of(st.sampled_from([0, 1, -1, p - 1, 1 - p]), _DIGIT))
+    if draw(st.integers(min_value=0, max_value=4)):
+        phi = [-r, 1]
+    else:
+        phi = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=2, max_size=3)) + [1]
+    return f, phi, p
+
+
+@given(case=_developments())
+@example(case=([-3] + [0] * 255 + [1], [-1, 1], 2))
+@example(case=([5], [4, 1], 3))
+@example(case=([], [0, 1], 2))
+@settings(max_examples=150, deadline=None)
+def test_development_matches_division_twin(case):
+    f, phi, p = case
+    dev, twin = phi_development(f, phi, p), phi_development_by_division(f, phi, p)
+    assert dev.coefficients == twin.coefficients
+    assert dev.valuations == twin.valuations
+    assert (dev.f, dev.phi, dev.p) == (twin.f, twin.phi, twin.p)
+
+
+def test_linear_development_is_one_taylor_shift():
+    # X^4096 - 3 along X - 1 at 2: division takes about 4096^2 / 2 steps on
+    # growing integers (seconds), the Taylor shift 4096 (about 0.1 s)
+    n = 4096
+    f = [-3] + [0] * (n - 1) + [1]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        dev = phi_development(f, [-1, 1], 2)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.4, best
+    # the digits sum to f(1 + 1), and a_j = C(n, j) for j >= 1
+    assert len(dev.coefficients) == n + 1
+    assert sum(a for (a,) in dev.coefficients) == 2 ** n - 3
+    for j in (1, 2, 3, 1000, n // 2, n - 1, n):
+        assert dev.coefficients[j] == (math.comb(n, j),)
 
 
 @pytest.mark.parametrize("p, k", [(3, 2), (2, 4), (5, 2), (3, 3), (2, 5)])
