@@ -136,9 +136,16 @@ def _trial_divisors():
 
 
 def vp_int(p: int, a: int) -> int:
-    """The p-adic valuation of a nonzero integer: largest e with p**e | a."""
+    """The p-adic valuation of a nonzero integer: largest e with p**e | a.
+
+    At p = 2 it is the index of the lowest set bit, one pass over a; an
+    odd p strips one factor at a time.
+    """
     if a == 0:
         raise ValueError("valuation of zero undefined")
+    if p == 2:
+        # a & -a keeps the lowest set bit, for negative a too
+        return (a & -a).bit_length() - 1
     e = 0
     while a % p == 0:
         a //= p

@@ -3,23 +3,27 @@
 Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality at p | n is proved by Dedekind's criterion on
-X^(p^k) - m, p^k the exact power of p in n, where it applies, and
-otherwise through the multiplier ring of the p-radical (Round 2).  On
-X^(p^k) - m the criterion is one congruence mod p^2, a modular power.  At a
-prime q not dividing n, X^n - m is Eisenstein or separable mod q, so an
-order is q-maximal exactly when q does not divide c, the least c > 0 with
-c*alpha in it.  No table of all n^2 products b_i * b_j is formed.  Each
-product a check needs is taken on the integer numerators and peeled once
-against a triangular basis.  Closure is Round 2's order test: n shifts by
-c*alpha and the products of a few Z[c*alpha]-module generators.
-p-maximality is local, so Round 2 at p runs on a Z_(p)-basis derived
-from the given one and c alone, whose numerators are reduced mod
-c^t * p^v.  With n = p^k * u, p not dividing u or m, and that basis in
-tensor shape, it runs on the degree-p^k order O' = O (x) Z_(p)
-intersected with Q(alpha^u) instead: over Q(alpha^u), alpha is a root of
-X^u - alpha^u, whose discriminant +-u^u * (alpha^u)^(u-1) is a unit at
-every prime above p, so O (x) Z_(p) = O'[alpha] is p-maximal iff O' is.
-The discriminant is the power-basis Gram determinant, read off its
+X^(p^k) - m, p^k the exact power of p in n, where it applies, then by the
+discriminant where p^2 does not divide it, and otherwise through the
+multiplier ring of the p-radical (Round 2).  On X^(p^k) - m the criterion
+is one congruence mod p^2, a modular power, and the discriminant's
+valuation is a sum over the basis's leading coefficients and
+denominators.  At a prime q not dividing n, X^n - m is Eisenstein or
+separable mod q, so an order is q-maximal exactly when q does not divide
+c, the least c > 0 with c*alpha in it.  No table of all n^2 products
+b_i * b_j is formed.  Each product a check needs is taken on the integer
+numerators and peeled once against a triangular basis.  Closure is Round
+2's order test: n shifts by c*alpha and the products of a few
+Z[c*alpha]-module generators, where a shift that maps b_i to b_(i+1)
+term for term is read off the basis with no product.  p-maximality is
+local, so Round 2 at p runs on a Z_(p)-basis derived from the given one
+and c alone, whose numerators are reduced mod c^t * p^v.  With
+n = p^k * u, p not dividing u or m, and that basis in tensor shape, it
+runs on the degree-p^k order O' = O (x) Z_(p) intersected with
+Q(alpha^u) instead: over Q(alpha^u), alpha is a root of X^u - alpha^u,
+whose discriminant +-u^u * (alpha^u)^(u-1) is a unit at every prime
+above p, so O (x) Z_(p) = O'[alpha] is p-maximal iff O' is.  The
+discriminant is the power-basis Gram determinant, read off its
 permutation, times the squared transition determinant.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
@@ -251,9 +255,16 @@ def _structure_constants(basis: IntegralBasis) -> ClosureCertificate:
     L (Round 2's order test, Cohen, section 6.1).  The shift beta*b_(i-1)
     has degree i, and when its coordinate on b_i is +-1, b_i is a
     Z[beta]-combination of b_0, ..., b_(i-1); so G holds 0 and every i
-    where that coordinate is not +-1.  Each product is peeled once.  The
-    most recent certificate is kept, so certify and each prime's
-    p_maximality_enum share one; the name is the benchmark tracer's.
+    where that coordinate is not +-1.
+
+    Most shifts are read off the supports: where b_(i+1) has the
+    denominator of b_i and its terms are those of b_i moved up one degree
+    and scaled by c, beta*b_i = b_(i+1), which lies in L with coordinate
+    1, and no product is formed.  Each other shift and each generator
+    product is peeled once; the products b_0*b_h are skipped when b_0 is
+    an integer N_0 (d_0 = 1), as they are N_0*b_h.  The most recent
+    certificate is kept, so certify and each prime's p_maximality_enum
+    share one; the name is the benchmark tracer's.
     """
     field = basis.field
     n = field.n
@@ -263,12 +274,16 @@ def _structure_constants(basis: IntegralBasis) -> ClosureCertificate:
     generators = [0]
     closed = True
     for i, (d, support) in enumerate(supports):
+        if i + 1 < n and supports[i + 1] == (d, [(t + 1, c * x) for t, x in support]):
+            continue
         coords, scale = _peel(supports, _product(field, [(1, c)], support), d)
         closed = closed and scale == 1
         if i + 1 < n and abs(coords.get(i + 1, 0)) != scale:
             generators.append(i + 1)
     if closed:
-        pairs = [(supports[g], supports[h]) for g in generators for h in generators if g <= h]
+        # an integer b_0 = N_0 makes each b_0*b_h = N_0*b_h, in L
+        left = generators[1:] if supports[0][0] == 1 else generators
+        pairs = [(supports[g], supports[h]) for g in left for h in generators if g <= h]
         closed = all(
             _peel(supports, _product(field, a, b), d * e)[1] == 1
             for (d, a), (e, b) in pairs
@@ -333,6 +348,18 @@ def _discriminant_exact(basis: IntegralBasis) -> int | Fraction:
     return numerator // denominator
 
 
+def _discriminant_valuation(basis: IntegralBasis, p: int) -> int:
+    """v_p of _discriminant_exact(basis), summed term by term: the Gram
+    determinant's n*v_p(n) + (n - 1)*v_p(m), plus twice v_p of each
+    leading coefficient less v_p of each denominator.  No large integer
+    is formed."""
+    n, m = basis.field.n, basis.field.m
+    value = n * vp_int(p, n) + (n - 1) * vp_int(p, m)
+    for e in basis.elements:
+        value += 2 * (vp_int(p, e.int_numerator[-1]) - vp_int(p, e.denominator))
+    return value
+
+
 def basis_discriminant(basis: IntegralBasis) -> int:
     """Discriminant of the Z-module spanned by the basis."""
     value = _discriminant_exact(basis)
@@ -350,18 +377,20 @@ class Proved:
 
     The evidence takes no part in comparisons or reports.  route names the
     theorem: "dedekind" when Dedekind's criterion showed Z_(p)[alpha],
-    which O contains locally, to be p-maximal, and "round 2" when the
-    multiplier ring of the p-radical did.  On Round 2, radical_dimension
-    is the F_p-dimension of the p-radical of O/pO, and generators the
-    number of radical vectors whose products were fed before the
-    multiplier system reached full rank.  Where Round 2 ran on the
-    degree-p^k order O' of Q(alpha^u), u = n/p^k (see _round_two), O/pO
-    is etale over O'/pO', so radical_dimension is still that of O/pO, u
-    times that of O'/pO', and generators counts the radical vectors of
-    O''s system; route stays "round 2".  On the Dedekind route no radical
-    is formed, and both stay 0.  degree is the degree the proof ran at:
-    p^k, the exact power of p in n, on the Dedekind route (the criterion
-    runs on X^(p^k) - m) and where Round 2 ran on O', n otherwise.
+    which O contains locally, to be p-maximal, "discriminant" when p^2
+    does not divide disc(O), so that p does not divide the index, and
+    "round 2" when the multiplier ring of the p-radical did.  On Round 2,
+    radical_dimension is the F_p-dimension of the p-radical of O/pO, and
+    generators the number of radical vectors whose products were fed
+    before the multiplier system reached full rank.  Where Round 2 ran on
+    the degree-p^k order O' of Q(alpha^u), u = n/p^k (see _round_two),
+    O/pO is etale over O'/pO', so radical_dimension is still that of
+    O/pO, u times that of O'/pO', and generators counts the radical
+    vectors of O''s system; route stays "round 2".  On the Dedekind and
+    discriminant routes no radical is formed, and both stay 0.  degree is
+    the degree the proof ran at: p^k, the exact power of p in n, on the
+    Dedekind route (the criterion runs on X^(p^k) - m) and where Round 2
+    ran on O', n otherwise.
     """
 
     radical_dimension: int = dataclasses.field(default=0, compare=False)
@@ -480,6 +509,13 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     of X - r, so that holds iff F(r) = (m - r^(p^k))/p is prime to p, iff
     p^2 does not divide r^(p^k) - m.  Where p | m (the Eisenstein case),
     r = 0 and F(0) = m/p is prime to p for square-free m.
+
+    Where the criterion does not apply or does not decide, the
+    discriminant may: disc(O) = [O_K : O]^2 * disc(O_K), so p divides the
+    index only if p^2 divides disc(O) (Cohen, section 6.1).  Its
+    valuation is read off the triangular basis (_discriminant_valuation),
+    and where it is at most 1, Proved(route="discriminant") is returned
+    with no product formed.  Round 2 runs only where both fail.
     """
     field = basis.field
     if not is_prime(p):
@@ -495,6 +531,8 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
         degree = p ** vp_int(p, field.n)
         if _dedekind_binomial(field.m, p, degree):
             return Proved(route="dedekind", degree=degree)
+    if _discriminant_valuation(basis, p) <= 1:
+        return Proved(route="discriminant", degree=field.n)
     return _round_two(basis, p, certificate)
 
 

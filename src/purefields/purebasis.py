@@ -4,12 +4,14 @@ The construction is fully explicit.  For prime-power degree the basis is a
 family of geometric-sum polynomials divided by prime powers, selected by a
 single valuation parameter s.  For composite degree element k is one
 coefficient-wise Chinese remainder step over the degree-k elements of all
-the prime-power bases at once.  Every element is built as a list of int
-coefficients over one denominator; no Fraction is formed.  build_basis is
-the one construction path: it composes the prime-power bases of a
-validated field, uncertified; integral_basis certifies its result.
-Alongside the basis we keep the index ledger: per-prime indices in closed
-form, the total index, and the two discriminants it ties together.
+the prime-power bases at once, or, where each of those is alpha times the
+one below it, alpha times element k - 1.  Every element is built as a
+list of int coefficients over one denominator; no Fraction is formed.
+build_basis is the one construction path: it composes the prime-power
+bases of a validated field, uncertified; integral_basis certifies its
+result.  Alongside the basis we keep the index ledger: per-prime indices
+in closed form, the total index, and the two discriminants it ties
+together.
 """
 
 from __future__ import annotations
@@ -309,6 +311,13 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
     the CRT representative in [0, U) of (A_ij mod u_i) over every i.  Then
     (U/u_i) * gamma - Psi_i is integral for every i, which makes gamma
     integral.  A single piece comes back unchanged.
+
+    Where every Psi_i of degree k is X times the one of degree k - 1 over
+    the same u_i (always so at b > 0; at b = 0 when psi_a = X * psi_(a-1)
+    in piece i), U is unchanged and reduction mod U commutes with the
+    shift, so element k is X times element k - 1 and no CRT step runs.
+    In built bases that holds at every degree but the starts of the
+    pieces' rows.
     """
     degrees = [basis.field.n for basis in bases]
     if any(math.gcd(a, b) != 1 for a, b in combinations(degrees, 2)):
@@ -326,9 +335,23 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
         [(e.int_numerator, e.denominator) for e in basis.elements]
         for basis in bases
     ]
+    # the degrees k at which some piece's stretched element is not X times
+    # the one before: k = 0, and k = a * stride where psi_a is not
+    # X * psi_(a-1) over the same denominator
+    breaks = {0}
+    for stride, rows in zip(strides, pieces):
+        breaks.update(
+            a * stride
+            for a, ((num, u), (below, v)) in enumerate(zip(rows[1:], rows), 1)
+            if u != v or num[0] or num[1:] != below
+        )
 
     elements = []
     for k in range(n):
+        if k not in breaks:
+            below = elements[-1]
+            elements.append(BasisElement((0,) + below.int_numerator, below.denominator))
+            continue
         terms = [(s, k % s, *rows[k // s]) for s, rows in zip(strides, pieces)]
         modulus = math.prod(u for *_, u in terms)
         coeffs = [0] * (k + 1)

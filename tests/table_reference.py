@@ -6,7 +6,11 @@ discriminant off the triangular transition matrix.  These are the routes
 it replaced, kept to cross-check it: every product b_i * b_j as integer
 coordinates over their least common denominator D, and the discriminant
 as the determinant of the trace Gram matrix built from that table,
-compared against the transition-matrix route.
+compared against the transition-matrix route.  The closure certificate
+itself, with every shift c*alpha*b_i formed and peeled and every
+generator product taken, b_0's included, is closure_certificate_by_products,
+which the library's read-off of shifts from the supports is checked
+against.
 """
 
 from __future__ import annotations
@@ -15,7 +19,13 @@ import math
 from fractions import Fraction
 
 from purefields.exactmath import det_int
-from purefields.oracle import _power_basis_discriminant
+from purefields.oracle import (
+    ClosureCertificate,
+    _peel,
+    _power_basis_discriminant,
+    _product,
+    _supports,
+)
 from purefields.purebasis import IntegralBasis
 
 StructureTable = tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
@@ -128,3 +138,28 @@ def gram_discriminant(basis: IntegralBasis, table: StructureTable) -> int | Frac
     if det % gram_scale:
         return Fraction(det, gram_scale)
     return det // gram_scale
+
+
+def closure_certificate_by_products(basis: IntegralBasis) -> ClosureCertificate:
+    """oracle._structure_constants with no read-off: the n shifts by
+    beta = c*alpha each formed and peeled, G = 0 and every i where the
+    coordinate of beta*b_(i-1) on b_i is not +-1, and the products
+    b_g*b_h, g <= h in G, peeled when every shift lies in the lattice."""
+    field = basis.field
+    n = field.n
+    supports = _supports(basis)
+    c = _peel(supports, [0, 1] + [0] * (n - 2), 1)[1]
+    generators = [0]
+    closed = True
+    for i, (d, support) in enumerate(supports):
+        coords, scale = _peel(supports, _product(field, [(1, c)], support), d)
+        closed = closed and scale == 1
+        if i + 1 < n and abs(coords.get(i + 1, 0)) != scale:
+            generators.append(i + 1)
+    if closed:
+        pairs = [(supports[g], supports[h]) for g in generators for h in generators if g <= h]
+        closed = all(
+            _peel(supports, _product(field, a, b), d * e)[1] == 1
+            for (d, a), (e, b) in pairs
+        )
+    return ClosureCertificate(c, tuple(generators), closed)

@@ -59,6 +59,38 @@ def test_vp_int_zero_rejected():
         vp_int(3, 0)
 
 
+def _vp_by_division(p: int, a: int) -> int:
+    # one factor of p at a time: the loop vp_int keeps for odd p
+    e = 0
+    while a % p == 0:
+        a //= p
+        e += 1
+    return e
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(2 ** 300), 2 ** 300).filter(bool),
+    st.integers(0, 400),
+    st.sampled_from((2, 3, 5, 7)),
+)
+def test_vp_int_matches_division(a, e, p):
+    # p^e * a, of either sign, covers valuations from 0 well past 64 bits
+    assert vp_int(p, a * p ** e) == _vp_by_division(p, a * p ** e)
+
+
+def test_vp_int_at_two_is_one_pass():
+    # 200,000 trailing zero bits: stripping one factor at a time made
+    # 200,000 full-size divisions
+    a = 3 * 2 ** 200000
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        assert vp_int(2, a) == 200000
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.001
+
+
 def test_vp_rational():
     assert vp_rational(5, Fraction(1, 5)) == -1
     assert vp_rational(2, Fraction(12, 5)) == 2

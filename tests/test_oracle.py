@@ -61,7 +61,7 @@ from rational_reference import element_as_qpoly, element_from_qpoly, minimal_pol
 from rational_reference import charpoly as reference_charpoly
 from rational_reference import is_algebraic_integer as reference_is_integral
 from poly_reference import dedekind_p_maximal
-from table_reference import gram_discriminant, structure_constants
+from table_reference import closure_certificate_by_products, gram_discriminant, structure_constants
 
 
 def power_basis(n: int, m: int) -> IntegralBasis:
@@ -1380,6 +1380,73 @@ def test_closure_certificate_matches_table_twin(basis):
     assert certificate.multiplier == _alpha_multiplier(basis)
 
 
+def _lowest_terms(numerator, denominator: int) -> BasisElement:
+    g = math.gcd(denominator, *numerator)
+    return BasisElement([c // g for c in numerator], denominator // g)
+
+
+def _perturbed(basis: IntegralBasis, i: int, term: int | None, rng: random.Random):
+    """basis with b_i changed, one numerator term (term) or, with term
+    None, the denominator, and each b_j above it that was c*alpha times
+    b_(j-1), c the unperturbed multiplier, rebuilt as c*alpha times the
+    new b_(j-1): the shift into b_i breaks and the rest stay as they were.
+    None when the change leaves no valid element."""
+    c = _alpha_multiplier(basis)
+    elements = list(basis.elements)
+    numerator, denominator = list(elements[i].int_numerator), elements[i].denominator
+    if term is None:
+        denominator *= rng.choice((2, 3, 5))
+    else:
+        numerator[term] += rng.choice((1, -1, 2))
+    if not numerator[-1] or not math.gcd(denominator, *numerator) == 1:
+        return None
+    elements[i] = BasisElement(numerator, denominator)
+    for j in range(i + 1, basis.field.n):
+        below, e = basis.elements[j - 1], basis.elements[j]
+        if e.denominator != below.denominator or e.int_numerator != (0,) + tuple(
+            c * x for x in below.int_numerator
+        ):
+            break
+        new = elements[j - 1]
+        elements[j] = _lowest_terms([0] + [c * x for x in new.int_numerator], new.denominator)
+    return IntegralBasis(basis.field, tuple(elements))
+
+
+def _shift_structured_lattices():
+    # built bases and Z[c*alpha], c in {1, 2, 3, 6}, and copies with one
+    # numerator term or one denominator perturbed (_perturbed); the twin
+    # is run on those with n <= 12 and on every built basis
+    rng = random.Random(30)
+    radicands = (-30, -26, -7, -2, 2, 3, 5, 10, 17, 26, 65, 82)
+    for n in (2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 18, 24, 30, 36, 48):
+        m = radicands[n % len(radicands)]
+        field = PureField.create(n, m)
+        orders = [build_basis(field)]
+        orders += [_multiplier_lattice(n, m, c) for c in (1, 2, 3, 6)]
+        for basis in orders:
+            yield basis, n <= 12 or basis is orders[0]
+            for term in (None, *rng.sample(range(n), 2)):
+                i = rng.randrange(n) if term is None else rng.randrange(term, n)
+                perturbed = _perturbed(basis, i, term, rng)
+                if perturbed is not None:
+                    yield perturbed, n <= 12
+
+
+def test_closure_read_off_matches_the_product_twin():
+    # on shift-structured lattices the read-off certificate (multiplier,
+    # generators, verdict) is the one with every shift and product formed,
+    # and certify matches the table twin byte for byte up to n = 12 and on
+    # every built basis
+    verdicts = set()
+    for basis, with_table in _shift_structured_lattices():
+        certificate = oracle._structure_constants(basis)
+        assert certificate == closure_certificate_by_products(basis), basis
+        if with_table:
+            _assert_matches_table_twin(basis)
+        verdicts.add(certificate.closed)
+    assert verdicts == {True, False}
+
+
 def _scrambled(basis: IntegralBasis, rng: random.Random) -> IntegralBasis:
     # b_k + sum_(j<k) a_j b_j: another triangular basis of the same lattice
     rows = [[Fraction(c, e.denominator) for c in e.int_numerator] for e in basis.elements]
@@ -1599,27 +1666,58 @@ def _dedekind_orders_and_primes():
 
 
 def test_round_two_proves_wherever_dedekind_fires(monkeypatch):
-    # the criterion fires exactly when p does not divide c and p^2 does not
-    # divide m^p - m, and Round 2 then proves p-maximality too; elsewhere
-    # p_maximality_enum hands the order to Round 2 (here a stand-in)
+    # three routes: Dedekind's criterion fires exactly when p does not
+    # divide c and p^2 does not divide m^p - m; otherwise the discriminant
+    # route fires exactly when v_p(disc O) <= 1; Round 2 (here a stand-in)
+    # gets the rest.  Wherever either read-off fires, Round 2 proves
+    # p-maximality too, and with an empty radical where the discriminant did
     round_two = oracle._round_two
     monkeypatch.setattr(oracle, "_round_two", lambda basis, p, certificate: None)
-    fired = fell_back = 0
+    routes = {"dedekind": 0, "discriminant": 0, "round 2": 0}
     for basis, p in _dedekind_orders_and_primes():
         n, m = basis.field.n, basis.field.m
         certificate = oracle._structure_constants(basis)
         result = p_maximality_enum(basis, p)
         tame = certificate.multiplier % p and (m ** p - m) % (p * p)
+        unramified = vp_int(p, oracle._discriminant_exact(basis)) <= 1
         if result is None:
-            assert not tame, (n, m, p, basis)
-            fell_back += 1
+            assert not tame and not unramified, (n, m, p, basis)
+            routes["round 2"] += 1
             continue
-        assert tame and result == Proved(), (n, m, p, basis)
-        assert result.route == "dedekind", (n, m, p)
+        assert result == Proved(), (n, m, p, basis)
+        assert result.route == ("dedekind" if tame else "discriminant"), (n, m, p)
+        assert tame or unramified, (n, m, p, basis)
         assert (result.radical_dimension, result.generators) == (0, 0)
-        assert round_two(basis, p, certificate) == Proved(), (n, m, p, basis)
-        fired += 1
-    assert fired and fell_back
+        again = round_two(basis, p, certificate)
+        assert again == Proved(), (n, m, p, basis)
+        if not tame:
+            # p^2 does not divide disc(O), and on this grid p does not
+            # divide it at all: p is unramified, O/pO has no nilpotents
+            assert again.radical_dimension == 0, (n, m, p, basis)
+        routes[result.route] += 1
+    assert all(routes.values()), routes
+
+
+def test_discriminant_valuation_is_read_off_the_basis():
+    # the term-by-term sum is v_p of the exact discriminant, on every order
+    # of the route grid and at every p | n
+    for basis, p in _dedekind_orders_and_primes():
+        exact = oracle._discriminant_exact(basis)
+        assert oracle._discriminant_valuation(basis, p) == vp_int(p, exact), (basis, p)
+
+
+@pytest.mark.parametrize("m", [10, -10, 19])
+def test_discriminant_route_at_valuation_one(m):
+    # Q(m^(1/3)) with m = +-1 mod 9: v_3(disc O_K) = 3 - 2 = 1, so 3 is
+    # tamely ramified (3 = P^2 * Q) and 3 does not divide the index.  The
+    # route proves 3-maximality with no radical formed; Round 2 proves it
+    # too, over a radical of dimension 1
+    basis = build_basis(PureField.create(3, m))
+    assert oracle._discriminant_valuation(basis, 3) == 1
+    result = p_maximality_enum(basis, 3)
+    assert result == Proved() and (result.route, result.degree) == ("discriminant", 3)
+    again = oracle._round_two(basis, 3, oracle._structure_constants(basis))
+    assert again == Proved() and again.radical_dimension == 1
 
 
 def test_proved_names_its_route():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from purefields.exactmath import QPolynomial, square_free_check, SquareFree
+from purefields.exactmath import QPolynomial, factorize, square_free_check, SquareFree
 from purefields import purebasis
 from purefields.cli import canonical_json
 from purefields.purebasis import (
@@ -29,6 +29,7 @@ from purefields.purebasis import (
     s_value,
     spans_equal,
 )
+from construction_reference import compose_bases_by_crt
 from rational_reference import element_as_qpoly, element_from_qpoly, minimal_polynomial
 
 
@@ -409,6 +410,46 @@ def test_compose_three_piece_congruences(n):
     composed = compose_bases(pieces, m)
     assert composed == build_basis(PureField.create(n, m))
     assert_crt_congruences(composed, pieces)
+
+
+def _radicands_of_every_shape(n):
+    # for each p^k exactly dividing n, the least square-free m >= 2 with
+    # p | m and one with each shape min(s, k) = 0..k at p
+    radicands = set()
+    for p, k in factorize(n):
+        wanted = {"Eisenstein", *range(k + 1)}
+        for m in square_free_range(p ** (k + 3)):
+            shape = "Eisenstein" if m % p == 0 else min(s_value(p, m), k)
+            if shape in wanted:
+                wanted.remove(shape)
+                radicands.add(m)
+            if not wanted:
+                break
+        assert not wanted, (n, p, wanted)
+    return sorted(radicands)
+
+
+def test_compose_matches_the_crt_twin():
+    # every degree with two or more prime factors up to 96, at radicands of
+    # every shape at each of its primes and one of either sign: element k
+    # is alpha times element k - 1 only where every piece shifts, and a
+    # CRT step elsewhere, element for element the twin's CRT at every k
+    shifted = 0
+    for n in range(6, 97):
+        factorization = factorize(n)
+        if len(factorization) < 2:
+            continue
+        for m in _radicands_of_every_shape(n) + [-m for m in (3, 7, 15)]:
+            pieces = [prime_power_basis(p, k, m) for p, k in factorization]
+            composed = compose_bases(pieces, m)
+            assert composed == compose_bases_by_crt(pieces, m), (n, m)
+            assert compose_bases(pieces[::-1], m) == composed, (n, m)
+            shifted += sum(
+                e.int_numerator == (0,) + below.int_numerator
+                and e.denominator == below.denominator
+                for below, e in zip(composed.elements, composed.elements[1:])
+            )
+    assert shifted
 
 
 # The construction before compose_bases took every piece at once: a
