@@ -22,13 +22,7 @@ import sys
 from collections.abc import Callable
 
 from .exactmath import QPolynomial, is_prime
-from .newton import (
-    phi_development,
-    phi_index,
-    polygon_ascii,
-    polygon_json_dict,
-    principal_polygon,
-)
+from .newton import binomial_polygon, phi_index, polygon_ascii, polygon_json_dict
 from .oracle import Proved, Skipped, certification_json_dict, certify
 from .periodicity import UnknownRow, atlas, atlas_json_dict, atlas_pretty
 from .purebasis import (
@@ -155,11 +149,7 @@ def _cmd_polygon(args) -> int:
     if m == 0:
         raise ValueError("m must be nonzero")
     degree = p**k
-    # mod p the polynomial is (X - m)^(p^k): phi is its one irreducible
-    # factor, so this polygon alone gives the index bound
-    phi = [-(m % p), 1]
-    f = [-m] + [0] * (degree - 1) + [1]
-    polygon = principal_polygon(phi_development(f, phi, p))
+    phi, polygon = binomial_polygon(m, p, degree)
     bound = phi_index(polygon, 1)
     exact = all(side.separable for side in polygon.sides)
     phi_text = str(QPolynomial(phi))

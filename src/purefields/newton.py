@@ -478,6 +478,19 @@ def index_lower_bound(f: QPolynomial, p: int) -> tuple[int, bool]:
     return total, exact
 
 
+def binomial_polygon(m: int, p: int, degree: int) -> tuple[Poly, NewtonPolygon]:
+    """(phi, polygon) for f = X^degree - m at p, degree = p^k.
+
+    Mod p, f is (X - r)^(p^k) with r = m mod p, since r^(p^k) = r in F_p:
+    phi = X - r is its one irreducible factor, so this polygon alone gives
+    index_lower_bound(f, p), phi_index(polygon, 1), which is the exact
+    p-index when every side is separable.
+    """
+    phi = (-(m % p), 1)
+    f = [-m] + [0] * (degree - 1) + [1]
+    return phi, principal_polygon(phi_development(f, phi, p))
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ Nothing in this module reuses the closed-form constructions: elements are
 multiplied exactly in the power basis, discriminants come from the trace
 pairing, and p-maximality at p | n is proved by Dedekind's criterion on
 X^(p^k) - m, p^k the exact power of p in n, where it applies, then by the
-discriminant where p^2 does not divide it, and otherwise through the
-multiplier ring of the p-radical (Round 2).  On X^(p^k) - m the criterion
-is one congruence mod p^2, a modular power, and the discriminant's
-valuation is a sum over the basis's leading coefficients and
-denominators.  At a prime q not dividing n, X^n - m is Eisenstein or
-separable mod q, so an order is q-maximal exactly when q does not divide
-c, the least c > 0 with c*alpha in it.  No table of all n^2 products
+discriminant where p^2 does not divide it, then by the discriminant
+against the index Ore's theorem reads off the first-order Newton polygon
+of X^(p^k) - m where that polygon is p-regular, and otherwise through the
+multiplier ring of the p-radical (Round 2), which alone builds
+counterexamples.  On X^(p^k) - m the criterion is one congruence mod p^2,
+a modular power, and the discriminant's valuation is a sum over the
+basis's leading coefficients and denominators; the polygon is newton's,
+built on X^(p^k) - m alone and not on any closed form of purebasis.  At
+a prime q not dividing n, X^n - m is Eisenstein or separable mod q, so an
+order is q-maximal exactly when q does not divide c, the least c > 0
+with c*alpha in it.  No table of all n^2 products
 b_i * b_j is formed.  Each product a check needs is taken on the integer
 numerators and peeled once against a triangular basis.  Closure is Round
 2's order test: n shifts by c*alpha and the products of a few
@@ -65,6 +69,7 @@ from .exactmath import (
     is_prime,
     vp_int,
 )
+from .newton import binomial_polygon, phi_index
 from .purebasis import BasisElement, IntegralBasis, PureField, index_report
 from .purebasis import ENUM_BUDGET_DEFAULT, budget_skip_reason
 
@@ -348,13 +353,18 @@ def _discriminant_exact(basis: IntegralBasis) -> int | Fraction:
     return numerator // denominator
 
 
+def _power_basis_valuation(field: PureField, p: int) -> int:
+    # v_p of the Gram determinant +-n * (n*m)^(n-1): v_p(disc Z[alpha])
+    n, m = field.n, field.m
+    return n * vp_int(p, n) + (n - 1) * vp_int(p, m)
+
+
 def _discriminant_valuation(basis: IntegralBasis, p: int) -> int:
     """v_p of _discriminant_exact(basis), summed term by term: the Gram
     determinant's n*v_p(n) + (n - 1)*v_p(m), plus twice v_p of each
     leading coefficient less v_p of each denominator.  No large integer
     is formed."""
-    n, m = basis.field.n, basis.field.m
-    value = n * vp_int(p, n) + (n - 1) * vp_int(p, m)
+    value = _power_basis_valuation(basis.field, p)
     for e in basis.elements:
         value += 2 * (vp_int(p, e.int_numerator[-1]) - vp_int(p, e.denominator))
     return value
@@ -378,19 +388,21 @@ class Proved:
     The evidence takes no part in comparisons or reports.  route names the
     theorem: "dedekind" when Dedekind's criterion showed Z_(p)[alpha],
     which O contains locally, to be p-maximal, "discriminant" when p^2
-    does not divide disc(O), so that p does not divide the index, and
-    "round 2" when the multiplier ring of the p-radical did.  On Round 2,
+    does not divide disc(O), so that p does not divide the index,
+    "polygon" when v_p(disc O) equals v_p(disc O_K) as Ore's theorem gives
+    it from a p-regular Newton polygon of X^(p^k) - m, and "round 2" when
+    the multiplier ring of the p-radical did.  On Round 2,
     radical_dimension is the F_p-dimension of the p-radical of O/pO, and
     generators the number of radical vectors whose products were fed
     before the multiplier system reached full rank.  Where Round 2 ran on
     the degree-p^k order O' of Q(alpha^u), u = n/p^k (see _round_two),
     O/pO is etale over O'/pO', so radical_dimension is still that of
     O/pO, u times that of O'/pO', and generators counts the radical
-    vectors of O''s system; route stays "round 2".  On the Dedekind and
-    discriminant routes no radical is formed, and both stay 0.  degree is
-    the degree the proof ran at: p^k, the exact power of p in n, on the
-    Dedekind route (the criterion runs on X^(p^k) - m) and where Round 2
-    ran on O', n otherwise.
+    vectors of O''s system; route stays "round 2".  On the Dedekind,
+    discriminant and polygon routes no radical is formed, and both stay 0.
+    degree is the degree the proof ran at: p^k, the exact power of p in n,
+    on the Dedekind and polygon routes (both run on X^(p^k) - m) and where
+    Round 2 ran on O', n otherwise.
     """
 
     radical_dimension: int = dataclasses.field(default=0, compare=False)
@@ -485,9 +497,10 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
 
     The question is whether any (sum c_i b_i)/p with c_i in [0, p), not all
     divisible by p, is an algebraic integer: Proved means none is.  Rather
-    than walking all p^n cosets, the proof first tries Dedekind's
-    criterion and otherwise runs Round 2 (_round_two), in time polynomial
-    in n.  It has no budget of its own: certify checks one on n^2.
+    than walking all p^n cosets, the proof first tries three read-offs,
+    Dedekind's criterion, the discriminant and the Newton polygon, and
+    otherwise runs Round 2 (_round_two), in time polynomial in n.  It has
+    no budget of its own: certify checks one on n^2.
 
     When p does not divide c, the closure certificate's multiplier,
     alpha = (c*alpha)/c lies in O (x) Z_(p), which therefore contains
@@ -515,7 +528,25 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     index only if p^2 divides disc(O) (Cohen, section 6.1).  Its
     valuation is read off the triangular basis (_discriminant_valuation),
     and where it is at most 1, Proved(route="discriminant") is returned
-    with no product formed.  Round 2 runs only where both fail.
+    with no product formed.
+
+    Otherwise the index of Z_(p)[alpha] may be known exactly, and then
+    the valuation decides.  O is an order, so O lies in O_K and is
+    p-maximal iff v_p(disc O) = v_p(disc O_K) = G - 2*ind_p(X^n - m), with
+    G = n*v_p(n) + (n - 1)*v_p(m) that of disc Z[alpha].  By the tensor
+    argument above, the p-maximal order of Q(alpha) is free over that of
+    Q(alpha^u) on 1, ..., alpha^(u-1), as Z_(p)[alpha] is over
+    Z_(p)[alpha^u], so ind_p(X^n - m) = u * ind_p(f) (both are 0 where
+    p | m, the two polynomials being Eisenstein).  Where the
+    first-order Newton polygon of f along phi = X - r, f's one factor
+    mod p, is p-regular (every side separable), Ore's theorem gives
+    ind_p(f) = phi_index(polygon, 1) (Ore, Math. Ann. 99, 1928;
+    Guardia-Montes-Nart, Trans. AMS 364, 2012).  On that equality
+    Proved(route="polygon") is returned with no product formed.  The
+    polygon is built only where the valuation is below G, as equality
+    needs ind_p(f) > 0, so Z[alpha] at a wild prime goes straight on to
+    Round 2, which runs only where every other route fails and alone
+    builds counterexamples.
     """
     field = basis.field
     if not is_prime(p):
@@ -527,12 +558,18 @@ def p_maximality_enum(basis: IntegralBasis, p: int) -> MaximalityResult:
     defect = _order_defect(basis, certificate)
     if defect is not None:
         return Skipped(defect)
-    if certificate.multiplier % p:
-        degree = p ** vp_int(p, field.n)
-        if _dedekind_binomial(field.m, p, degree):
-            return Proved(route="dedekind", degree=degree)
-    if _discriminant_valuation(basis, p) <= 1:
+    degree = p ** vp_int(p, field.n)
+    if certificate.multiplier % p and _dedekind_binomial(field.m, p, degree):
+        return Proved(route="dedekind", degree=degree)
+    valuation = _discriminant_valuation(basis, p)
+    if valuation <= 1:
         return Proved(route="discriminant", degree=field.n)
+    gram = _power_basis_valuation(field, p)
+    if valuation < gram:
+        _, polygon = binomial_polygon(field.m, p, degree)
+        index = field.n // degree * phi_index(polygon, 1)
+        if all(s.separable for s in polygon.sides) and valuation == gram - 2 * index:
+            return Proved(route="polygon", degree=degree)
     return _round_two(basis, p, certificate)
 
 

@@ -333,7 +333,6 @@ class TestPolygon:
             developments.append(args)
             return develop(*args)
 
-        monkeypatch.setattr(cli, "phi_development", counting)
         monkeypatch.setattr(newton, "phi_development", counting)
         for p, k in [(2, 1), (2, 3), (3, 2), (5, 1), (7, 1)]:
             for m in (-60, -7, 2, 3, 5, 6, 10, 17, 55, 98):

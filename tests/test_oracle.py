@@ -2,6 +2,7 @@
 and the p-maximality proof, cross-validated against a literal coset walk
 and against the rational twins in rational_reference."""
 
+import dataclasses
 import fractions
 import itertools
 import math
@@ -692,7 +693,7 @@ def test_product_outside_the_radical_ideal_raises(monkeypatch, n, m, p, maximal)
 
     monkeypatch.setattr(oracle, "hnf_rows", not_an_ideal)
     with pytest.raises(ArithmeticError, match="left the radical ideal"):
-        p_maximality_enum(basis, p)
+        oracle._round_two(basis, p, oracle._structure_constants(basis))
 
 
 def _exhaustive_maximality_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
@@ -919,6 +920,43 @@ def _every_hermite_row_scan(basis: IntegralBasis, p: int) -> MaximalityResult:
     return CounterexampleFound(element_from_qpoly(y / p))
 
 
+def _hnf_modulo(rows, n: int, modulus: int) -> list[list[int]]:
+    """hnf_rows of the rows together with modulus * Z^n, every entry kept
+    below modulus as it goes (Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 2.4.8), so nothing grows.
+
+    Column col is eliminated against modulus * e_col; the rows left with a
+    zero there, reduced mod modulus, span with modulus * Z^col the part of
+    the lattice below col.  The Hermite form is unique, so this is
+    hnf_rows's output wherever the lattice holds modulus * Z^n.
+    """
+    work = [[x % modulus for x in row] for row in rows]
+    hermite: list[list[int]] = [[]] * n
+    for col in range(n - 1, -1, -1):
+        pivot = [modulus * int(j == col) for j in range(n)]
+        rest = []
+        for row in work:
+            if row[col]:
+                a, b = pivot[col], row[col]
+                g, s, t = exactmath.ext_gcd(a, b)
+                pivot, row = (
+                    [s * x + t * y for x, y in zip(pivot, row)],
+                    [((a // g) * y - (b // g) * x) % modulus for x, y in zip(pivot, row)],
+                )
+                pivot[:col] = [x % modulus for x in pivot[:col]]
+            if any(row):
+                rest.append(row)
+        hermite[col] = pivot
+        work = rest
+    # entries below the diagonal into [0, diagonal), as hnf_rows leaves them
+    for i in range(n):
+        for j in range(i - 1, -1, -1):
+            q = hermite[i][j] // hermite[j][j]
+            if q:
+                hermite[i] = [x - q * y for x, y in zip(hermite[i], hermite[j])]
+    return hermite
+
+
 def _order_with_q_maximal_part(field: PureField, q: int, c: int = 1) -> IntegralBasis:
     """Z[c*alpha] + q*O_K, an order between Z[c*alpha] and O_K."""
     n = field.n
@@ -930,7 +968,7 @@ def _order_with_q_maximal_part(field: PureField, q: int, c: int = 1) -> Integral
         scale = q * (common // e.denominator)
         rows.append([scale * c for c in num] + [0] * (n - len(num)))
     elements = []
-    for row in hnf_rows(rows, n):
+    for row in _hnf_modulo(rows, n, common * c ** (n - 1)):
         g = math.gcd(common, *row)
         elements.append(BasisElement(QPolynomial([c // g for c in row]), common // g))
     return IntegralBasis(field, tuple(elements))
@@ -1636,9 +1674,7 @@ def test_certify_forms_products_on_demand(monkeypatch):
 # Dedekind's criterion before Round 2
 # ---------------------------------------------------------------------------
 
-# DIFFERENTIAL_RADICANDS and three more; rotated over n = 2..64 they give
-# orders whose Hermite forms _order_with_q_maximal_part finishes quickly
-# (it does not finish in 30 s at (42, -19), q = 2)
+# DIFFERENTIAL_RADICANDS and three more, rotated over n = 2..64
 DEDEKIND_RADICANDS = (-30, -26, -19, -7, -2, 2, 3, 5, 7, 10, 17, 26, 30)
 
 
@@ -1665,32 +1701,42 @@ def _dedekind_orders_and_primes():
                 yield basis, p
 
 
+def _p_maximal_by_the_ledger(basis: IntegralBasis, p: int) -> bool:
+    # O is p-maximal iff v_p(disc O) = v_p(disc O_K), disc O_K the ledger's
+    disc = index_report(basis.field).field_discriminant
+    return vp_int(p, oracle._discriminant_exact(basis)) == vp_int(p, disc)
+
+
 def test_round_two_proves_wherever_dedekind_fires(monkeypatch):
-    # three routes: Dedekind's criterion fires exactly when p does not
+    # four routes: Dedekind's criterion fires exactly when p does not
     # divide c and p^2 does not divide m^p - m; otherwise the discriminant
-    # route fires exactly when v_p(disc O) <= 1; Round 2 (here a stand-in)
-    # gets the rest.  Wherever either read-off fires, Round 2 proves
-    # p-maximality too, and with an empty radical where the discriminant did
+    # route fires exactly when v_p(disc O) <= 1; otherwise the polygon
+    # route fires exactly when O is p-maximal (every polygon met here is
+    # p-regular); Round 2 (here a stand-in) gets the rest.  Wherever a
+    # read-off fires, Round 2 proves p-maximality too, and with an empty
+    # radical where the discriminant did
     round_two = oracle._round_two
     monkeypatch.setattr(oracle, "_round_two", lambda basis, p, certificate: None)
-    routes = {"dedekind": 0, "discriminant": 0, "round 2": 0}
+    routes = {"dedekind": 0, "discriminant": 0, "polygon": 0, "round 2": 0}
     for basis, p in _dedekind_orders_and_primes():
         n, m = basis.field.n, basis.field.m
         certificate = oracle._structure_constants(basis)
         result = p_maximality_enum(basis, p)
         tame = certificate.multiplier % p and (m ** p - m) % (p * p)
         unramified = vp_int(p, oracle._discriminant_exact(basis)) <= 1
+        maximal = _p_maximal_by_the_ledger(basis, p)
         if result is None:
-            assert not tame and not unramified, (n, m, p, basis)
+            assert not tame and not unramified and not maximal, (n, m, p, basis)
             routes["round 2"] += 1
             continue
         assert result == Proved(), (n, m, p, basis)
-        assert result.route == ("dedekind" if tame else "discriminant"), (n, m, p)
-        assert tame or unramified, (n, m, p, basis)
+        route = "dedekind" if tame else "discriminant" if unramified else "polygon"
+        assert result.route == route, (n, m, p)
+        assert tame or unramified or maximal, (n, m, p, basis)
         assert (result.radical_dimension, result.generators) == (0, 0)
         again = round_two(basis, p, certificate)
         assert again == Proved(), (n, m, p, basis)
-        if not tame:
+        if route == "discriminant":
             # p^2 does not divide disc(O), and on this grid p does not
             # divide it at all: p is unramified, O/pO has no nilpotents
             assert again.radical_dimension == 0, (n, m, p, basis)
@@ -1726,10 +1772,13 @@ def test_proved_names_its_route():
     report = certify(basis)
     tame, wild = report.maximality[2], report.maximality[3]
     assert tame.route == "dedekind" and (tame.radical_dimension, tame.generators) == (0, 0)
-    assert wild.route == "round 2" and wild.radical_dimension > 0
-    # Round 2 at the tame prime proves it as well, with its own evidence
-    again = oracle._round_two(basis, 2, oracle._structure_constants(basis))
+    assert wild.route == "polygon" and (wild.radical_dimension, wild.generators) == (0, 0)
+    # Round 2 at either prime proves it as well, with its own evidence
+    certificate = oracle._structure_constants(basis)
+    again = oracle._round_two(basis, 2, certificate)
     assert again.route == "round 2" and again == tame
+    again = oracle._round_two(basis, 3, certificate)
+    assert again.route == "round 2" and again == wild and again.radical_dimension > 0
     # the route is neither compared, nor hashed, nor reported
     assert tame == Proved() == wild and hash(tame) == hash(Proved())
     assert certification_json_dict(report)["maximality"] == {
@@ -1855,21 +1904,26 @@ def _recording_kernel(monkeypatch) -> list[int]:
 
 
 def test_built_bases_take_the_subfield_at_every_round_two_prime(monkeypatch):
-    # wherever p_maximality_enum hands a built basis to Round 2 (a wild p,
-    # never p | m, which Dedekind's criterion proves) and u = n/p^k > 1,
-    # the kernel runs at degree p^k, not n
+    # wherever Dedekind's criterion does not prove a built basis p-maximal
+    # (a wild p, never p | m), Round 2 proves it too, and where
+    # u = n/p^k > 1 its kernel runs at degree p^k, not n
     degrees = _recording_kernel(monkeypatch)
     reduced = 0
     for n in range(2, 65):
         for m in (_wild_class_radicand(n, 1), DEDEKIND_RADICANDS[n % 13]):
             field = PureField.create(n, m)
             basis = build_basis(field)
+            certificate = oracle._structure_constants(basis)
             for p, k in field.factorization:
                 degrees.clear()
                 result = p_maximality_enum(basis, p)
                 assert result == Proved(), (n, m, p)
-                assert degrees in ([], [p ** k]), (n, m, p, degrees)
-                reduced += bool(degrees) and p ** k < n
+                assert degrees == [], (n, m, p, degrees)
+                if result.route == "dedekind":
+                    continue
+                assert oracle._round_two(basis, p, certificate) == Proved(), (n, m, p)
+                assert degrees == [p ** k], (n, m, p, degrees)
+                reduced += p ** k < n
     assert reduced
 
 
@@ -2217,19 +2271,29 @@ def test_large_prime_outside_n_is_proved_at_once():
 
 def test_proved_records_the_degree_its_proof_ran_at():
     # (24, 10): 2 is tame (10^2 - 10 = 90), so Dedekind's criterion runs on
-    # X^8 - 10; 3 is wild (10^3 - 10 = 990 = 9 * 110), so Round 2 runs on
-    # the degree-3 order of Q(alpha^8)
-    report = certify(build_basis(PureField.create(24, 10)))
+    # X^8 - 10; 3 is wild (10^3 - 10 = 990 = 9 * 110), so the polygon is
+    # that of X^3 - 10, and Round 2 runs on the degree-3 order of
+    # Q(alpha^8)
+    basis = build_basis(PureField.create(24, 10))
+    report = certify(basis)
     tame, wild = report.maximality[2], report.maximality[3]
     assert (tame.route, tame.degree) == ("dedekind", 8)
-    assert (wild.route, wild.degree) == ("round 2", 3)
-    # at n = p^k both routes run at n: 3 is tame and 17 wild at 2
-    for m, route in ((3, "dedekind"), (17, "round 2")):
-        result = certify(build_basis(PureField.create(16, m))).maximality[2]
+    assert (wild.route, wild.degree) == ("polygon", 3)
+    result = oracle._round_two(basis, 3, oracle._structure_constants(basis))
+    assert (result.route, result.degree) == ("round 2", 3)
+    # at n = p^k every route runs at n: 3 is tame and 17 wild at 2
+    for m, route in ((3, "dedekind"), (17, "polygon")):
+        basis = build_basis(PureField.create(16, m))
+        result = certify(basis).maximality[2]
         assert (result.route, result.degree) == (route, 16), m
-    # without the tensor shape Round 2 runs at n
+        result = oracle._round_two(basis, 2, oracle._structure_constants(basis))
+        assert (result.route, result.degree) == ("round 2", 16), m
+    # without the tensor shape Round 2 runs at n; the polygon does not
+    # depend on the basis
     scrambled = _scrambled(build_basis(PureField.create(12, 10)), random.Random(12))
     result = p_maximality_enum(scrambled, 3)
+    assert (result.route, result.degree) == ("polygon", 3)
+    result = oracle._round_two(scrambled, 3, oracle._structure_constants(scrambled))
     assert (result.route, result.degree) == ("round 2", 12)
     # the degree is evidence: neither compared nor reported
     assert tame == wild == Proved() and hash(tame) == hash(Proved())
@@ -2370,3 +2434,96 @@ def test_frobenius_images_take_logarithmically_many_products(monkeypatch):
     assert result == Proved() and result.generators and images
     frobenius = len(calls) - 23 * result.generators
     assert 0 < frobenius <= 2 * (23).bit_length() * images
+
+
+# ---------------------------------------------------------------------------
+# the Newton polygon of X^(p^k) - m before Round 2
+# ---------------------------------------------------------------------------
+
+
+def test_round_two_proves_wherever_the_polygon_fires(monkeypatch):
+    # in the wild class every p | n is wild.  Wherever the polygon route
+    # proves a built basis or Z[c*alpha] p-maximal, the ledger and Round 2
+    # agree; Z[alpha] + p*O_K, wherever it lies strictly between Z[alpha]
+    # and O_K at p, is never proved by it, and Round 2 (a stand-in until
+    # then) refutes it
+    round_two = oracle._round_two
+    monkeypatch.setattr(oracle, "_round_two", lambda basis, p, certificate: None)
+    fired = between = 0
+    for n in range(2, 65):
+        m = _wild_class_radicand(n, 1)
+        orders = [build_basis(PureField.create(n, m))]
+        orders += [_multiplier_lattice(n, m, c) for c in (1, 2, 3, 6)]
+        for basis in orders:
+            certificate = oracle._structure_constants(basis)
+            for p, _ in basis.field.factorization:
+                result = p_maximality_enum(basis, p)
+                if isinstance(result, Proved) and result.route == "polygon":
+                    assert _p_maximal_by_the_ledger(basis, p), (n, m, p, basis)
+                    again = round_two(basis, p, certificate)
+                    assert again == Proved(), (n, m, p, basis)
+                    fired += 1
+        for radicand in (m, DEDEKIND_RADICANDS[n % 13]):
+            field = PureField.create(n, radicand)
+            disc = index_report(field).field_discriminant
+            for p, _ in field.factorization:
+                basis = _order_with_q_maximal_part(field, p)
+                valuation = oracle._discriminant_valuation(basis, p)
+                if vp_int(p, disc) < valuation < oracle._power_basis_valuation(field, p):
+                    assert p_maximality_enum(basis, p) is None, (n, radicand, p)
+                    certificate = oracle._structure_constants(basis)
+                    again = round_two(basis, p, certificate)
+                    assert isinstance(again, CounterexampleFound), (n, radicand, p)
+                    between += 1
+    assert fired and between
+
+
+def _irregular(polygon_of):
+    # the polygon with its first side marked not separable
+    def binomial_polygon(m, p, degree):
+        phi, polygon = polygon_of(m, p, degree)
+        side = dataclasses.replace(polygon.sides[0], separable=False)
+        return phi, dataclasses.replace(polygon, sides=(side, *polygon.sides[1:]))
+
+    return binomial_polygon
+
+
+def test_an_irregular_polygon_falls_through_to_round_two(monkeypatch):
+    # Ore's theorem gives the index only on a p-regular polygon; with one
+    # side not separable, each wild prime of a built basis goes to Round 2
+    monkeypatch.setattr(oracle, "binomial_polygon", _irregular(oracle.binomial_polygon))
+    routes = set()
+    for n, m in LARGE_FIELD_SEED_ONE:
+        field = PureField.create(n, m)
+        basis = build_basis(field)
+        for p, _ in field.factorization:
+            result = p_maximality_enum(basis, p)
+            assert result == Proved() and result.route != "polygon", (n, m, p)
+            routes.add(result.route)
+    assert "round 2" in routes
+
+
+def test_power_order_at_a_wild_prime_builds_no_polygon(monkeypatch):
+    # v_p(disc Z[alpha]) is G itself, so the polygon is never built and
+    # Z[alpha] takes the counterexample path
+    def refused(m, p, degree):
+        raise AssertionError("polygon built")
+
+    monkeypatch.setattr(oracle, "binomial_polygon", refused)
+    wild = 0
+    for n, m in [(12, 17), (16, 17), (60, 1801), (18, 649), (24, -1151), (27, 10)]:
+        basis = power_basis(n, m)
+        for p, _ in basis.field.factorization:
+            if (m ** p - m) % (p * p) == 0:
+                assert isinstance(p_maximality_enum(basis, p), CounterexampleFound), (n, m, p)
+                wild += 1
+    assert wild >= 10
+
+
+@pytest.mark.parametrize("n, m", [(961, 115), (509, 93)])
+def test_wild_prime_at_scale_takes_the_polygon(n, m):
+    # u = 1 and p^k = n: Round 2 at full degree took seconds here
+    field = PureField.create(n, m)
+    report = certify(build_basis(field), enum_budget=n * n)
+    (p, result), = report.maximality.items()
+    assert report.certified and (result.route, result.degree) == ("polygon", n), p
