@@ -8,8 +8,9 @@ basis).  Results go to stdout, diagnostics to stderr.
 Exit codes: 0 success/certified, 1 verification failure, 2 invalid input,
 3 resource bound hit (undecided square-freeness, work over --enum-budget,
 unresolved atlas class).  The work of basis and verify is n^2, that of
-atlas n0 * n^2; each is checked once, before anything is built, and over
-the budget the command prints nothing on stdout and one reason on stderr.
+atlas n0 * n^2 and that of polygon p^k; each is checked once, before
+anything is built, and over the budget the command prints nothing on
+stdout and one reason on stderr.
 """
 
 from __future__ import annotations
@@ -148,6 +149,13 @@ def _cmd_polygon(args) -> int:
         raise ValueError(f"k must be at least 1, got {k}")
     if m == 0:
         raise ValueError("m must be nonzero")
+    over_budget = _polygon_skip_reason(p, k, args.enum_budget)
+    if over_budget is not None:
+        print(
+            f"polygon skipped: {over_budget} (raise --enum-budget to draw it)",
+            file=sys.stderr,
+        )
+        return EXIT_RESOURCE_BOUND
     degree = p**k
     phi, polygon = binomial_polygon(m, p, degree)
     bound = phi_index(polygon, 1)
@@ -172,6 +180,18 @@ def _cmd_polygon(args) -> int:
         ),
     )
     return EXIT_OK
+
+
+def _polygon_skip_reason(p: int, k: int, enum_budget: int) -> str | None:
+    """Why polygon is skipped for budget, or None when its work measure
+    p^k is within it.  p^k is formed one factor at a time and only while it
+    stays within the budget, so a huge k is refused at once."""
+    power = 1
+    for _ in range(k):
+        power *= p
+        if power > enum_budget:
+            return f"p^k = {p}^{k} exceeds the budget {enum_budget}"
+    return None
 
 
 def _cmd_atlas(args) -> int:
@@ -247,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--enum-budget",
         type=_non_negative_int,
         default=ENUM_BUDGET_DEFAULT,
-        help="bound on the certification work: n^2 for basis and verify, "
-        "n0 * n^2 for atlas (default 2^16, every n <= 256)",
+        help="bound on the work: n^2 for basis and verify, n0 * n^2 for "
+        "atlas, p^k for polygon (default 2^16, every n <= 256)",
     )
 
     parser = argparse.ArgumentParser(
@@ -270,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index.set_defaults(func=_cmd_index)
 
     p_polygon = sub.add_parser(
-        "polygon", parents=[output], help="Newton polygon of X^(p^k) - m"
+        "polygon", parents=[budget, output], help="Newton polygon of X^(p^k) - m"
     )
     p_polygon.add_argument("--p", type=int, required=True, help="prime")
     p_polygon.add_argument("--k", type=int, required=True, help="exponent")

@@ -28,11 +28,14 @@ Q(alpha^u) instead: over Q(alpha^u), alpha is a root of X^u - alpha^u,
 whose discriminant +-u^u * (alpha^u)^(u-1) is a unit at every prime
 above p, so O (x) Z_(p) = O'[alpha] is p-maximal iff O' is.  The
 discriminant is the power-basis Gram determinant, read off its
-permutation, times the squared transition determinant.
+permutation, times the squared transition determinant: the product of
+the leading coefficients over that of the denominators, two products
+that the discriminant and each prime's valuation share.
 
 There is one element type, purebasis.BasisElement: N(alpha)/d with N an
-integer polynomial and d > 0, in lowest terms.  The checks run on the
-integer numerators, and a p-maximality counterexample is built as one.  A
+integer polynomial and d > 0, in lowest terms, held as the nonzero (t, c)
+terms of N.  The checks read those terms as they are, with no rescan of a
+dense numerator, and a p-maximality counterexample is built as one.  A
 lattice that is closed under multiplication and contains 1 is an order,
 hence integral, so certifying an order forms no Fraction.  Only elements
 outside an order (those of a lattice that is not one, and a
@@ -130,8 +133,8 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
     d = element.denominator
     if d == 1:
         return True
-    numerator = element.int_numerator
-    if (n * numerator[0]) % d or any((n * m * c) % d for c in numerator[1:]):
+    terms = element.terms
+    if any((n * c if t == 0 else n * m * c) % d for t, c in terms):
         return False
     if math.gcd(d, m) > 1:
         return False
@@ -140,29 +143,28 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
         if d % q:
             continue
         modulus = q ** vp_int(q, d)
-        local = [c % modulus for c in numerator]
-        s = next(t for t, c in enumerate(local) if c)
-        local = local[s:]
-        g = math.gcd(n, *(t for t, c in enumerate(local) if c))
+        local = [(t, r) for t, c in terms if (r := c % modulus)]
+        s = local[0][0]
+        g = math.gcd(n, *(t - s for t, _ in local))
         subfield = _pure_subfield(field, g)
-        coefficients = charpoly(_multiplication_matrix(subfield, local[::g])).coefficients
+        reduced = [0] * ((local[-1][0] - s) // g + 1)
+        for t, r in local:
+            reduced[(t - s) // g] = r
+        coefficients = charpoly(_multiplication_matrix(subfield, reduced)).coefficients
         if any(int(c) % modulus ** (subfield.n - k) for k, c in enumerate(coefficients)):
             return False
     return True
 
 
-def _supports(basis: IntegralBasis) -> list[tuple[int, list[tuple[int, int]]]]:
-    # (d_k, nonzero (t, c) of N_k, t ascending) for b_k = N_k(alpha)/d_k;
-    # the last pair is the leading coefficient
-    return [
-        (e.denominator, [(t, c) for t, c in enumerate(e.int_numerator) if c])
-        for e in basis.elements
-    ]
+def _supports(basis: IntegralBasis) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    # (d_k, nonzero (t, c) of N_k, t ascending) for b_k = N_k(alpha)/d_k,
+    # read off the element's own terms; the last pair is the leading one
+    return [(e.denominator, e.terms) for e in basis.elements]
 
 
 def _local_supports(
     basis: IntegralBasis, p: int, c: int
-) -> list[tuple[int, list[tuple[int, int]]]]:
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """_supports of a Z_(p)-basis of the order, derived from its basis.
 
     Element k becomes N_k'(alpha)/p^v, v = v_p(d_k): each coefficient t
@@ -183,12 +185,10 @@ def _local_supports(
         if q not in moduli:
             moduli[q] = list(accumulate(repeat(c, n - 1), operator.mul, initial=q))
         modulus = moduli[q]
-        numerator = e.int_numerator
-        support = [
-            (t, r) for t, x in enumerate(numerator[:-1]) if x and (r := x % modulus[t])
-        ]
-        support.append((len(numerator) - 1, numerator[-1]))
-        local.append((q, support))
+        terms = e.terms
+        support = [(t, r) for t, x in terms[:-1] if (r := x % modulus[t])]
+        support.append(terms[-1])
+        local.append((q, tuple(support)))
     return local
 
 
@@ -279,7 +279,7 @@ def _structure_constants(basis: IntegralBasis) -> ClosureCertificate:
     generators = [0]
     closed = True
     for i, (d, support) in enumerate(supports):
-        if i + 1 < n and supports[i + 1] == (d, [(t + 1, c * x) for t, x in support]):
+        if i + 1 < n and supports[i + 1] == (d, tuple([(t + 1, c * x) for t, x in support])):
             continue
         coords, scale = _peel(supports, _product(field, [(1, c)], support), d)
         closed = closed and scale == 1
@@ -316,7 +316,7 @@ def _order_defect(basis: IntegralBasis, certificate: ClosureCertificate) -> str 
     if not _multiplicatively_closed(certificate):
         return _NOT_CLOSED
     b0 = basis.elements[0]
-    if b0.denominator != 1 or b0.int_numerator not in ((1,), (-1,)):
+    if b0.denominator != 1 or b0.terms not in (((0, 1),), ((0, -1),)):
         return "the lattice does not contain 1; p-maximality is about orders"
     return None
 
@@ -336,6 +336,17 @@ def _power_basis_discriminant(field: PureField) -> int:
     return sign * n * (n * m) ** (n - 1)
 
 
+def _transition(basis: IntegralBasis) -> tuple[int, int]:
+    # (product of the leading coefficients, product of the denominators):
+    # the basis is triangular over the power basis, so their quotient is
+    # the transition determinant
+    leads = denominators = 1
+    for e in basis.elements:
+        leads *= e.terms[-1][1]
+        denominators *= e.denominator
+    return leads, denominators
+
+
 def _discriminant_exact(basis: IntegralBasis) -> int | Fraction:
     """Trace-pairing discriminant of the lattice, from the transition matrix.
 
@@ -345,9 +356,9 @@ def _discriminant_exact(basis: IntegralBasis) -> int | Fraction:
     times its square.  The result is an int whenever it is an integer, as
     on every order.
     """
-    leads = math.prod(e.int_numerator[-1] for e in basis.elements)
+    leads, denominators = _transition(basis)
     numerator = _power_basis_discriminant(basis.field) * leads ** 2
-    denominator = math.prod(e.denominator for e in basis.elements) ** 2
+    denominator = denominators ** 2
     if numerator % denominator:
         return Fraction(numerator, denominator)
     return numerator // denominator
@@ -360,14 +371,13 @@ def _power_basis_valuation(field: PureField, p: int) -> int:
 
 
 def _discriminant_valuation(basis: IntegralBasis, p: int) -> int:
-    """v_p of _discriminant_exact(basis), summed term by term: the Gram
-    determinant's n*v_p(n) + (n - 1)*v_p(m), plus twice v_p of each
-    leading coefficient less v_p of each denominator.  No large integer
-    is formed."""
+    """v_p of _discriminant_exact(basis): the Gram determinant's
+    n*v_p(n) + (n - 1)*v_p(m), plus twice v_p of the product of the
+    leading coefficients less v_p of the product of the denominators,
+    the two products _discriminant_exact squares."""
+    leads, denominators = _transition(basis)
     value = _power_basis_valuation(basis.field, p)
-    for e in basis.elements:
-        value += 2 * (vp_int(p, e.int_numerator[-1]) - vp_int(p, e.denominator))
-    return value
+    return value + 2 * (vp_int(p, leads) - vp_int(p, denominators))
 
 
 def basis_discriminant(basis: IntegralBasis) -> int:
@@ -599,10 +609,11 @@ def _subfield(
     for a in range(0, n, u):
         q, support = local[a]
         if any(t % u for t, _ in support) or any(
-            local[a + b] != (q, [(t + b, c) for t, c in support]) for b in range(1, u)
+            local[a + b] != (q, tuple([(t + b, c) for t, c in support]))
+            for b in range(1, u)
         ):
             return field, local, 1
-        reduced.append((q, [(t // u, c) for t, c in support]))
+        reduced.append((q, tuple([(t // u, c) for t, c in support])))
     return _pure_subfield(field, u), reduced, u
 
 

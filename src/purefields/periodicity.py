@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,12 +37,17 @@ __all__ = [
 
 def period_modulus(n: int) -> int:
     """Smallest modulus n0 such that the basis shape depends only on m mod n0."""
+    return _period(_factorization(n))
+
+
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
     if n < 2:
         raise ValueError(f"degree must be at least 2, got {n}")
-    n0 = 1
-    for p, k in factorize(n):
-        n0 *= p ** (k + 1)
-    return n0
+    return tuple(factorize(n))
+
+
+def _period(factorization: tuple[tuple[int, int], ...]) -> int:
+    return math.prod(p ** (k + 1) for p, k in factorization)
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,14 @@ def _square_free_witnesses(r: int, n0: int, scan_bound: int):
             yield m
 
 
-def _certified_elements(n: int, m: int, enum_budget: int) -> tuple[BasisElement, ...]:
-    """The certified basis of Q(m^(1/n)).
+def _certified_elements(field: PureField, enum_budget: int) -> tuple[BasisElement, ...]:
+    """The certified basis of the field.
 
     Each element N(alpha)/d is in lowest terms, so two bases are equal as
     polynomial tuples exactly when their elements are equal: comparing
     them forms no Fraction.
     """
-    basis, _ = integral_basis(PureField.create(n, m), enum_budget=enum_budget)
+    basis, _ = integral_basis(field, enum_budget=enum_budget)
     return basis.elements
 
 
@@ -124,7 +130,8 @@ def atlas(
     CertificationSkipped is raised.  A negative scan_bound raises
     ValueError.
     """
-    n0 = period_modulus(n)
+    factorization = _factorization(n)
+    n0 = _period(factorization)
     if scan_bound is None:
         scan_bound = 10 * n0
     elif scan_bound < 0:
@@ -132,7 +139,7 @@ def atlas(
     over_budget = budget_skip_reason(n, enum_budget, n0)
     if over_budget is not None:
         raise CertificationSkipped(over_budget)
-    primes = [p for p, _ in factorize(n)]
+    primes = [p for p, _ in factorization]
     rows: dict[int, AtlasRow] = {}
     for r in range(n0):
         if any(r % (p * p) == 0 for p in primes):
@@ -149,9 +156,11 @@ def atlas(
         if len(witnesses) < 2:
             rows[r] = UnknownRow(scan_bound)
             continue
+        # the scan found both square-free, so each field is assembled
+        # directly rather than checked again by PureField.create
         first, second = witnesses
-        elements = _certified_elements(n, first, enum_budget)
-        if elements != _certified_elements(n, second, enum_budget):
+        elements = _certified_elements(PureField(n, first, factorization), enum_budget)
+        if elements != _certified_elements(PureField(n, second, factorization), enum_budget):
             raise RuntimeError(
                 f"periodicity violated at residue {r} mod {n0}: "
                 f"witnesses {first} and {second} yield different rows"
@@ -176,9 +185,9 @@ def verify_periodicity(
         if m % n0 != r:
             raise ValueError(f"{m} is not congruent to {r} mod {n0}")
     # PureField.create rejects non-square-free radicands.
-    return _certified_elements(n, m1, enum_budget) == _certified_elements(
-        n, m2, enum_budget
-    )
+    return _certified_elements(
+        PureField.create(n, m1), enum_budget
+    ) == _certified_elements(PureField.create(n, m2), enum_budget)
 
 
 def _coefficient_strings(element: BasisElement) -> list[str]:

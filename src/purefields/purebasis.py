@@ -5,13 +5,15 @@ family of geometric-sum polynomials divided by prime powers, selected by a
 single valuation parameter s.  For composite degree element k is one
 coefficient-wise Chinese remainder step over the degree-k elements of all
 the prime-power bases at once, or, where each of those is alpha times the
-one below it, alpha times element k - 1.  Every element is built as a
-list of int coefficients over one denominator; no Fraction is formed.
+one below it, alpha times element k - 1.  Every element is built once, as
+its nonzero (t, c) terms over one denominator, the form the certifier
+reads; no Fraction is formed and nothing is normalized again.
 build_basis is the one construction path: it composes the prime-power
 bases of a validated field, uncertified; integral_basis certifies its
 result.  Alongside the basis we keep the index ledger: per-prime indices
 in closed form, the total index, and the two discriminants it ties
-together.
+together.  The ledger of the last field asked for is kept, so
+integral_basis and the certifier it calls compute it once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .exactmath import (
@@ -104,18 +106,25 @@ class PureField:
         return f"Q({self.m}^(1/{self.n}))"
 
 
+# frozen instances are written through object; bound once, as it runs
+# twice for every element built
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, init=False)
 class BasisElement:
     """numerator(alpha) / denominator, numerator an integer polynomial.
 
-    The numerator is stored once, as its int coefficients constant first
-    (int_numerator); it may be given as those ints or as a QPolynomial with
-    integer coefficients.  Normalized: the gcd of all numerator
-    coefficients and the denominator is 1, so the denominator is the least
-    c with c * element in Z[alpha].
+    The numerator is stored once, as its nonzero (t, c) terms, t ascending
+    (terms); the last term is the leading one.  It may be given as its int
+    coefficients, constant first, or as a QPolynomial with integer
+    coefficients.  int_numerator (the dense ints) and numerator (the
+    polynomial) are views built from the terms on each read.  Normalized:
+    the gcd of all numerator coefficients and the denominator is 1, so the
+    denominator is the least c with c * element in Z[alpha].
     """
 
-    int_numerator: tuple[int, ...]
+    terms: tuple[tuple[int, int], ...]
     denominator: int
 
     def __init__(self, numerator: QPolynomial | Sequence[int], denominator: int):
@@ -132,17 +141,53 @@ class BasisElement:
             raise ValueError("zero basis element")
         if math.gcd(denominator, *ints) != 1:
             raise ValueError("element not in lowest terms")
-        object.__setattr__(self, "int_numerator", tuple(ints))
-        object.__setattr__(self, "denominator", denominator)
+        _set(self, "terms", tuple((t, c) for t, c in enumerate(ints) if c))
+        _set(self, "denominator", denominator)
+
+    @classmethod
+    def _from_terms(cls, terms: tuple[tuple[int, int], ...], denominator: int) -> BasisElement:
+        """The element sum c * alpha^t / denominator of terms that are
+        already normalized: nonzero, t ascending, denominator positive.
+
+        Construction's elements all lead with +-1, which puts them in
+        lowest terms whatever the denominator; that O(1) fact is checked
+        in place of a gcd over every coefficient.
+        """
+        if terms[-1][1] not in (1, -1):
+            raise ValueError("trusted construction needs a leading coefficient of +-1")
+        element = object.__new__(cls)
+        _set(element, "terms", terms)
+        _set(element, "denominator", denominator)
+        return element
+
+    def _shifted(self) -> BasisElement:
+        # alpha times the element: every term moved up one degree
+        return BasisElement._from_terms(
+            tuple([(t + 1, c) for t, c in self.terms]), self.denominator
+        )
+
+    @property
+    def int_numerator(self) -> tuple[int, ...]:
+        """The numerator's int coefficients, constant first, built from the
+        terms on each read."""
+        dense = [0] * (self.terms[-1][0] + 1)
+        for t, c in self.terms:
+            dense[t] = c
+        return tuple(dense)
 
     @property
     def numerator(self) -> QPolynomial:
-        """The numerator as a polynomial, built from the ints on each read."""
+        """The numerator as a polynomial, built from the terms on each read."""
         return QPolynomial(self.int_numerator)
 
     @property
     def degree(self) -> int:
-        return len(self.int_numerator) - 1
+        return self.terms[-1][0]
+
+    def __repr__(self) -> str:
+        # the dense form, so that reports read as they did before terms
+        dense, d = self.int_numerator, self.denominator
+        return f"BasisElement(int_numerator={dense!r}, denominator={d!r})"
 
     def __str__(self) -> str:
         if self.denominator == 1:
@@ -164,10 +209,19 @@ class IntegralBasis:
             if e.degree != i:
                 raise ValueError(f"element {i} has degree {e.degree}, want {i}")
 
+    @classmethod
+    def _assemble(cls, field: PureField, elements: tuple[BasisElement, ...]) -> IntegralBasis:
+        # construction's own bases: n elements, element i of degree i by
+        # construction, so the checks of __post_init__ are not rerun
+        basis = object.__new__(cls)
+        _set(basis, "field", field)
+        _set(basis, "elements", elements)
+        return basis
+
     @cached_property
     def _hash(self) -> int:
-        # equal bases have equal numerators, so this agrees with ==
-        return hash((self.field, tuple(e.int_numerator for e in self.elements)))
+        # equal bases have equal terms, so this agrees with ==
+        return hash((self.field, tuple([e.terms for e in self.elements])))
 
     def __hash__(self) -> int:
         # the certifier's closure-certificate cache is keyed on the basis, so
@@ -195,8 +249,10 @@ class IntegralBasis:
         rows = []
         for e in self.elements:
             scale = common // e.denominator
-            coeffs = e.int_numerator
-            rows.append([scale * (coeffs[j] if j < len(coeffs) else 0) for j in range(n)])
+            row = [0] * n
+            for t, c in e.terms:
+                row[t] = scale * c
+            rows.append(row)
         return common, tuple(map(tuple, hnf_rows(rows, n)))
 
     def __str__(self) -> str:
@@ -288,18 +344,22 @@ def prime_power_basis(p: int, k: int, m: int) -> IntegralBasis:
 def _prime_power_basis(field: PureField, p: int, k: int) -> IntegralBasis:
     m = field.m
     if m % p == 0:
-        power_basis = (BasisElement([0] * i + [1], 1) for i in range(field.n))
-        return IntegralBasis(field, tuple(power_basis))
+        power_basis = (BasisElement._from_terms(((i, 1),), 1) for i in range(field.n))
+        return IntegralBasis._assemble(field, tuple(power_basis))
 
     r = m % p ** (k + 1)
     top = min(s_value(p, m), k)
     elements = []
     for t in range(top + 1):
-        # row t fills degrees p^k - p^(k-t) up to the start of row t + 1
-        h = h_polynomial(p, k, r, t)
-        width = p ** (k - t) - (p ** (k - t - 1) if t < top else 0)
-        elements.extend(BasisElement([0] * j + h, p ** t) for j in range(width))
-    return IntegralBasis(field, tuple(elements))
+        # row t fills degrees p^k - p^(k-t) up to the start of row t + 1:
+        # h_t / p^t, then alpha times the element below
+        h = tuple([(j, c) for j, c in enumerate(h_polynomial(p, k, r, t)) if c])
+        element = BasisElement._from_terms(h, p ** t)
+        elements.append(element)
+        for _ in range(p ** (k - t) - (p ** (k - t - 1) if t < top else 0) - 1):
+            element = element._shifted()
+            elements.append(element)
+    return IntegralBasis._assemble(field, tuple(elements))
 
 
 def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
@@ -317,7 +377,9 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
     in piece i), U is unchanged and reduction mod U commutes with the
     shift, so element k is X times element k - 1 and no CRT step runs.
     In built bases that holds at every degree but the starts of the
-    pieces' rows.
+    pieces' rows.  Every piece must be monic, as every prime-power basis
+    is: then each CRT step leads with 1, and each element is built once,
+    in lowest terms, with no gcd taken.
     """
     degrees = [basis.field.n for basis in bases]
     if any(math.gcd(a, b) != 1 for a, b in combinations(degrees, 2)):
@@ -331,10 +393,7 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
     # field directly rather than re-running the square-free check
     merged = tuple(sorted(f for basis in bases for f in basis.field.factorization))
     strides = [n // n_i for n_i in degrees]
-    pieces = [
-        [(e.int_numerator, e.denominator) for e in basis.elements]
-        for basis in bases
-    ]
+    pieces = [basis.elements for basis in bases]
     # the degrees k at which some piece's stretched element is not X times
     # the one before: k = 0, and k = a * stride where psi_a is not
     # X * psi_(a-1) over the same denominator
@@ -342,36 +401,42 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
     for stride, rows in zip(strides, pieces):
         breaks.update(
             a * stride
-            for a, ((num, u), (below, v)) in enumerate(zip(rows[1:], rows), 1)
-            if u != v or num[0] or num[1:] != below
+            for a, (e, below) in enumerate(zip(rows[1:], rows), 1)
+            if e != below._shifted()
         )
 
     elements = []
     for k in range(n):
         if k not in breaks:
-            below = elements[-1]
-            elements.append(BasisElement((0,) + below.int_numerator, below.denominator))
+            elements.append(elements[-1]._shifted())
             continue
-        terms = [(s, k % s, *rows[k // s]) for s, rows in zip(strides, pieces)]
-        modulus = math.prod(u for *_, u in terms)
+        stretched = [(s, k % s, rows[k // s]) for s, rows in zip(strides, pieces)]
+        modulus = math.prod(e.denominator for *_, e in stretched)
+        if modulus == 1:
+            # every coefficient but the leading 1 is an integer, which the
+            # representative range [0, 1) takes to 0
+            elements.append(BasisElement._from_terms(((k, 1),), 1))
+            continue
         coeffs = [0] * (k + 1)
-        for stride, shift, num, u in terms:
+        for stride, shift, e in stretched:
             # the idempotent that is 1 mod u and 0 mod every other u_i
+            u = e.denominator
             cofactor = modulus // u
             idempotent = cofactor * pow(cofactor, -1, u)
-            for j, c in enumerate(num):
+            for j, c in e.terms:
                 coeffs[shift + j * stride] += c * idempotent
-        coeffs = [c % modulus for c in coeffs]
-        if coeffs[k] == 0:
-            # every input is monic, so this only happens for U = 1, where
-            # the representative range [0, 1) collapses; keep degree k
-            coeffs[k] = modulus
-        elements.append(BasisElement(coeffs, modulus))
-    return IntegralBasis(PureField(n, m, merged), tuple(elements))
+        terms = tuple([(t, r) for t, c in enumerate(coeffs) if (r := c % modulus)])
+        elements.append(BasisElement._from_terms(terms, modulus))
+    return IntegralBasis._assemble(PureField(n, m, merged), tuple(elements))
 
 
+@lru_cache(maxsize=1)
 def index_report(field: PureField) -> IndexReport:
-    """Assemble the index/discriminant ledger from the closed forms alone."""
+    """Assemble the index/discriminant ledger from the closed forms alone.
+
+    The report of the last field asked for is kept and handed out again,
+    so integral_basis and the certifier it calls build it once; callers
+    must not mutate it."""
     n, m = field.n, field.m
     per_prime = {}
     for p, k in field.factorization:
@@ -395,7 +460,8 @@ def build_basis(field: PureField) -> IntegralBasis:
 
     One compose_bases call merges the bases of the prime powers of n.  m
     was validated when the field was created, so each piece's field is
-    assembled directly, as in compose_bases.
+    assembled directly, as in compose_bases, and no piece is validated
+    again.
     """
     pieces = [
         _prime_power_basis(PureField(p ** k, field.m, ((p, k),)), p, k)

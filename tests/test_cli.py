@@ -379,6 +379,32 @@ class TestPolygon:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(MILLER_RABIN_BOUND) in err
 
+    @pytest.mark.parametrize(
+        "p, k, measure",
+        [
+            # a MemoryError traceback before, and more than 20 s at p = 1000003
+            ("2305843009213693951", "1", "2305843009213693951^1"),
+            ("1000003", "1", "1000003^1"),
+            # p^k itself is never formed
+            ("2", "1000000000", "2^1000000000"),
+            ("2", "17", "2^17"),
+        ],
+    )
+    def test_over_budget_exits_at_once(self, capsys, p, k, measure):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "polygon", "--p", p, "--k", k, "--m", "3")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert f"p^k = {measure} exceeds the budget 65536" in err
+
+    def test_budget_admits_p_to_the_k(self, capsys):
+        # the work measure is p^k itself: 9 for X^9 - 55 at 3
+        argv = ("polygon", "--p", "3", "--k", "2", "--m", "55")
+        assert invoke(capsys, *argv, "--enum-budget", "8")[:2] == (3, "")
+        code, out, _ = invoke(capsys, *argv, "--enum-budget", "9")
+        assert (code, out) == (0, invoke(capsys, *argv)[1])
+
 
 class TestAtlas:
     def test_quadratic_json(self, capsys):

@@ -2,10 +2,11 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
-from purefields import periodicity
+from purefields import periodicity, purebasis
 from purefields.exactmath import QPolynomial, SquareFree, square_free_check
 from purefields.oracle import is_algebraic_integer
 from purefields.periodicity import (
@@ -275,3 +276,26 @@ class TestRendering:
         assert "(X+1)/2" in text
         assert "m = 2, 3 (mod 4):" in text
         assert "no square-free radicands: 0" in text
+
+
+def test_atlas_checks_each_candidate_once(monkeypatch):
+    # each witness's field is built from the scan's own square-free verdict,
+    # not checked again by PureField.create
+    checked = Counter()
+    for module in (periodicity, purebasis):
+        original = module.square_free_check
+
+        def counting(m, *args, original=original):
+            checked[m] += 1
+            return original(m, *args)
+
+        monkeypatch.setattr(module, "square_free_check", counting)
+    table = atlas(9)
+    witnesses = {
+        w
+        for row in table.rows.values()
+        if isinstance(row, ParametricRow)
+        for w in (row.witness, row.second_witness)
+    }
+    assert witnesses and witnesses <= set(checked)
+    assert max(checked.values()) == 1

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from purefields.exactmath import QPolynomial, factorize, square_free_check, SquareFree
@@ -31,6 +31,7 @@ from purefields.purebasis import (
 )
 from construction_reference import compose_bases_by_crt
 from rational_reference import element_as_qpoly, element_from_qpoly, minimal_polynomial
+from test_oracle import DEDEKIND_RADICANDS
 
 
 def poly(*coeffs):
@@ -745,6 +746,87 @@ def test_element_numerator_is_the_polynomial_view():
         (QPolynomial(c), d) for c, d in expected
     ]
     assert all(type(e.numerator) is QPolynomial for e in basis.elements)
+
+
+# ---------------------------------------------------------------------------
+# elements carried as terms
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=12), st.integers(1, 24))
+def test_terms_are_the_nonzero_coefficients(coefficients, denominator):
+    # the public constructor stores exactly the nonzero (t, c), t ascending,
+    # from ints and from a QPolynomial alike; the dense view gives the ints back
+    assume(any(coefficients) and math.gcd(denominator, *coefficients) == 1)
+    nonzero = tuple((t, c) for t, c in enumerate(coefficients) if c)
+    for numerator in (coefficients, QPolynomial(coefficients)):
+        element = BasisElement(numerator, denominator)
+        assert element.terms == nonzero
+        assert element.degree == nonzero[-1][0]
+        assert element.int_numerator == tuple(coefficients[: element.degree + 1])
+
+
+def test_built_elements_equal_publicly_constructed_ones():
+    # every element construction builds through the trusted constructor
+    # equals the one the public constructor makes from its dense ints:
+    # same terms (nonzero, t ascending), same denominator, same hash, and
+    # element i has degree i
+    for n in range(2, 97):
+        for m in DEDEKIND_RADICANDS:
+            basis = build_basis(PureField.create(n, m))
+            for i, e in enumerate(basis.elements):
+                public = BasisElement(list(e.int_numerator), e.denominator)
+                assert e == public and e.terms == public.terms, (n, m, i)
+                assert hash(e) == hash(public) and e.degree == i, (n, m, i)
+            assert basis == IntegralBasis(basis.field, basis.elements)
+
+
+def test_trusted_constructor_checks_the_lead():
+    # a lead of +-1 is what puts a built element in lowest terms
+    with pytest.raises(ValueError, match="leading coefficient"):
+        BasisElement._from_terms(((0, 2), (1, 2)), 4)
+    with pytest.raises(ValueError, match="leading coefficient"):
+        BasisElement._from_terms(((3, 3),), 1)
+    assert BasisElement._from_terms(((0, 3), (2, -1)), 6) == BasisElement([3, 0, -1], 6)
+
+
+def test_built_basis_skips_the_public_constructor(monkeypatch):
+    # construction writes each element once, already normalized: none goes
+    # through BasisElement.__init__ and its gcd over every coefficient
+    calls = []
+    init = BasisElement.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BasisElement, "__init__", counting)
+    for n, m in ((8, 17), (9, 10), (10, 21), (12, -71), (30, 901), (64, 3)):
+        build_basis(PureField.create(n, m))
+    prime_power_basis(3, 2, 10)
+    assert calls == []
+
+
+def test_integral_basis_computes_the_ledger_once(monkeypatch):
+    # integral_basis and the certifier it calls share one index_report
+    calls = []
+    closed_form = purebasis.ind_p_closed_form
+    monkeypatch.setattr(
+        purebasis,
+        "ind_p_closed_form",
+        lambda p, k, m: calls.append(p) or closed_form(p, k, m),
+    )
+    index_report(PureField.create(2, 3))
+    calls.clear()
+    integral_basis(PureField.create(12, 35))
+    assert sorted(calls) == [2, 3]
+
+
+def test_ledger_memo_is_keyed_on_the_whole_field():
+    # the same degree with another radicand, and back, is a fresh ledger
+    for n, m in ((6, 2), (6, 3), (6, 2), (10, 2), (10, -2)):
+        field = PureField.create(n, m)
+        assert index_report(field) == index_report.__wrapped__(field), (n, m)
 
 
 # m values chosen so that every basis shape min(s, k), and the Eisenstein
