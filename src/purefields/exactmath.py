@@ -552,6 +552,15 @@ class RatMatrix:
             tuple(c if type(c) is int else Fraction(c) for c in row) for row in entries
         )
 
+    @classmethod
+    def _from_ints(cls, rows: list[list[int]]) -> RatMatrix:
+        """The matrix of rows that are already known to be rectangular,
+        non-empty and all-int: no entry is checked or converted."""
+        matrix = object.__new__(cls)
+        matrix.rows, matrix.cols = len(rows), len(rows[0])
+        matrix.entries = tuple(map(tuple, rows))
+        return matrix
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -686,21 +695,9 @@ def det_rational(M: RatMatrix) -> Fraction:
 
 
 def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            for j in range(m):
-                oi[j] += c * bk[j]
-    return out
+    # each row of a paired with each column of b
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
 def _trace_of_product(a: list[list[int]], b_columns: Sequence[Sequence[int]]) -> int:
@@ -712,11 +709,13 @@ def charpoly(M: RatMatrix) -> QPolynomial:
     """Monic characteristic polynomial det(X*I - M), computed exactly.
 
     The matrix is cleared to integers, N = L*M with L the lcm of the entry
-    denominators, and the power traces p_k = tr(N^k), k = 1..n, are taken
-    by baby-step/giant-step.  With s = isqrt(n), the baby powers N^1..N^s
-    and the giant powers N^2s, N^3s, ... below n cost about 2*sqrt(n)
-    integer matrix products, n^3 multiplications each: 4 at n = 12 and 5
-    at n = 16, where Faddeev-LeVerrier forms 11 and 15.  Each other trace
+    denominators (N = M and L = 1 when every entry is an int, as on every
+    multiplication matrix the oracle forms), and the power traces
+    p_k = tr(N^k), k = 1..n, are taken by baby-step/giant-step.  With
+    s = isqrt(n), the baby powers N^1..N^s and the giant powers N^2s,
+    N^3s, ... below n cost about 2*sqrt(n) integer matrix products, n^3
+    multiplications each: 4 at n = 12 and 5 at n = 16, where
+    Faddeev-LeVerrier forms 11 and 15.  Each other trace
     p_(js+i) = tr(N^(js) N^i) pairs the rows of N^(js) with the columns of
     N^i, n^2 multiplications; p_n does too when s divides n.  Newton's
     identities, k*a_k = -(a_(k-1) p_1 + ... + a_0 p_k) with a_0 = 1, give
@@ -726,10 +725,11 @@ def charpoly(M: RatMatrix) -> QPolynomial:
     if M.rows != M.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    N, scale = _cleared(M)
+    if all(type(c) is int for row in M.entries for c in row):
+        N, scale = M.entries, 1
+    else:
+        N, scale = _cleared(M)
     s = math.isqrt(n)
-    # powers of N commute, and _int_mat_mul skips the zero entries of its
-    # left factor, so the lower (sparser) power goes on the left
     babies = [N]
     for _ in range(s - 1):
         babies.append(_int_mat_mul(N, babies[-1]))
@@ -758,7 +758,9 @@ def charpoly(M: RatMatrix) -> QPolynomial:
         if r:
             raise ArithmeticError("inexact division in Newton's identities")
         coeffs[k] = a
-    return QPolynomial([Fraction(coeffs[k], scale ** k) for k in range(n, -1, -1)])
+    if scale != 1:
+        coeffs = [Fraction(c, scale ** k) for k, c in enumerate(coeffs)]
+    return QPolynomial(coeffs[::-1])
 
 
 class FpLanes:

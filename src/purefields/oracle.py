@@ -44,8 +44,9 @@ which leaves d | n once no prime of m divides d (X^n - m is Eisenstein
 there, so such a d already rules x out), then one prime q of d at a time:
 the characteristic polynomial of the multiplication map by N mod q^a,
 stripped of its least power of alpha (a unit above q), on the smallest
-pure subfield Q(alpha^g) that holds it.  The oracle certifies bases
-handed to it; it never builds one.
+pure subfield Q(alpha^g) that holds it, taken once per distinct such
+numerator in one certify.  The oracle certifies bases handed to it; it
+never builds one.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .exactmath import (
 )
 from .newton import binomial_polygon, phi_index
 from .purebasis import BasisElement, IntegralBasis, PureField, index_report
-from .purebasis import ENUM_BUDGET_DEFAULT, budget_skip_reason
+from .purebasis import ENUM_BUDGET_DEFAULT, _is_shift, budget_skip_reason
 
 
 def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> RatMatrix:
@@ -86,7 +87,7 @@ def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> RatMat
     """
     n, m = field.n, field.m
     c = list(numerator) + [0] * (n - len(numerator))
-    return RatMatrix([[m * x for x in c[n - j:]] + c[:n - j] for j in range(n)])
+    return RatMatrix._from_ints([[m * x for x in c[n - j:]] + c[:n - j] for j in range(n)])
 
 
 def _pure_subfield(field: PureField, g: int) -> PureField:
@@ -98,7 +99,9 @@ def _pure_subfield(field: PureField, g: int) -> PureField:
     return PureField(field.n // g, field.m, factorization)
 
 
-def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
+def is_algebraic_integer(
+    field: PureField, element: BasisElement, *, _verdicts: dict | None = None
+) -> bool:
     """Whether x = N(alpha)/d lies in the ring of integers, decided exactly.
 
     d == 1 is integral at once.  Otherwise the trace pairings
@@ -125,7 +128,12 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
       divides its coefficient of X^k for every k.
 
     x is integral iff every prime of d passes; the first that fails
-    decides.
+    decides.  The verdict at q is thus a function of (q^a, g, M) alone
+    in a fixed field: elements that differ by a power of alpha or by
+    multiples of q^a in N share it.  certify hands in one dict for its
+    own call, _verdicts, which keeps each verdict under that key, so
+    each distinct local numerator's characteristic polynomial is taken
+    once per certification.
     """
     n, m = field.n, field.m
     if element.degree >= n:
@@ -138,6 +146,7 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
         return False
     if math.gcd(d, m) > 1:
         return False
+    verdicts = {} if _verdicts is None else _verdicts
     # d | n here, so each prime of d is a prime of n
     for q, _ in field.factorization:
         if d % q:
@@ -145,13 +154,19 @@ def is_algebraic_integer(field: PureField, element: BasisElement) -> bool:
         modulus = q ** vp_int(q, d)
         local = [(t, r) for t, c in terms if (r := c % modulus)]
         s = local[0][0]
-        g = math.gcd(n, *(t - s for t, _ in local))
-        subfield = _pure_subfield(field, g)
-        reduced = [0] * ((local[-1][0] - s) // g + 1)
-        for t, r in local:
-            reduced[(t - s) // g] = r
-        coefficients = charpoly(_multiplication_matrix(subfield, reduced)).coefficients
-        if any(int(c) % modulus ** (subfield.n - k) for k, c in enumerate(coefficients)):
+        stripped = tuple([(t - s, r) for t, r in local])
+        g = math.gcd(n, *(t for t, _ in stripped))
+        key = (modulus, g, stripped)
+        if key not in verdicts:
+            subfield = _pure_subfield(field, g)
+            reduced = [0] * (stripped[-1][0] // g + 1)
+            for t, r in stripped:
+                reduced[t // g] = r
+            coefficients = charpoly(_multiplication_matrix(subfield, reduced)).coefficients
+            verdicts[key] = not any(
+                int(c) % modulus ** (subfield.n - k) for k, c in enumerate(coefficients)
+            )
+        if not verdicts[key]:
             return False
     return True
 
@@ -279,7 +294,7 @@ def _structure_constants(basis: IntegralBasis) -> ClosureCertificate:
     generators = [0]
     closed = True
     for i, (d, support) in enumerate(supports):
-        if i + 1 < n and supports[i + 1] == (d, tuple([(t + 1, c * x) for t, x in support])):
+        if i + 1 < n and _is_shift(supports[i + 1], (d, support), 1, c):
             continue
         coords, scale = _peel(supports, _product(field, [(1, c)], support), d)
         closed = closed and scale == 1
@@ -608,9 +623,8 @@ def _subfield(
     reduced = []
     for a in range(0, n, u):
         q, support = local[a]
-        if any(t % u for t, _ in support) or any(
-            local[a + b] != (q, tuple([(t + b, c) for t, c in support]))
-            for b in range(1, u)
+        if any(t % u for t, _ in support) or not all(
+            _is_shift(local[a + b], (q, support), b, 1) for b in range(1, u)
         ):
             return field, local, 1
         reduced.append((q, tuple([(t // u, c) for t, c in support])))
@@ -743,6 +757,19 @@ def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, .
     the multipliers, are read off the one reduced echelon form that
     fp_reduce keeps.  A Proved carries the radical's dimension and the
     number of radical vectors multiplied.
+
+    A counterexample stops the system early.  After each radical vector's
+    conditions, y, the first vector of the current kernel, is checked on
+    each radical vector v not yet fed: y*v in p*I_p, one product and two
+    peels each (_ideal_coordinates).  If every check passes, y is a
+    multiplier, and it is the full system's first kernel vector: the full
+    system's rows contain the partial system's, so its free columns are
+    among the partial system's, and y, 1 at the least of those and 0 at
+    the others, is the full kernel's vector in reduced form, which is
+    unique.  On a p-maximal order the full kernel is 0, so no check
+    passes and the proof, with its generators count, is the one that
+    feeds every radical vector (Cohen, Algorithm 6.1.8); elsewhere both
+    end at the same y.
     """
     n = field.n
 
@@ -792,34 +819,61 @@ def _multiplier_kernel(field: PureField, local, p: int) -> Proved | tuple[int, .
     # radical vectors remain.  Their conditions go one by one into the same
     # reduced echelon form of at most n rows, and the proof ends once the
     # multipliers are down to p*O
-    for generators, g in enumerate(radical, 1):
-        # g * b_k' = M(alpha) * N_k'(alpha) / (L * p^v), with g = M(alpha)/L
+    def terms(g):
+        # g = M(alpha)/L as (M's nonzero terms, L), taken where it is used:
+        # most proofs end inside the first radical vector's conditions
         numerator, common = _numerator(g, local)
-        numerator = [(t, c) for t, c in enumerate(numerator) if c]
-        rows = []
-        for q, support in local:
-            coords, scale = _peel(local, _product(field, numerator, support), common * q)
-            if scale != 1:
-                # p^2*O lies in p*I_p, since I_p contains p*O, so
-                # coordinates mod p^2 fix the I_p-coordinates mod p
-                coords = _residues(coords, scale, p * p)
-            rem = [0] * n
-            for k, c in coords.items():
-                rem[k] = c
-            # the I_p-coordinates of g * b_k, integers exactly when it lies in I_p
-            coords, scale = _peel(ideal, rem, 1)
-            if scale != 1:
-                raise ArithmeticError("internal error: product left the radical ideal")
-            rows.append(coords.items())
-        # one condition per coordinate t, sum_k y_k * rows[k][t] = 0 mod p:
-        # column t of the rows, packed
+        return [(t, c) for t, c in enumerate(numerator) if c], common
+
+    for generators, g in enumerate(radical, 1):
+        # g * b_k' = M(alpha) * N_k'(alpha) / (L * p^v): one condition per
+        # I_p-coordinate t, sum_k y_k * rows[k][t] = 0 mod p, column t of
+        # the rows, packed
+        numerator, common = terms(g)
+        rows = [
+            _ideal_coordinates(field, local, ideal, numerator, common, support, q, p).items()
+            for q, support in local
+        ]
         for condition in lanes.columns(rows):
             if fp_reduce(echelon, condition, lanes) and len(echelon) == n:
                 return Proved(len(radical), generators, degree=n)
+        # y, the current kernel's first vector, is the full system's once
+        # it multiplies each radical vector not yet fed into p*I_p (the
+        # docstring has why); after the last vector none is left to check
+        y = fp_kernel(echelon, lanes)[0]
+        y_terms, y_common = terms(y)
+        if not any(
+            c % p
+            for v in radical[generators:]
+            for c in _ideal_coordinates(
+                field, local, ideal, y_terms, y_common, *terms(v), p
+            ).values()
+        ):
+            break
+    return y
 
-    # multipliers outside p*O survive; the first vector of the reduced
-    # echelon form's kernel is 1 at the first free column and 0 above it
-    return fp_kernel(echelon, lanes)[0]
+
+def _ideal_coordinates(field: PureField, local, ideal, a, d: int, b, e: int, p: int):
+    """The I_p-coordinates {k: c} of (a(alpha)/d) * (b(alpha)/e), which
+    lies in I_p, one factor being in O and the other in I_p; a and b are
+    given by their nonzero (t, c) pairs.
+
+    The product is peeled twice: against the local basis, where its
+    coordinates have denominators prime to p and are read mod p^2
+    (p^2*O lies in p*I_p, since I_p contains p*O, so they fix the
+    I_p-coordinates mod p), and then against the Hermite basis of I_p,
+    where a denominator would mean the product left the ideal.
+    """
+    coords, scale = _peel(local, _product(field, a, b), d * e)
+    if scale != 1:
+        coords = _residues(coords, scale, p * p)
+    rem = [0] * field.n
+    for k, c in coords.items():
+        rem[k] = c
+    coords, scale = _peel(ideal, rem, 1)
+    if scale != 1:
+        raise ArithmeticError("internal error: product left the radical ideal")
+    return coords
 
 
 # --- certification ----------------------------------------------------------
@@ -867,9 +921,13 @@ def certify(
     counterexample at q.  A lattice that is closed and contains 1 is an
     order, so each of its elements is integral; only a lattice that is not
     an order has its elements tested one by one, with the characteristic
-    polynomial as the last resort.  When the work measure n^2 exceeds
-    enum_budget, no p-maximality proof runs: every p | n is Skipped with
-    the same reason.
+    polynomial as the last resort.  Each q-local verdict of that test is
+    kept, for this call only, under (q^a, g, the local numerator less its
+    power of alpha), the reduction is_algebraic_integer proves, so
+    elements that reduce alike, as a shifted element and the one below it
+    do, take one characteristic polynomial.  When the work measure n^2
+    exceeds enum_budget, no p-maximality proof runs: every p | n is
+    Skipped with the same reason.
     """
     field = basis.field
     over_budget = budget_skip_reason(field.n, enum_budget)
@@ -879,7 +937,11 @@ def certify(
     if defect is None:
         integrality = (True,) * field.n
     else:
-        integrality = tuple(is_algebraic_integer(field, e) for e in basis.elements)
+        # q-local verdicts, shared by this call's elements only
+        verdicts: dict = {}
+        integrality = tuple(
+            is_algebraic_integer(field, e, _verdicts=verdicts) for e in basis.elements
+        )
     disc = _discriminant_exact(basis)
     disc_match = disc == index_report(field).field_discriminant
     maximality = {

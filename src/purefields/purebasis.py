@@ -362,6 +362,19 @@ def _prime_power_basis(field: PureField, p: int, k: int) -> IntegralBasis:
     return IntegralBasis._assemble(field, tuple(elements))
 
 
+def _is_shift(above, below, b: int, c: int) -> bool:
+    """Whether the (denominator, terms) pair above is c * alpha^b times
+    below: the same denominator, every term moved up b degrees and scaled
+    by c, compared in place."""
+    (d, upper), (e, lower) = above, below
+    if d != e or len(upper) != len(lower):
+        return False
+    for (s, y), (t, x) in zip(upper, lower):
+        if s != t + b or y != c * x:
+            return False
+    return True
+
+
 def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
     """Merge bases of Q(m^(1/n_i)) for pairwise coprime n_i into degree prod n_i.
 
@@ -402,7 +415,7 @@ def compose_bases(bases: Sequence[IntegralBasis], m: int) -> IntegralBasis:
         breaks.update(
             a * stride
             for a, (e, below) in enumerate(zip(rows[1:], rows), 1)
-            if e != below._shifted()
+            if not _is_shift((e.denominator, e.terms), (below.denominator, below.terms), 1, 1)
         )
 
     elements = []

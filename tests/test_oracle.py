@@ -56,6 +56,7 @@ from purefields.purebasis import (
 )
 from fp_reference import fp_kernel as reference_fp_kernel
 import given_basis_reference
+import multiplier_reference
 from fp_reference import fp_reduce as reference_fp_reduce
 from rational_reference import FieldElement, coordinates_in_basis, mul, trace
 from rational_reference import element_as_qpoly, element_from_qpoly, minimal_polynomial
@@ -2042,9 +2043,9 @@ def test_certify_tests_elements_only_off_orders(monkeypatch, make_basis, calls):
     basis = make_basis()
     seen = []
 
-    def counting(field, e):
+    def counting(field, e, **kwargs):
         seen.append(e)
-        return is_algebraic_integer(field, e)
+        return is_algebraic_integer(field, e, **kwargs)
 
     monkeypatch.setattr(oracle, "is_algebraic_integer", counting)
     certify(basis)
@@ -2527,3 +2528,137 @@ def test_wild_prime_at_scale_takes_the_polygon(n, m):
     report = certify(build_basis(field), enum_budget=n * n)
     (p, result), = report.maximality.items()
     assert report.certified and (result.route, result.degree) == ("polygon", n), p
+
+
+# ---------------------------------------------------------------------------
+# Round 2's early stop, and one integrality verdict per local numerator
+# ---------------------------------------------------------------------------
+
+
+def _round_two_twin_orders(n: int):
+    # (basis, p) for Z[c*alpha], c in {1, 2, 3, 6}, and Z[alpha] + p*O_K
+    # wherever that lies strictly between Z[alpha] and O_K at p, at a
+    # wild-class radicand and at one where some primes may be tame
+    for m in (_wild_class_radicand(n, 1), DEDEKIND_RADICANDS[n % len(DEDEKIND_RADICANDS)]):
+        field = PureField.create(n, m)
+        primes = [p for p, _ in field.factorization]
+        for c in (1, 2, 3, 6):
+            for p in primes:
+                yield _multiplier_lattice(n, m, c), p
+        disc = index_report(field).field_discriminant
+        for p in primes:
+            basis = _order_with_q_maximal_part(field, p)
+            valuation = oracle._discriminant_valuation(basis, p)
+            if vp_int(p, disc) < valuation < oracle._power_basis_valuation(field, p):
+                yield basis, p
+
+
+def test_early_stop_matches_the_feed_every_vector_twin(monkeypatch):
+    # the first kernel vector that multiplies the radical vectors not yet
+    # fed into p*I_p is the full system's: same result type, radical
+    # dimension, generators and counterexample bytes as feeding them all
+    fast = oracle._multiplier_kernel
+    outcomes = set()
+    for n in range(2, 41):
+        for basis, p in _round_two_twin_orders(n):
+            certificate = oracle._structure_constants(basis)
+            monkeypatch.setattr(oracle, "_multiplier_kernel", fast)
+            result = oracle._round_two(basis, p, certificate)
+            monkeypatch.setattr(oracle, "_multiplier_kernel", multiplier_reference.multiplier_kernel)
+            twin = oracle._round_two(basis, p, certificate)
+            assert repr(result) == repr(twin), (n, basis.field.m, p)
+            outcomes.add(type(result))
+    assert outcomes == {Proved, CounterexampleFound}
+
+
+@pytest.mark.parametrize("n, m, p", [(16, 17, 2), (81, 10, 3)])
+def test_round_two_multiplies_fewer_vectors_than_the_radical(monkeypatch, n, m, p):
+    # on Z[alpha], p and the first radical vector already generate I_p as
+    # an O-module: once the first vector's n conditions are in, the first
+    # kernel vector is checked on the rest, and Round 2 stops there
+    conditions, kernels = [], []
+
+    def recording_reduce(echelon, row, lanes):
+        conditions.append(bool(kernels))
+        return fp_reduce(echelon, row, lanes)
+
+    def recording_kernel(echelon, lanes):
+        kernels.append(fp_kernel(echelon, lanes))
+        return kernels[-1]
+
+    monkeypatch.setattr(oracle, "fp_reduce", recording_reduce)
+    monkeypatch.setattr(oracle, "fp_kernel", recording_kernel)
+    basis = power_basis(n, m)
+    local = oracle._local_supports(basis, p, oracle._structure_constants(basis).multiplier)
+    result = oracle._multiplier_kernel(basis.field, local, p)
+    radical_dimension = len(kernels[0])
+    fed, rest = divmod(sum(conditions), n)
+    assert rest == 0 and 1 <= fed < radical_dimension, (fed, radical_dimension)
+    assert result == multiplier_reference.multiplier_kernel(basis.field, local, p)
+
+
+def _integrality_keys(field: PureField, element: BasisElement) -> list[tuple]:
+    # the (q^a, g, local terms less their power of alpha) that
+    # is_algebraic_integer takes a characteristic polynomial for, in
+    # order, up to the first prime at which the element is not integral
+    n, m, d = field.n, field.m, element.denominator
+    if d == 1 or math.gcd(d, m) > 1:
+        return []
+    if any((n * c if t == 0 else n * m * c) % d for t, c in element.terms):
+        return []
+    keys = []
+    for q, _ in field.factorization:
+        if d % q:
+            continue
+        modulus = q ** vp_int(q, d)
+        local = [(t, r) for t, c in element.terms if (r := c % modulus)]
+        stripped = tuple((t - local[0][0], r) for t, r in local)
+        keys.append((modulus, math.gcd(n, *(t for t, _ in stripped)), stripped))
+        # N/q^a is in lowest terms, and integral exactly where x is at q
+        if not is_algebraic_integer(field, BasisElement(element.int_numerator, modulus)):
+            break
+    return keys
+
+
+def test_certify_takes_one_charpoly_per_local_numerator(monkeypatch):
+    # the elements of one lattice that is not an order share verdicts: a
+    # shifted element has the local numerator of the one below it less
+    # its power of alpha, so a charpoly is taken once per distinct key
+    calls = []
+    charpoly_of = oracle.charpoly
+    monkeypatch.setattr(oracle, "charpoly", lambda M: calls.append(M.rows) or charpoly_of(M))
+    reached = distinct = 0
+    for n in (8, 9, 12):
+        for m in (_wild_class_radicand(n, 1), 10, -7):
+            for mutant in _refute_mutants(build_basis(PureField.create(n, m))):
+                if oracle._order_defect(mutant, oracle._structure_constants(mutant)) is None:
+                    continue
+                keys = [
+                    key for e in mutant.elements for key in _integrality_keys(mutant.field, e)
+                ]
+                calls.clear()
+                report = certify(mutant)
+                assert len(calls) == len(set(keys)), (n, m, mutant)
+                assert report.integrality == tuple(
+                    is_algebraic_integer(mutant.field, e) for e in mutant.elements
+                )
+                reached += len(keys)
+                distinct += len(set(keys))
+    # keys repeat within one certify (about half of them here), and each
+    # took one charpoly
+    assert 0 < distinct < reached
+
+
+def test_integrality_verdicts_last_one_certify(monkeypatch):
+    # the verdicts live in certify's own call: a second, identical certify
+    # takes every characteristic polynomial again
+    calls = []
+    charpoly_of = oracle.charpoly
+    monkeypatch.setattr(oracle, "charpoly", lambda M: calls.append(M.rows) or charpoly_of(M))
+    mutant = next(_refute_mutants(build_basis(PureField.create(12, 17))))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        certify(mutant)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
