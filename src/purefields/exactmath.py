@@ -16,9 +16,12 @@ rank; fp_kernel reads a kernel basis straight off that form.  A row over
 F_p is packed into one int, a lane of whole bytes per column (FpLanes),
 so a step is a few big-int operations: one multiple of each pivot row
 added, then one exact multiply-and-shift that takes every lane mod p at
-once.  Rational matrices, kept for exact characteristic polynomials, are
-immutable values; both charpoly and det_rational clear their denominators
-once and work on integers.  Every operation is exact; no floats anywhere.
+once.  A characteristic polynomial is taken of an f-circulant
+(FCirculant), the matrix of multiplication by c(X) on Q[X]/(X^n - f),
+stored as c and f: its power traces are read off the powers of c mod
+X^n - f.  Rational matrices are immutable values, and det_rational clears
+their denominators once and works on integers.  Every operation is exact;
+no floats anywhere.
 """
 
 from __future__ import annotations
@@ -552,15 +555,6 @@ class RatMatrix:
             tuple(c if type(c) is int else Fraction(c) for c in row) for row in entries
         )
 
-    @classmethod
-    def _from_ints(cls, rows: list[list[int]]) -> RatMatrix:
-        """The matrix of rows that are already known to be rectangular,
-        non-empty and all-int: no entry is checked or converted."""
-        matrix = object.__new__(cls)
-        matrix.rows, matrix.cols = len(rows), len(rows[0])
-        matrix.entries = tuple(map(tuple, rows))
-        return matrix
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -694,63 +688,60 @@ def det_rational(M: RatMatrix) -> Fraction:
     return Fraction(det_int(N), scale ** M.rows)
 
 
-def _int_mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    # each row of a paired with each column of b
-    columns = list(zip(*b))
-    return [[sum(map(mul, row, column)) for column in columns] for row in a]
+class FCirculant:
+    """The n x n f-circulant with integer first row c and twist f.
 
-
-def _trace_of_product(a: list[list[int]], b_columns: Sequence[Sequence[int]]) -> int:
-    # tr(A*B) pairs row i of A with column i of B: n^2 products, not n^3
-    return sum(sum(map(mul, row, col)) for row, col in zip(a, b_columns))
-
-
-def charpoly(M: RatMatrix) -> QPolynomial:
-    """Monic characteristic polynomial det(X*I - M), computed exactly.
-
-    The matrix is cleared to integers, N = L*M with L the lcm of the entry
-    denominators (N = M and L = 1 when every entry is an int, as on every
-    multiplication matrix the oracle forms), and the power traces
-    p_k = tr(N^k), k = 1..n, are taken by baby-step/giant-step.  With
-    s = isqrt(n), the baby powers N^1..N^s and the giant powers N^2s,
-    N^3s, ... below n cost about 2*sqrt(n) integer matrix products, n^3
-    multiplications each: 4 at n = 12 and 5 at n = 16, where
-    Faddeev-LeVerrier forms 11 and 15.  Each other trace
-    p_(js+i) = tr(N^(js) N^i) pairs the rows of N^(js) with the columns of
-    N^i, n^2 multiplications; p_n does too when s divides n.  Newton's
-    identities, k*a_k = -(a_(k-1) p_1 + ... + a_0 p_k) with a_0 = 1, give
-    the coefficient a_k of X^(n-k) in det(X*I - N), the division by k
-    being exact over Z; that of det(X*I - M) is a_k / L^k.
+    Row j is c shifted right by j, the j entries pushed past the end
+    wrapped round to the front and multiplied by f: the matrix of
+    multiplication by c(X) on Q[X]/(X^n - f), row j the coordinates of
+    c(X)*X^j in 1, X, ..., X^(n-1) (P. J. Davis, Circulant Matrices,
+    1979).  Only c and f are stored, and entries builds the rows when it
+    is read.
     """
-    if M.rows != M.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = M.rows
-    if all(type(c) is int for row in M.entries for c in row):
-        N, scale = M.entries, 1
-    else:
-        N, scale = _cleared(M)
-    s = math.isqrt(n)
-    babies = [N]
-    for _ in range(s - 1):
-        babies.append(_int_mat_mul(N, babies[-1]))
-    # columns[i] holds the columns of N^i, 1 <= i < s
-    columns = [None] + [list(zip(*power)) for power in babies[:-1]]
+
+    __slots__ = ("first_row", "twist", "rows", "cols")
+
+    def __init__(self, first_row: Sequence[int], twist: int):
+        if not first_row:
+            raise ValueError("an f-circulant has at least one row")
+        self.first_row: tuple[int, ...] = tuple(first_row)
+        self.twist = twist
+        self.rows = self.cols = len(self.first_row)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        c, f, n = self.first_row, self.twist, self.rows
+        return tuple(tuple(f * x for x in c[n - j:]) + c[:n - j] for j in range(n))
+
+    def __repr__(self) -> str:
+        return f"FCirculant({list(self.first_row)!r}, {self.twist!r})"
+
+
+def charpoly(M: FCirculant) -> QPolynomial:
+    """Monic characteristic polynomial det(X*I - M) of an f-circulant,
+    computed exactly.
+
+    f-circulants multiply like polynomials mod X^n - f, and X^i has trace
+    0 on Q[X]/(X^n - f) for 0 < i < n, so the power traces are
+    p_k = tr(M^k) = n * [c^k mod (X^n - f)]_0, k = 1..n: each power is
+    one polynomial product by c and a fold of its top coefficients,
+    X^(n+i) = f*X^i.  Newton's identities,
+    k*a_k = -(a_(k-1) p_1 + ... + a_0 p_k) with a_0 = 1, give the
+    coefficient a_k of X^(n-k), the division by k being exact over Z.
+    """
+    n, f = M.rows, M.twist
+    # c without its trailing zeros: each product has len(c) - 1 top
+    # coefficients to fold
+    c = _trim(list(M.first_row)) or [0]
     traces = [0] * (n + 1)
-    for i in range(1, s):
-        traces[i] = sum(babies[i - 1][a][a] for a in range(n))
-    giant, k = babies[-1], s
-    while True:
-        traces[k] = sum(giant[a][a] for a in range(n))
-        for i in range(1, min(s - 1, n - k) + 1):
-            traces[k + i] = _trace_of_product(giant, columns[i])
-        k += s
-        if k > n:
-            break
-        if k == n:
-            # p_n pairs N^(n-s) with N^s, so the last product is not formed
-            traces[n] = _trace_of_product(giant, list(zip(*babies[-1])))
-            break
-        giant = _int_mat_mul(babies[-1], giant)
+    power = list(M.first_row)
+    for k in range(1, n + 1):
+        traces[k] = n * power[0]
+        if k < n:
+            product = _int_product(power, c)
+            for i, top in enumerate(product[n:]):
+                product[i] += f * top
+            power = product[:n]
     coeffs = [1] + [0] * n
     for k in range(1, n + 1):
         total = sum(map(mul, coeffs[k - 1::-1], traces[1:k + 1]))
@@ -758,8 +749,6 @@ def charpoly(M: RatMatrix) -> QPolynomial:
         if r:
             raise ArithmeticError("inexact division in Newton's identities")
         coeffs[k] = a
-    if scale != 1:
-        coeffs = [Fraction(c, scale ** k) for k, c in enumerate(coeffs)]
     return QPolynomial(coeffs[::-1])
 
 

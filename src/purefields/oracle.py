@@ -62,7 +62,7 @@ from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .exactmath import (
-    RatMatrix,
+    FCirculant,
     charpoly,
     det_rational,  # unused here; bound so the benchmark tracer can wrap it
     factorize,
@@ -78,16 +78,15 @@ from .purebasis import BasisElement, IntegralBasis, PureField, index_report
 from .purebasis import ENUM_BUDGET_DEFAULT, _is_shift, budget_skip_reason
 
 
-def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> RatMatrix:
-    """Matrix of multiplication by N(alpha), N the integer coefficients.
+def _multiplication_matrix(field: PureField, numerator: Sequence[int]) -> FCirculant:
+    """Matrix of multiplication by N(alpha), N the integer coefficients:
+    the m-circulant whose first row is N, padded to n.
 
     Row j holds the coordinates of N(alpha) * alpha^j: the coefficients
     shifted up by j, the top j of them wrapped round to the bottom and
-    multiplied by m.
+    multiplied by m.  Only N and m are stored.
     """
-    n, m = field.n, field.m
-    c = list(numerator) + [0] * (n - len(numerator))
-    return RatMatrix._from_ints([[m * x for x in c[n - j:]] + c[:n - j] for j in range(n)])
+    return FCirculant(list(numerator) + [0] * (field.n - len(numerator)), field.m)
 
 
 def _pure_subfield(field: PureField, g: int) -> PureField:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from purefields import exactmath
 from purefields.exactmath import (
+    FCirculant,
     NotSquareFree,
     QPolynomial,
     RatMatrix,
@@ -577,12 +578,16 @@ def test_det_int_block_triangular():
 
 
 def test_charpoly_examples():
-    assert charpoly(RatMatrix([[0, 0], [0, 0]])) == QPolynomial([0, 0, 1])
-    assert charpoly(RatMatrix([[1, 0], [0, 2]])) == QPolynomial([2, -3, 1])
-    companion = RatMatrix([[0, 0, 7], [1, 0, 0], [0, 1, 0]])
-    assert charpoly(companion) == QPolynomial([-7, 0, 0, 1])
+    assert charpoly(FCirculant([0, 0], 5)) == QPolynomial([0, 0, 1])
+    assert charpoly(FCirculant([4], -9)) == QPolynomial([-4, 1])
+    # [[1, 2], [6, 1]]
+    assert FCirculant([1, 2], 3).entries == ((1, 2), (6, 1))
+    assert charpoly(FCirculant([1, 2], 3)) == QPolynomial([-11, -2, 1])
+    # the companion matrix of X^3 - 7
+    assert FCirculant([0, 1, 0], 7).entries == ((0, 1, 0), (0, 0, 1), (7, 0, 0))
+    assert charpoly(FCirculant([0, 1, 0], 7)) == QPolynomial([-7, 0, 0, 1])
     with pytest.raises(ValueError):
-        charpoly(RatMatrix([[1, 2, 3], [4, 5, 6]]))
+        FCirculant([], 2)
 
 
 def test_rat_matrix_keeps_ints():
@@ -592,64 +597,66 @@ def test_rat_matrix_keeps_ints():
     assert det_rational(M) == Fraction(3, 4)
 
 
-def assert_charpoly_matches_reference(rows):
-    assert list(charpoly(RatMatrix(rows)).coefficients) == reference_charpoly(rows)
+def assert_charpoly_matches_reference(M):
+    assert list(charpoly(M).coefficients) == reference_charpoly(M.entries)
 
 
-def square_matrices(entries):
-    return st.integers(1, 20).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+def f_circulants(sizes, entries, twists):
+    return st.builds(
+        FCirculant, sizes.flatmap(lambda n: st.lists(entries, min_size=n, max_size=n)), twists
     )
 
 
-SMALL_RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 6))
 NEAR_1E30 = st.one_of(
     st.integers(10 ** 30 - 50, 10 ** 30 + 50), st.integers(-10 ** 30 - 50, -10 ** 30 + 50)
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(square_matrices(SMALL_RATIONALS))
-def test_charpoly_matches_reference_on_rationals(rows):
-    assert_charpoly_matches_reference(rows)
+TWISTS = st.one_of(st.sampled_from((0, 1, -1, 2, -2)), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=15, deadline=None)
+@given(f_circulants(st.integers(1, 40), st.one_of(st.integers(-50, 50), NEAR_1E30), TWISTS))
+def test_charpoly_matches_reference_on_f_circulants(M):
+    assert_charpoly_matches_reference(M)
 
 
 @settings(max_examples=25, deadline=None)
-@given(square_matrices(NEAR_1E30))
-def test_charpoly_matches_reference_on_huge_integers(rows):
-    assert_charpoly_matches_reference(rows)
+@given(f_circulants(st.integers(1, 20), NEAR_1E30, NEAR_1E30))
+def test_charpoly_matches_reference_on_huge_integers(M):
+    assert_charpoly_matches_reference(M)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_charpoly_matches_reference_at_every_degree(n):
-    # every split of n into baby and giant steps, the edges n = s^2 and
-    # s^2 +- 1 (3, 4, 5, 8, 9, 10, 15, 16, 17) among them
+    # dense first rows, so each power folds about n - 1 top coefficients by f
     rng = random.Random(n)
-    rows = [[Fraction(rng.randint(-50, 50), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
-    assert_charpoly_matches_reference(rows)
-    rows = [[rng.choice((1, -1)) * 10 ** 30 + rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
-    assert_charpoly_matches_reference(rows)
+    assert_charpoly_matches_reference(
+        FCirculant([rng.randint(-50, 50) for _ in range(n)], rng.randint(-50, 50))
+    )
+    assert_charpoly_matches_reference(FCirculant(
+        [rng.choice((1, -1)) * 10 ** 30 + rng.randint(-50, 50) for _ in range(n)],
+        rng.choice((1, -1)) * 10 ** 30 + rng.randint(-50, 50),
+    ))
+
+
+def _x_mod(n, f):
+    # X mod X^n - f: e_1, or f itself at n = 1
+    return [0, 1] + [0] * (n - 2) if n > 1 else [f]
 
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_charpoly_closed_forms(n):
     X = QPolynomial([0, 1])
-    zero = [[0] * n for _ in range(n)]
-    assert charpoly(RatMatrix(zero)) == qpoly_power(X, n)
-    scalar = [[Fraction(-7, 3) * (i == j) for j in range(n)] for i in range(n)]
-    assert charpoly(RatMatrix(scalar)) == qpoly_power(QPolynomial([Fraction(7, 3), 1]), n)
-    jordan = [[int(j == i + 1) for j in range(n)] for i in range(n)]
-    assert charpoly(RatMatrix(jordan)) == qpoly_power(X, n)
-    # the companion matrix of X^n - m: ones below the diagonal, m in the corner
-    companion = [[int(j == i - 1) for j in range(n)] for i in range(n)]
-    companion[0][n - 1] += 10 ** 20 + 39
-    assert charpoly(RatMatrix(companion)) == qpoly_power(X, n) - QPolynomial([10 ** 20 + 39])
-    # u v^T has the one nonzero eigenvalue v.u
-    u = [Fraction(i - 3, i + 1) for i in range(n)]
-    v = [Fraction(2 * i + 1, 5) for i in range(n)]
-    rank_one = [[a * b for b in v] for a in u]
-    trace = sum(a * b for a, b in zip(u, v))
-    assert charpoly(RatMatrix(rank_one)) == qpoly_power(X, n) - trace * qpoly_power(X, n - 1)
+    assert charpoly(FCirculant([0] * n, 3)) == qpoly_power(X, n)
+    assert charpoly(FCirculant([-7] + [0] * (n - 1), 3)) == qpoly_power(QPolynomial([7, 1]), n)
+    # the shift, nilpotent at f = 0
+    assert charpoly(FCirculant(_x_mod(n, 0), 0)) == qpoly_power(X, n)
+    # the companion matrix of X^n - f
+    f = 10 ** 20 + 39
+    assert charpoly(FCirculant(_x_mod(n, f), f)) == qpoly_power(X, n) - QPolynomial([f])
+    # the all-ones matrix has rank one and the one nonzero eigenvalue n
+    assert charpoly(FCirculant([1] * n, 1)) == qpoly_power(X, n) - n * qpoly_power(X, n - 1)
 
 
 def test_charpoly_matches_sympy():
@@ -657,19 +664,18 @@ def test_charpoly_matches_sympy():
     rng = random.Random(3)
     for _ in range(10):
         n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-        ours = charpoly(RatMatrix(m))
-        theirs = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in m]).charpoly()
-        coeffs = list(reversed(theirs.all_coeffs()))
-        expected = QPolynomial([Fraction(int(c.p), int(c.q)) for c in [sympy.Rational(x) for x in coeffs]])
-        assert ours == expected
+        M = FCirculant([rng.randint(-6, 6) for _ in range(n)], rng.randint(-6, 6))
+        theirs = sympy.Matrix(M.entries).charpoly()
+        expected = QPolynomial([int(c) for c in reversed(theirs.all_coeffs())])
+        assert charpoly(M) == expected
 
 
 def test_charpoly_cayley_hamilton():
     rng = random.Random(5)
     for n in range(1, 11):
-        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-        poly = charpoly(RatMatrix(m))
+        M = FCirculant([rng.randint(-5, 5) for _ in range(n)], rng.randint(-5, 5))
+        m = M.entries
+        poly = charpoly(M)
         # evaluate the polynomial at the matrix
         acc = [[Fraction(0)] * n for _ in range(n)]
         power = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]

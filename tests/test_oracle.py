@@ -1959,6 +1959,18 @@ def test_counterexample_recheck_runs_in_the_subfield(monkeypatch):
     assert rows == [4, 3, 5]
 
 
+def test_counterexample_at_degree_81_rechecks_in_one_charpoly(monkeypatch):
+    # Z[alpha] at (81, 10) is refuted at 3 after one radical vector, and
+    # the recheck of the counterexample, with g = 1, is the one charpoly,
+    # at the full degree; its powers of an 81-term numerator mod X^81 - 10
+    # keep the whole certify well under a second
+    rows = []
+    monkeypatch.setattr(oracle, "charpoly", lambda M: rows.append(M.rows) or charpoly(M))
+    report = certify(power_basis(81, 10))
+    assert isinstance(report.maximality[3], CounterexampleFound)
+    assert rows == [81]
+
+
 @pytest.mark.parametrize(
     "make_basis, p",
     [
